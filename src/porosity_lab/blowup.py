@@ -13,6 +13,8 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .tailset import (
+    PROBE_WINDOW,
+    SP_EVIDENCE_RATIO,
     Block,
     Chain,
     Interval,
@@ -20,10 +22,10 @@ from .tailset import (
     TailFamily,
     block_inf,
     block_sup,
+    certified_porosity_index,
     expand,
-    lambda_gap,
     merge_blocks,
-    porosity_profile,
+    probe_ratios,
 )
 
 __all__ = [
@@ -36,15 +38,6 @@ __all__ = [
     "check_inclusion_lemma",
     "find_covering_blowup",
 ]
-
-# probe ratios this close to 1 count as evidence of full porosity and stop
-# the covering-blowup search
-SP_EVIDENCE_RATIO = Fraction(99, 100)
-
-# how many of the deepest probes inform the porosity margin when no
-# closed-form certificate is available
-PROBE_WINDOW = 10
-
 
 def _check_q(q) -> Fraction:
     q = Fraction(q)
@@ -189,19 +182,13 @@ def find_covering_blowup(f: TailFamily, depth: int) -> Optional[Tuple[Fraction, 
     then closes every relative gap of size at most s.
     """
     chain = expand(f, depth)
-    certified = None
-    if f.has_zero_accumulation:
-        certified = porosity_profile(f, depth).p_plus
+    certified = certified_porosity_index(f)
     if certified is not None:
         if certified == 1:
             return None
         s = (1 + certified) / 2
     else:
-        samples = [
-            (h, lambda_gap(chain, h).value / h)
-            for h in (block_inf(b) for b in chain.blocks)
-            if h > chain.horizon
-        ]
+        samples = probe_ratios(chain)
         if not samples:
             # no internal gaps observed at all: any modest q will do
             s = Fraction(1, 2)

@@ -41,6 +41,7 @@ from .tailset import (
     blowup_certificate,
     certificate_to_json,
     certified_porosity_index,
+    component_ratios,
     expand,
     family_from_json,
     family_to_json,
@@ -186,8 +187,7 @@ def _cmd_blowup(config: RunConfig) -> int:
     for q in config.q_list:
         chain = expand(BlowupOf(f, q), config.depth)
         comps = cc1_components(chain)
-        betas = [c.hi / c.lo for c in comps]
-        gammas = [comps[i].lo / comps[i + 1].hi for i in range(len(comps) - 1)]
+        betas, gammas = component_ratios(comps)
         cert = blowup_certificate(f, q)
         profiles.append(
             {
@@ -417,6 +417,10 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    # exact values routinely run past the interpreter's default cap on
+    # printing long integers; every digit belongs in the report
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

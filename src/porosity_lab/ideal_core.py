@@ -26,7 +26,6 @@ from typing import Iterator
 __all__ = [
     "MAX_GROUND_SIZE",
     "FamilyOfSets",
-    "GeneratedFamily",
     "IdealReport",
     "PrimeMaximalReport",
     "TheoremReport",
@@ -35,7 +34,6 @@ __all__ = [
     "check_theorem_istar_eq_ihat",
     "enumerate_down_families",
     "gamma_maximal_ideals",
-    "generated_ideal",
     "i_hat",
     "i_star",
     "ideal_report",
@@ -157,50 +155,6 @@ def is_ideal(f: FamilyOfSets, x: Universe) -> bool:
     return _is_ideal_members(f.members, x.full_mask)
 
 
-@dataclass(frozen=True)
-class GeneratedFamily:
-    """Closure of a down set under finite unions, with an ideal flag.
-
-    The closure of a nonempty down set is the smallest candidate ideal
-    containing it; it genuinely is an ideal exactly when the support never
-    materializes as a member.
-    """
-
-    family: FamilyOfSets
-    is_ideal: bool
-
-
-def generated_ideal(gamma: FamilyOfSets) -> GeneratedFamily:
-    """All finite unions of members of a nonempty down set.
-
-    >>> u = Universe(2)
-    >>> g = generated_ideal(FamilyOfSets(u, frozenset({0b00, 0b01, 0b10})))
-    >>> sorted(g.family.members), g.is_ideal
-    ([0, 1, 2, 3], False)
-    """
-    if not gamma.members:
-        raise ValueError("generated_ideal needs a nonempty down set")
-    if not _is_down_members(gamma.members):
-        raise ValueError("generated_ideal needs a down set")
-    closure = set(gamma.members)
-    frontier = list(closure)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(closure):
-                u = a | b
-                if u not in closure:
-                    closure.add(u)
-                    fresh.append(u)
-        frontier = fresh
-    members = frozenset(closure)
-    support = union_support(gamma)
-    return GeneratedFamily(
-        family=gamma.replace_members(members),
-        is_ideal=support not in members,
-    )
-
-
 def _ideals_within(members: frozenset[int], ground: int) -> list[frozenset[int]]:
     """Every sub-family of members that is an ideal on ground.
 
@@ -233,6 +187,13 @@ def _maximal_families(families: list[frozenset[int]]) -> list[frozenset[int]]:
 
 def _maximal_ideals_members(members: frozenset[int], ground: int) -> list[frozenset[int]]:
     return _maximal_families(_ideals_within(members, ground))
+
+
+def _common_members(maximal) -> frozenset[int]:
+    """Members shared by every family in a nonempty list of maximal ideals."""
+    if not maximal:
+        raise ValueError("no maximal ideals inside gamma")
+    return frozenset.intersection(*maximal)
 
 
 def _family_sort_key(members: frozenset[int]) -> tuple:
@@ -276,12 +237,7 @@ def i_hat(gamma: FamilyOfSets) -> FamilyOfSets:
     if support in gamma.members:
         return gamma.replace_members(frozenset({0}))
     maximal = _maximal_ideals_members(gamma.members, support)
-    if not maximal:
-        raise ValueError("no maximal ideals inside gamma")
-    common = set(maximal[0])
-    for fam in maximal[1:]:
-        common &= fam
-    return gamma.replace_members(frozenset(common))
+    return gamma.replace_members(_common_members(maximal))
 
 
 def i_star(gamma: FamilyOfSets) -> FamilyOfSets:
@@ -306,13 +262,17 @@ class IdealReport:
 
 
 def ideal_report(gamma: FamilyOfSets) -> IdealReport:
-    """Compute maximal ideals, their intersection, and the star family."""
+    """Compute maximal ideals, their intersection, and the star family.
+
+    The maximal-ideal search runs once; Î is read off its result.
+    """
     support = union_support(gamma)
     if support in gamma.members:
         maximal: tuple[FamilyOfSets, ...] = ()
+        hat = i_hat(gamma)  # the degenerate case, settled without a search
     else:
         maximal = tuple(gamma_maximal_ideals(gamma))
-    hat = i_hat(gamma)
+        hat = gamma.replace_members(_common_members([m.members for m in maximal]))
     star = i_star(gamma)
     return IdealReport(
         gamma=gamma,
@@ -414,12 +374,12 @@ def check_theorem_istar_eq_ihat(n: int) -> TheoremReport:
 
         if qualifying:
             checked += 1
-            hat = i_hat(gamma)
-            if hat.members != star.members:
+            hat = _common_members(maximal)
+            if hat != star.members:
                 theorem_bad.append(
                     {
                         "gamma": sorted(members),
-                        "i_hat": sorted(hat.members),
+                        "i_hat": sorted(hat),
                         "i_star": sorted(star.members),
                     }
                 )

@@ -12,13 +12,15 @@ finite prefix cannot certify a limsup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .blowup import cc1_components
 from .rational import INF, RationalLike, format_rational, is_finite
 from .tailset import (
+    PROBE_WINDOW,
+    SP_EVIDENCE_RATIO,
     UNKNOWN,
     BlowupOf,
     Chain,
@@ -31,13 +33,15 @@ from .tailset import (
     TailCertificate,
     TailFamily,
     UnionOf,
+    _POINT_FAMILIES,
     _merge_cutoff,
     block_inf,
     block_sup,
     blowup_certificate,
     certificate_to_json,
+    component_ratios,
     expand,
-    lambda_gap,
+    probe_ratios,
 )
 
 __all__ = [
@@ -57,13 +61,9 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# empirical cutoffs (documented so Empirical verdicts are reproducible)
+# empirical cutoffs (documented so Empirical verdicts are reproducible; the
+# probe-ratio cutoffs SP_EVIDENCE_RATIO and PROBE_WINDOW live in tailset)
 
-# probe ratios this close to 1 at the deepest heights count as evidence of
-# full porosity
-SP_RATIO_CUT = Fraction(99, 100)
-# how many of the deepest samples inform an empirical value
-EVIDENCE_WINDOW = 10
 # trend classification looks at this many trailing values
 TREND_WINDOW = 12
 # a windowed gap maximum must clear this to count as diverging evidence
@@ -156,6 +156,32 @@ def _bounded_away(f: TailFamily) -> bool:
 _TRIVIAL_NOTE = "bounded away from 0: the whole tail (0, min E) is one free gap"
 
 
+def _via(inner: Verdict, prefix: str) -> Verdict:
+    # a verdict on the base family carried over to a family built from it
+    return replace(inner, note=prefix + inner.note)
+
+
+def _sunk_by_part(part_verdicts, rule: str) -> Optional[Verdict]:
+    # for a class closed under subsets, a part certified outside it puts the
+    # union outside too
+    for i, pv in enumerate(part_verdicts):
+        if pv.is_definite and not pv.value:
+            return Verdict.definite(False, pv.certificate, f"{rule}; part {i}: " + pv.note)
+    return None
+
+
+def _windowed_maxima(gammas, m: int) -> list:
+    # maxima of the gap ratios over every window of m+1 consecutive entries
+    return [max(gammas[i : i + m + 1]) for i in range(len(gammas) - m)]
+
+
+def _width_record_early(betas) -> bool:
+    # bounded-width evidence: the record width ratio was already attained in
+    # the shallow half
+    split = len(betas) // 2
+    return split >= 1 and max(betas[split:]) <= max(betas[:split])
+
+
 # ---------------------------------------------------------------------------
 # SP
 
@@ -189,20 +215,14 @@ def _sp_verdict(f: TailFamily, depth: int) -> Verdict:
             "the joint below group g has gap ratio prod(ratios) * decay^(g+1) -> 0",
         )
     if isinstance(f, BlowupOf):
-        inner = _sp_verdict(f.base, depth)
-        note = "via blow-up invariance of full porosity: " + inner.note
-        if inner.is_definite:
-            return Verdict.definite(inner.value, inner.certificate, note)
-        return Verdict.empirical(inner.value, inner.depth, inner.trend, note)
+        return _via(_sp_verdict(f.base, depth), "via blow-up invariance of full porosity: ")
     if isinstance(f, UnionOf):
-        parts = [_sp_verdict(p, depth) for p in f.parts]
-        for i, pv in enumerate(parts):
-            if pv.is_definite and not pv.value:
-                return Verdict.definite(
-                    False,
-                    pv.certificate,
-                    f"supersets of a non-porous set are non-porous; part {i}: " + pv.note,
-                )
+        sunk = _sunk_by_part(
+            [_sp_verdict(p, depth) for p in f.parts],
+            "supersets of a non-porous set are non-porous",
+        )
+        if sunk is not None:
+            return sunk
         # full porosity is not preserved by unions, but the ideal hull inside
         # it is: a union certified there is certified here
         hull = _ihat_verdict(f, (Fraction(2),), depth)
@@ -215,16 +235,11 @@ def _sp_verdict(f: TailFamily, depth: int) -> Verdict:
 
 
 def _empirical_sp(f: TailFamily, depth: int) -> Verdict:
-    chain = expand(f, depth)
-    ratios = [
-        lambda_gap(chain, h).value / h
-        for h in (block_inf(b) for b in chain.blocks)
-        if h > chain.horizon
-    ]
+    ratios = [r for _, r in probe_ratios(expand(f, depth))]
     if not ratios:
         return Verdict.empirical(False, depth, "bounded", "no probes above the horizon")
-    deepest = ratios[-EVIDENCE_WINDOW:]
-    value = max(deepest) >= SP_RATIO_CUT
+    deepest = ratios[-PROBE_WINDOW:]
+    value = max(deepest) >= SP_EVIDENCE_RATIO
     return Verdict.empirical(
         value,
         depth,
@@ -279,11 +294,7 @@ def _ihat_verdict(f: TailFamily, q_list, depth: int) -> Verdict:
             f"index {format_rational(1 - f.rho)})",
         )
     if isinstance(f, BlowupOf):
-        inner = _ihat_verdict(f.base, q_list, depth)
-        note = "via blow-up invariance of the class: " + inner.note
-        if inner.is_definite:
-            return Verdict.definite(inner.value, inner.certificate, note)
-        return Verdict.empirical(inner.value, inner.depth, inner.trend, note)
+        return _via(_ihat_verdict(f.base, q_list, depth), "via blow-up invariance of the class: ")
     if isinstance(f, UnionOf):
         return _combine_ideal(f, [_ihat_verdict(p, q_list, depth) for p in f.parts],
                               lambda: _empirical_ihat(f, q_list, depth))
@@ -299,11 +310,9 @@ def _representative_q(q_list) -> Fraction:
 
 def _combine_ideal(f, part_verdicts, fallback) -> Verdict:
     # both ideal classes are closed downward and under finite unions
-    for i, pv in enumerate(part_verdicts):
-        if pv.is_definite and not pv.value:
-            return Verdict.definite(
-                False, pv.certificate, f"an ideal is closed downward; part {i}: " + pv.note
-            )
+    sunk = _sunk_by_part(part_verdicts, "an ideal is closed downward")
+    if sunk is not None:
+        return sunk
     if all(pv.is_definite for pv in part_verdicts):
         first = part_verdicts[0]
         return Verdict.definite(
@@ -325,11 +334,8 @@ def _empirical_ihat(f: TailFamily, q_list, depth: int) -> Verdict:
         comps = cc1_components(expand(BlowupOf(f, q), depth))
         shallow = cc1_components(expand(BlowupOf(f, q), max(1, depth // 2)))
         growing = len(comps) > len(shallow)
-        betas = [c.hi / c.lo for c in comps]
-        split = len(betas) // 2
-        # bounded-width evidence: the record width ratio was already attained
-        # in the shallow half
-        stable = split >= 1 and max(betas[split:]) <= max(betas[:split])
+        betas, _ = component_ratios(comps)
+        stable = _width_record_early(betas)
         value = value and growing and stable
         trend = classify_trend(betas)
         notes.append(
@@ -391,21 +397,18 @@ def _csp_verdict(f: TailFamily, depth: int) -> Verdict:
             "cover centers with ratio at least alpha infinitely often",
         )
     if isinstance(f, BlowupOf):
-        inner = _csp_verdict(f.base, depth)
-        note = "a cover witness rescales under blow-up (q' = q * q_w): " + inner.note
-        if inner.is_definite:
-            return Verdict.definite(inner.value, inner.certificate, note)
-        return Verdict.empirical(inner.value, inner.depth, inner.trend, note)
+        return _via(
+            _csp_verdict(f.base, depth),
+            "a cover witness rescales under blow-up (q' = q * q_w): ",
+        )
     if isinstance(f, UnionOf):
-        parts = [_csp_verdict(p, depth) for p in f.parts]
-        for i, pv in enumerate(parts):
-            if pv.is_definite and not pv.value:
-                return Verdict.definite(
-                    False,
-                    pv.certificate,
-                    f"subsets of completely porous sets are completely porous, so a "
-                    f"bad part sinks the union; part {i}: " + pv.note,
-                )
+        sunk = _sunk_by_part(
+            [_csp_verdict(p, depth) for p in f.parts],
+            "subsets of completely porous sets are completely porous, so a "
+            "bad part sinks the union",
+        )
+        if sunk is not None:
+            return sunk
         # complete porosity is not closed under unions: keep it empirical
         return _empirical_csp(f, depth)
     return _empirical_csp(f, depth)
@@ -501,11 +504,9 @@ def _icsp_verdict(f: TailFamily, q_list, M_max: int, depth: int) -> Verdict:
             "ratios are even constant at 1/(q^2 rho)",
         )
     if isinstance(f, BlowupOf):
-        inner = _icsp_verdict(f.base, q_list, M_max, depth)
-        note = "via blow-up invariance of the class: " + inner.note
-        if inner.is_definite:
-            return Verdict.definite(inner.value, inner.certificate, note)
-        return Verdict.empirical(inner.value, inner.depth, inner.trend, note)
+        return _via(
+            _icsp_verdict(f.base, q_list, M_max, depth), "via blow-up invariance of the class: "
+        )
     if isinstance(f, UnionOf):
         return _combine_ideal(
             f,
@@ -522,15 +523,12 @@ def _empirical_icsp(f: TailFamily, q_list, M_max: int, depth: int) -> Verdict:
     trend = "bounded"
     for q in q_list:
         q = Fraction(q)
-        comps = cc1_components(expand(BlowupOf(f, q), depth))
-        gammas = [comps[i].lo / comps[i + 1].hi for i in range(len(comps) - 1)]
+        _, gammas = component_ratios(cc1_components(expand(BlowupOf(f, q), depth)))
         found = None
         for m_try in range(M_max + 1):
             if len(gammas) <= m_try + 3:
                 break
-            window = [
-                max(gammas[n : n + m_try + 1]) for n in range(len(gammas) - m_try)
-            ]
+            window = _windowed_maxima(gammas, m_try)
             if (
                 classify_trend(window) == "monotone-increasing"
                 and window[-1] >= GAMMA_GROWTH_CUT
@@ -604,10 +602,7 @@ class DecompositionResult:
         sequence never clears it, 0 when it always does)."""
         out = []
         for part in self.parts[:-1]:
-            blocks = part.chain.blocks
-            gammas = [
-                blocks[i].lo / blocks[i + 1].hi for i in range(len(blocks) - 1)
-            ]
+            _, gammas = component_ratios(part.chain.blocks)
             pos = 0
             for i, g in enumerate(gammas):
                 if g <= bound:
@@ -638,7 +633,7 @@ def decompose_csp(
     if depth < 1:
         raise ValueError("depth must be at least 1")
 
-    failure = _decomposition_hypothesis_failure(f, n, q, depth)
+    failure = _certified_hypothesis_failure(f, n, q, depth)
     if failure is not None:
         return failure
 
@@ -650,15 +645,27 @@ def decompose_csp(
             f"only {t} components at this depth; need {3 * (n + 1)}", n, q, depth
         )
 
-    def gamma(i):  # 1-based component index, defined for 1 <= i <= t-1
-        return comps[i - 1].lo / comps[i].hi
+    betas, gammas = component_ratios(comps)  # gammas[i - 1] follows component i
+    if not isinstance(f, _POINT_FAMILIES):
+        # no closed form: check the windowed maxima empirically at depth
+        maxima = _windowed_maxima(gammas, n)
+        if classify_trend(maxima) != "monotone-increasing" or maxima[-1] < GAMMA_GROWTH_CUT:
+            return HypothesisFailure(
+                "windowed gap maxima show no divergence at this depth",
+                n,
+                q,
+                depth,
+                window_bound=min(maxima[-TREND_WINDOW:]),
+            )
+        if not _width_record_early(betas):
+            return HypothesisFailure("width ratios keep setting records", n, q, depth)
 
     blocks = (t - 1) // (n + 1)
     seps = []
     for k in range(blocks):
         lo = k * (n + 1) + 1
         window = range(lo, lo + n + 1)
-        seps.append(max(window, key=lambda i: (gamma(i), -i)))
+        seps.append(max(window, key=lambda i: (gammas[i - 1], -i)))
 
     segments = [list(range(seps[k] + 1, seps[k + 1] + 1)) for k in range(blocks - 1)]
     for seg in segments:
@@ -693,9 +700,10 @@ def decompose_csp(
     )
 
 
-def _decomposition_hypothesis_failure(
+def _certified_hypothesis_failure(
     f: TailFamily, n: int, q: Fraction, depth: int
 ) -> Optional[HypothesisFailure]:
+    # obstructions the point families' closed forms certify at every depth
     if isinstance(f, ExampleFamily):
         m = _smallest_exponent(f.alpha, q)
         return HypothesisFailure(
@@ -727,32 +735,6 @@ def _decomposition_hypothesis_failure(
                 depth,
                 window_bound=slack,
             )
-        return None
-    if isinstance(f, SuperGeometricLadder):
-        return None
-    # no closed form: check the windowed maxima empirically at depth
-    comps = cc1_components(expand(BlowupOf(f, q), depth))
-    if len(comps) < 3 * (n + 1):
-        return HypothesisFailure(
-            f"only {len(comps)} components at this depth; need {3 * (n + 1)}",
-            n,
-            q,
-            depth,
-        )
-    gammas = [comps[i].lo / comps[i + 1].hi for i in range(len(comps) - 1)]
-    window = [max(gammas[i : i + n + 1]) for i in range(len(gammas) - n)]
-    if classify_trend(window) != "monotone-increasing" or window[-1] < GAMMA_GROWTH_CUT:
-        return HypothesisFailure(
-            "windowed gap maxima show no divergence at this depth",
-            n,
-            q,
-            depth,
-            window_bound=min(window[-TREND_WINDOW:]),
-        )
-    betas = [c.hi / c.lo for c in comps]
-    split = len(betas) // 2
-    if not (split >= 1 and max(betas[split:]) <= max(betas[:split])):
-        return HypothesisFailure("width ratios keep setting records", n, q, depth)
     return None
 
 

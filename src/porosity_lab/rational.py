@@ -2,11 +2,13 @@
 
 Every quantity that feeds a verdict is a fractions.Fraction; floats never
 enter a comparison.  The only non-rational value that circulates is the
-infinity marker used for diverging gap ratios, represented by the float
-infinity because Fraction compares against it exactly.
+infinity marker used for diverging gap ratios in certificates, represented
+by the float infinity because Fraction compares against it exactly.
 
 Wire format: a rational serializes as the string "p/q" (or "p" when the
-denominator is 1), infinity as the string "inf".
+denominator is 1), infinity as the string "inf".  Only exact rationals are
+read back: every parsed value is an input parameter, and no input may be
+infinite.
 """
 
 from __future__ import annotations
@@ -52,15 +54,13 @@ def format_rational(x: RationalLike) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def parse_rational(text: str) -> RationalLike:
-    """Parse the wire string back to a Fraction (or infinity marker).
+def parse_rational(text: str) -> Fraction:
+    """Parse the wire string of an exact rational back to a Fraction.
 
-    Accepts "p", "p/q", and "inf".  Raises ValueError on anything else,
-    including floats in decimal notation: exactness is the point.
+    Accepts "p" and "p/q".  Raises ValueError on anything else, including
+    floats in decimal notation and "inf": exactness is the point.
     """
     text = text.strip()
-    if text == "inf":
-        return INF
     if "." in text or "e" in text or "E" in text:
         raise ValueError(f"not an exact rational: {text!r}")
     try:

@@ -39,18 +39,20 @@ __all__ = [
     "GapMeasurement",
     "PorosityProfile",
     "RatioProfile",
-    "SequencePair",
     "block_inf",
     "block_sup",
     "merge_blocks",
     "restrict_blocks",
     "expand",
     "lambda_gap",
+    "SP_EVIDENCE_RATIO",
+    "PROBE_WINDOW",
+    "probe_ratios",
     "certified_porosity_index",
     "porosity_profile",
     "blowup_certificate",
+    "component_ratios",
     "ratio_profile",
-    "check_equivalence",
     "certificate_to_json",
     "chain_to_json",
     "chain_from_json",
@@ -506,6 +508,22 @@ def lambda_gap(c: Chain, h) -> GapMeasurement:
 # ---------------------------------------------------------------------------
 # porosity probes
 
+# probe ratios this close to 1 at the deepest heights count as evidence of
+# full porosity
+SP_EVIDENCE_RATIO = Fraction(99, 100)
+# how many of the deepest probes inform an empirical value
+PROBE_WINDOW = 10
+
+
+def probe_ratios(c: Chain) -> list:
+    """(h, lambda(h)/h) at every block lower end h above the horizon,
+    deepest last."""
+    return [
+        (h, lambda_gap(c, h).value / h)
+        for h in (block_inf(b) for b in c.blocks)
+        if h > c.horizon
+    ]
+
 
 @dataclass(frozen=True)
 class PorosityProfile:
@@ -538,14 +556,7 @@ def porosity_profile(f: TailFamily, depth: int) -> PorosityProfile:
     """
     if not f.has_zero_accumulation:
         raise ValueError("family does not accumulate at 0; no porosity to probe")
-    chain = expand(f, depth)
-    samples = []
-    for b in chain.blocks:
-        h = block_inf(b)
-        if h <= chain.horizon:
-            continue
-        measured = lambda_gap(chain, h)
-        samples.append((h, measured.value / h))
+    samples = probe_ratios(expand(f, depth))
     return PorosityProfile(tuple(samples), certified_porosity_index(f))
 
 
@@ -610,6 +621,14 @@ def blowup_certificate(base: TailFamily, q) -> TailCertificate:
     return UNKNOWN
 
 
+def component_ratios(comps) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+    """Width ratios b_i/a_i and gap ratios a_i/b_{i+1} of a descending
+    tuple of intervals (a_i, b_i)."""
+    betas = tuple(c.hi / c.lo for c in comps)
+    gammas = tuple(comps[i].lo / comps[i + 1].hi for i in range(len(comps) - 1))
+    return betas, gammas
+
+
 def ratio_profile(source, depth: int = DEFAULT_DEPTH) -> RatioProfile:
     """Extract the beta/gamma sequences of a component chain.
 
@@ -627,47 +646,7 @@ def ratio_profile(source, depth: int = DEFAULT_DEPTH) -> RatioProfile:
     for b in chain.blocks:
         if not isinstance(b, Interval):
             raise ValueError("chain has isolated points; blow up first")
-    betas = tuple(b.hi / b.lo for b in chain.blocks)
-    gammas = tuple(
-        chain.blocks[i].lo / chain.blocks[i + 1].hi
-        for i in range(len(chain.blocks) - 1)
-    )
-    return RatioProfile(betas, gammas, cert)
-
-
-# ---------------------------------------------------------------------------
-# two-sided sequence comparison
-
-
-@dataclass(frozen=True)
-class SequencePair:
-    """Two descending positive sequences and the constants that are claimed
-    to pin each h_n between c1*tau_n and c2*tau_n."""
-
-    tau: Tuple[Fraction, ...]
-    h: Tuple[Fraction, ...]
-    c1: Fraction
-    c2: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau", tuple(Fraction(t) for t in self.tau))
-        object.__setattr__(self, "h", tuple(Fraction(v) for v in self.h))
-        object.__setattr__(self, "c1", Fraction(self.c1))
-        object.__setattr__(self, "c2", Fraction(self.c2))
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("constants must be positive")
-        for name, seq in (("tau", self.tau), ("h", self.h)):
-            if any(v <= 0 for v in seq):
-                raise ValueError(f"{name} must be positive")
-            if any(a <= b for a, b in zip(seq, seq[1:])):
-                raise ValueError(f"{name} must be strictly descending")
-
-
-def check_equivalence(sp: SequencePair) -> bool:
-    """True iff c1*tau_n <= h_n <= c2*tau_n at every provided index."""
-    if len(sp.tau) != len(sp.h):
-        raise ValueError("sequences must have the same length")
-    return all(sp.c1 * t <= v <= sp.c2 * t for t, v in zip(sp.tau, sp.h))
+    return RatioProfile(*component_ratios(chain.blocks), cert)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from porosity_lab.tailset import (
     SuperGeometricLadder,
     UnionOf,
     certified_porosity_index,
+    component_ratios,
     expand,
     porosity_profile,
 )
@@ -204,6 +205,22 @@ def test_criterion_5_blowup_property_suite():
                 violations.append(("exactness-fail", q, scale))
     assert violations == [], violations[:10]
     print("criterion 5: PASS, 1000 randomized chains, zero violations")
+
+
+def test_component_ratios_on_random_blown_chains():
+    # the criterion-5 chains, blown up: beta_i = b_i/a_i, gamma_i = a_i/b_{i+1}
+    rng = random.Random(20260815)
+    for _ in range(300):
+        chain = _random_chain(rng)
+        comps = cc1_components(blow_up_chain(chain, F(rng.randrange(5, 40), 4)))
+        betas, gammas = component_ratios(comps)
+        assert len(betas) == len(comps)
+        assert len(gammas) == max(len(comps) - 1, 0)
+        for beta, c in zip(betas, comps):
+            assert beta * c.lo == c.hi
+        for gamma, a, b in zip(gammas, comps, comps[1:]):
+            assert gamma * b.hi == a.lo
+        assert all(beta > 1 for beta in betas) and all(gamma >= 1 for gamma in gammas)
 
 
 def _certified_corpus():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -165,6 +166,48 @@ def test_input_errors_exit_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--family", GEO, "--q", "inf"),
+        ("analyze", "--family", '{"variant":"GeometricLadder","x0":"inf","rho":"1/2"}'),
+    ],
+)
+def test_infinite_inputs_are_input_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "not an exact rational" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (
+            "decompose",
+            "--family",
+            '{"variant":"BlowupOf","base":{"variant":"ExampleFamily","alpha":"1/5"},"q":"2"}',
+            "--n",
+            "1",
+        ),
+        (
+            "blowup",
+            "--family",
+            '{"variant":"SuperGeometricLadder","x0":"1","rho":"7/11"}',
+            "--depth",
+            "96",
+        ),
+    ],
+)
+def test_reports_print_integers_past_the_default_digit_limit(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # the interpreter refuses to print integers of more than 4,300 digits
+    # unless the limit is lifted
+    assert max(len(digits) for digits in re.findall(r"\d+", out)) > 4300
 
 
 def test_reports_are_byte_stable(capsys):

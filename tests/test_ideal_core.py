@@ -6,13 +6,13 @@ from itertools import combinations
 import pytest
 
 from porosity_lab.ideal_core import (
+    MAX_GROUND_SIZE,
     FamilyOfSets,
     Universe,
     check_prime_iff_maximal,
     check_theorem_istar_eq_ihat,
     enumerate_down_families,
     gamma_maximal_ideals,
-    generated_ideal,
     i_hat,
     i_star,
     ideal_report,
@@ -144,42 +144,27 @@ def test_gamma_maximal_rejects_bad_input():
         gamma_maximal_ideals(FamilyOfSets(u, frozenset({0, 0b01})))
 
 
-def test_generated_ideal_closure_and_flag():
-    u = Universe(2)
-    gamma = FamilyOfSets(u, frozenset({0b00, 0b01, 0b10}))
-    gen = generated_ideal(gamma)
-    assert sorted(gen.family.members) == [0, 1, 2, 3]
-    assert not gen.is_ideal
-    # a union-closed down set is its own closure; the flag still trips
-    # because a finite family's support always shows up among finite unions,
-    # and an ideal on its own support may not contain that support
-    gamma2 = FamilyOfSets(u, frozenset({0b00, 0b01}))
-    gen2 = generated_ideal(gamma2)
-    assert gen2.family.members == gamma2.members
-    assert not gen2.is_ideal
-    # the same family is a perfectly good ideal on the larger ground set
-    assert is_ideal(gamma2, u)
-
-
-def test_generated_ideal_is_minimal():
-    # the closure sits inside every ideal containing gamma
-    for n in (2, 3):
-        u = Universe(n)
-        ideals = oracle_ideals_on(n)
-        for fam in enumerate_down_families(n):
-            if not fam:
-                continue
-            gen = generated_ideal(FamilyOfSets(u, fam))
-            for ideal in ideals:
-                if fam <= ideal:
-                    assert gen.family.members <= ideal
-
-
 def test_i_hat_degenerate_support_member():
     # support inside gamma collapses the intersection to {empty set}
     u = Universe(2)
     assert sorted(i_hat(FamilyOfSets(u, frozenset({0}))).members) == [0]
     assert sorted(i_hat(FamilyOfSets(u, frozenset({0, 1, 2, 3}))).members) == [0]
+
+
+def test_ideal_report_agrees_with_public_functions():
+    # ideal_report reads its intersection off its own maximal-ideal search
+    for n in range(1, MAX_GROUND_SIZE + 1):
+        u = Universe(n)
+        for members in enumerate_down_families(n):
+            if not members:
+                continue
+            gamma = FamilyOfSets(u, members)
+            report = ideal_report(gamma)
+            assert report.i_hat == i_hat(gamma)
+            if union_support(gamma) in members:
+                assert report.maximal_ideals == ()
+            else:
+                assert list(report.maximal_ideals) == gamma_maximal_ideals(gamma)
 
 
 def test_i_star_direct_definition_oracle():

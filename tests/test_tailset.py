@@ -1,9 +1,12 @@
 """Chain mechanics, family expansion, the gap function, and certificates."""
 
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porosity_lab.rational import INF
 from porosity_lab.tailset import (
@@ -18,13 +21,11 @@ from porosity_lab.tailset import (
     Interval,
     PatternLadder,
     Point,
-    SequencePair,
     SuperGeometricLadder,
     UnionOf,
     block_inf,
     block_sup,
     blowup_certificate,
-    check_equivalence,
     expand,
     family_from_json,
     family_to_json,
@@ -323,19 +324,6 @@ def test_merge_blocks_random_against_membership_oracle():
                 assert contains(raw, x) == contains(merged, x)
 
 
-def test_check_equivalence():
-    tau = tuple(F(1, 2) ** n for n in range(12))
-    assert check_equivalence(SequencePair(tau, tau, 1, 1))
-    assert check_equivalence(SequencePair(tau, tuple(2 * t for t in tau), 1, 2))
-    # h = tau^2 escapes every fixed two-sided constant pair
-    squares = tuple(t * t for t in tau)
-    assert not check_equivalence(SequencePair(tau, squares, F(1, 100), 100))
-    with pytest.raises(ValueError):
-        check_equivalence(SequencePair(tau, tau[:-1], 1, 1))
-    with pytest.raises(ValueError):
-        SequencePair((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)), 1, 1)
-
-
 def test_family_json_round_trip():
     families = [
         GeometricLadder(1, F(1, 2)),
@@ -355,6 +343,61 @@ def test_family_json_round_trip():
         family_from_json({"variant": "NoSuchFamily"})
     with pytest.raises(ValueError):
         family_from_json({})
+
+
+def _fractions(lo, hi):
+    # rationals strictly inside (lo, hi)
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=60).filter(
+        lambda x: lo < x < hi
+    )
+
+
+@st.composite
+def _explicit_chains(draw):
+    coords = sorted(set(draw(st.lists(_fractions(0, 2), max_size=8))), reverse=True)
+    blocks = []
+    i = 0
+    while i < len(coords):
+        if i + 1 < len(coords) and draw(st.booleans()):
+            blocks.append(Interval(coords[i + 1], coords[i]))
+            i += 2
+        else:
+            blocks.append(Point(coords[i]))
+            i += 1
+    upper = coords[0] if coords else F(1)
+    horizon = coords[-1] if coords and draw(st.booleans()) else F(0)
+    return ExplicitChain(Chain(tuple(blocks), upper=upper, horizon=horizon))
+
+
+_point_families = st.one_of(
+    st.builds(GeometricLadder, _fractions(0, 4), _fractions(0, 1)),
+    st.builds(SuperGeometricLadder, _fractions(0, 4), _fractions(0, 1)),
+    st.builds(ExampleFamily, _fractions(0, 1)),
+    st.builds(
+        PatternLadder,
+        _fractions(0, 4),
+        st.lists(_fractions(0, 1), max_size=3).map(tuple),
+        _fractions(0, 1),
+    ),
+    _explicit_chains(),
+)
+
+_families = st.recursive(
+    _point_families,
+    lambda inner: st.one_of(
+        st.builds(UnionOf, st.lists(inner, min_size=1, max_size=3).map(tuple)),
+        st.builds(BlowupOf, inner, _fractions(1, 8)),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_families)
+def test_family_wire_format_round_trips(f):
+    data = family_to_json(f)
+    assert family_from_json(data) == f
+    assert family_from_json(json.loads(json.dumps(data))) == f
 
 
 def test_union_expansion_merges_and_clips():

@@ -181,11 +181,11 @@ def find_covering_blowup(f: TailFamily, depth: int) -> Optional[Tuple[Fraction, 
     family has one, otherwise from the deepest probe ratios; q = 1/(1-s)
     then closes every relative gap of size at most s.
     """
-    chain = expand(f, depth)
     certified = certified_porosity_index(f)
+    if certified == 1:
+        return None
+    chain = expand(f, depth)
     if certified is not None:
-        if certified == 1:
-            return None
         s = (1 + certified) / 2
     else:
         samples = probe_ratios(chain)

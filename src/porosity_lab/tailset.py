@@ -517,12 +517,26 @@ PROBE_WINDOW = 10
 
 def probe_ratios(c: Chain) -> list:
     """(h, lambda(h)/h) at every block lower end h above the horizon,
-    deepest last."""
-    return [
-        (h, lambda_gap(c, h).value / h)
-        for h in (block_inf(b) for b in c.blocks)
-        if h > c.horizon
-    ]
+    deepest last.
+
+    Equal to lambda_gap at each probe, in one bottom-up pass: the certain
+    gaps below the lower end of block k are the tail above the horizon and
+    the joints inf(b[j-1]) - sup(b[j]) for j > k, so a running maximum over
+    the blocks already passed gives lambda at every probe.
+    """
+    blocks = c.blocks
+    if not blocks:
+        return []
+    best = block_inf(blocks[-1]) - c.horizon
+    samples = []
+    for k in range(len(blocks) - 1, -1, -1):
+        h = block_inf(blocks[k])
+        if h > c.horizon:
+            samples.append((h, best / h))
+        if k:
+            best = max(best, block_inf(blocks[k - 1]) - block_sup(blocks[k]))
+    samples.reverse()
+    return samples
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,13 @@ from porosity_lab.tailset import (
     Point,
     SuperGeometricLadder,
     UnionOf,
+    block_inf,
     certified_porosity_index,
     component_ratios,
     expand,
+    lambda_gap,
     porosity_profile,
+    probe_ratios,
 )
 
 # classic counts of down-closed families (empty family included)
@@ -221,6 +224,22 @@ def test_component_ratios_on_random_blown_chains():
         for gamma, a, b in zip(gammas, comps, comps[1:]):
             assert gamma * b.hi == a.lo
         assert all(beta > 1 for beta in betas) and all(gamma >= 1 for gamma in gammas)
+
+
+def test_probe_ratios_match_rescan_on_random_chains():
+    # the criterion-5 chains, as drawn, cut at their deepest block and blown
+    # up: the one-pass sweep gives lambda_gap at every probe
+    rng = random.Random(20260815)
+    for _ in range(300):
+        chain = _random_chain(rng)
+        cut = Chain(chain.blocks, chain.upper, block_inf(chain.blocks[-1]))
+        blown = blow_up_chain(chain, F(rng.randrange(5, 40), 4))
+        for c in (chain, cut, blown):
+            assert probe_ratios(c) == [
+                (h, lambda_gap(c, h).value / h)
+                for h in (block_inf(b) for b in c.blocks)
+                if h > c.horizon
+            ]
 
 
 def _certified_corpus():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from porosity_lab import blowup
 from porosity_lab.blowup import (
     blocks_subset,
     blocks_within,
@@ -15,10 +16,13 @@ from porosity_lab.blowup import (
     find_covering_blowup,
 )
 from porosity_lab.tailset import (
+    BlowupOf,
     Chain,
+    ExampleFamily,
     ExplicitChain,
     GeometricLadder,
     Interval,
+    PatternLadder,
     Point,
     SuperGeometricLadder,
     block_inf,
@@ -231,8 +235,26 @@ def test_find_covering_blowup_geometric():
     )
 
 
-def test_find_covering_blowup_refuses_porous_families():
-    assert find_covering_blowup(SuperGeometricLadder(1, F(1, 2)), depth=20) is None
+def test_find_covering_blowup_refuses_porous_families(monkeypatch):
+    calls = []
+
+    def counting_expand(f, depth):
+        calls.append(f)
+        return expand(f, depth)
+
+    monkeypatch.setattr(blowup, "expand", counting_expand)
+    # a certified index of 1 settles the answer without building the chain
+    porous = [
+        SuperGeometricLadder(1, F(1, 2)),
+        ExampleFamily(F(1, 2)),
+        PatternLadder(1, (F(1, 2), F(1, 8)), F(1, 2)),
+        BlowupOf(SuperGeometricLadder(1, F(1, 2)), 2),
+    ]
+    for f in porous:
+        assert find_covering_blowup(f, depth=20) is None
+    assert calls == []
+    assert find_covering_blowup(GeometricLadder(1, F(1, 2)), depth=20) == (4, 1)
+    assert len(calls) == 1
 
 
 def test_find_covering_blowup_full_interval():

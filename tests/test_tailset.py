@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from porosity_lab.blowup import blow_up_chain
 from porosity_lab.rational import INF
 from porosity_lab.tailset import (
     UNKNOWN,
@@ -32,6 +33,7 @@ from porosity_lab.tailset import (
     lambda_gap,
     merge_blocks,
     porosity_profile,
+    probe_ratios,
     ratio_profile,
     restrict_blocks,
 )
@@ -224,6 +226,23 @@ def test_porosity_profile_super_geometric_climbs():
     assert all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
 
 
+@pytest.mark.parametrize("x0", [F(1), F(3, 4)])
+@pytest.mark.parametrize("rho", [F(1, 3), F(1, 2), F(2, 3), F(5, 6), F(9, 10)])
+def test_certified_index_against_deep_probe_ratios(x0, rho):
+    geo = porosity_profile(GeometricLadder(x0, rho), 512)
+    assert len(geo.samples) == 511  # the deepest point is the horizon
+    assert all(r == geo.p_plus == 1 - rho for _, r in geo.samples)
+    sup = porosity_profile(SuperGeometricLadder(x0, rho), 128)
+    assert sup.p_plus == 1
+    # below x_k the gap to x_(k+1) gives 1 - rho^(k+1); a deeper gap can be
+    # wider only while rho^(k+1) > 1/2
+    for k, (_, r) in enumerate(sup.samples):
+        tight = 1 - rho ** (k + 1)
+        assert r >= tight
+        if 2 * rho ** (k + 1) <= 1:
+            assert r == tight
+
+
 def test_porosity_profile_requires_accumulation():
     chain = Chain((Point(1),), upper=1, horizon=0)
     with pytest.raises(ValueError):
@@ -353,20 +372,28 @@ def _fractions(lo, hi):
 
 
 @st.composite
-def _explicit_chains(draw):
-    coords = sorted(set(draw(st.lists(_fractions(0, 2), max_size=8))), reverse=True)
+def _chains(draw):
+    """Chains of points and intervals in (0, 2), some touching: an open
+    lower end may be shared by the next interval or carry a point, and a
+    point may sit on the open upper end of the interval below it."""
+    coords = sorted(set(draw(st.lists(_fractions(0, 2), max_size=10))), reverse=True)
     blocks = []
-    i = 0
+    i, force_interval = 0, False
     while i < len(coords):
-        if i + 1 < len(coords) and draw(st.booleans()):
+        if i + 1 < len(coords) and (force_interval or draw(st.booleans())):
             blocks.append(Interval(coords[i + 1], coords[i]))
-            i += 2
+            i += 1
+            share = draw(st.booleans())
         else:
             blocks.append(Point(coords[i]))
+            share = i + 1 < len(coords) and draw(st.booleans())
+        force_interval = share and isinstance(blocks[-1], Point)
+        if not share:
             i += 1
     upper = coords[0] if coords else F(1)
-    horizon = coords[-1] if coords and draw(st.booleans()) else F(0)
-    return ExplicitChain(Chain(tuple(blocks), upper=upper, horizon=horizon))
+    lowest = block_inf(blocks[-1]) if blocks else upper
+    horizon = draw(st.sampled_from((F(0), lowest, lowest * draw(_fractions(0, 1)))))
+    return Chain(tuple(blocks), upper=upper, horizon=horizon)
 
 
 _point_families = st.one_of(
@@ -379,7 +406,7 @@ _point_families = st.one_of(
         st.lists(_fractions(0, 1), max_size=3).map(tuple),
         _fractions(0, 1),
     ),
-    _explicit_chains(),
+    _chains().map(ExplicitChain),
 )
 
 _families = st.recursive(
@@ -398,6 +425,42 @@ def test_family_wire_format_round_trips(f):
     data = family_to_json(f)
     assert family_from_json(data) == f
     assert family_from_json(json.loads(json.dumps(data))) == f
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_chains())
+def test_probe_ratios_match_per_probe_rescan(c):
+    assert probe_ratios(c) == [
+        (h, lambda_gap(c, h).value / h)
+        for h in (block_inf(b) for b in c.blocks)
+        if h > c.horizon
+    ]
+
+
+_raw_blocks = st.lists(
+    st.one_of(
+        _fractions(0, 1).map(Point),
+        st.tuples(_fractions(0, 1), _fractions(0, 1)).map(
+            lambda t: Interval(t[0], t[0] + t[1])
+        ),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_merge_blocks_is_idempotent_and_order_free(data):
+    raw = data.draw(_raw_blocks)
+    merged = merge_blocks(raw)
+    assert merge_blocks(merged) == merged
+    assert merge_blocks(data.draw(st.permutations(raw))) == merged
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_chains(), _fractions(1, 4), _fractions(1, 4))
+def test_blow_ups_compose(c, q1, q2):
+    assert blow_up_chain(blow_up_chain(c, q1), q2) == blow_up_chain(c, q1 * q2)
 
 
 def test_union_expansion_merges_and_clips():

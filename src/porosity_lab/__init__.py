@@ -3,7 +3,7 @@
 Five building blocks:
 
 - ideal_core: down sets, ideals, and maximal-ideal structure on ground sets
-  of at most four points, settled by exhaustive search.
+  of at most four points, settled in closed form.
 - tailset: exact rational chains near zero, parametric tail families, gap
   scans, and tail certificates.
 - blowup: the multiplicative enlargement x -> (x/q, q x), component chains,

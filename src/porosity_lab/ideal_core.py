@@ -1,10 +1,12 @@
 """Down sets, ideals, and maximal-ideal structure over tiny ground sets.
 
 Subsets of the ground set {0, ..., n-1} are bitmasks; a family of subsets is
-a frozenset of bitmasks.  Ground sets are capped at n = 4 so that every
-question is settled by direct exhaustive search: the down-closed families of
-an n-set number 3, 6, 20, 168 for n = 1..4, and the sub-families of any one
-of them number at most 2**15.  The enumerations are their own oracle.
+a frozenset of bitmasks.  A union-closed down set has a largest member, so
+every ideal is P(M), the power set of its largest member M.  The ideals
+inside a down set gamma are thus the P(M) for members M other than its
+support, and its maximal ideals come from the maximal such M: every question
+here is settled by these closed forms.  The star family keeps its direct
+definition, so the theorem check compares two independent computations.
 
 Vocabulary used throughout:
 
@@ -43,8 +45,10 @@ __all__ = [
     "union_support",
 ]
 
-# Exhaustive enumeration is the whole point of this module; past n = 4 the
-# family-of-families space (2**(2**n)) stops being enumerable.
+# The closed forms run past n = 4 (7,581 down sets at n = 5 take a fraction
+# of a second), but the benchmark's report-mix workload feeds
+# verify-foundations --n 5..7 as an input that must fail with exit 1, so the
+# cap moves only together with that workload.
 MAX_GROUND_SIZE = 4
 
 
@@ -155,49 +159,38 @@ def is_ideal(f: FamilyOfSets, x: Universe) -> bool:
     return _is_ideal_members(f.members, x.full_mask)
 
 
-def _ideals_within(members: frozenset[int], ground: int) -> list[frozenset[int]]:
-    """Every sub-family of members that is an ideal on ground.
-
-    Exhaustive over sub-families; the empty set must be available since
-    every ideal contains it.  The empty ground set carries no ideals at all
-    (the empty set would be the full set).
-    """
-    if 0 not in members or ground == 0:
-        return []
-    rest = sorted(m for m in members if m != 0 and m != ground and not (m & ~ground))
-    out: list[frozenset[int]] = []
-    for bits in range(1 << len(rest)):
-        fam = {0}
-        for i, m in enumerate(rest):
-            if bits >> i & 1:
-                fam.add(m)
-        froz = frozenset(fam)
-        if _is_down_members(froz) and _is_union_closed(froz):
-            out.append(froz)
-    return out
+def _powerset(mask: int) -> frozenset[int]:
+    return frozenset(_submasks(mask))
 
 
-def _maximal_families(families: list[frozenset[int]]) -> list[frozenset[int]]:
-    out = []
-    for f in families:
-        if not any(f < g for g in families):
-            out.append(f)
-    return out
+def _maximal_tops(members: frozenset[int], ground: int) -> list[int]:
+    """Largest members of the maximal ideals on ground inside the down set
+    members: its maximal members other than ground itself.  The family
+    {empty set} has none, since there the empty set is the ground set."""
+    below = [m for m in members if m != ground]
+    return [m for m in below if not any(m != o and m | o == o for o in below)]
 
 
-def _maximal_ideals_members(members: frozenset[int], ground: int) -> list[frozenset[int]]:
-    return _maximal_families(_ideals_within(members, ground))
-
-
-def _common_members(maximal) -> frozenset[int]:
-    """Members shared by every family in a nonempty list of maximal ideals."""
-    if not maximal:
-        raise ValueError("no maximal ideals inside gamma")
-    return frozenset.intersection(*maximal)
+def _hat_members(tops: list[int]) -> frozenset[int]:
+    """Intersection of the ideals P(M), M in the nonempty list tops: the
+    power set of the members' common part."""
+    common = tops[0]
+    for m in tops[1:]:
+        common &= m
+    return _powerset(common)
 
 
 def _family_sort_key(members: frozenset[int]) -> tuple:
     return (len(members), sorted(members))
+
+
+def _down_support(gamma: FamilyOfSets) -> int:
+    """Support of gamma, which must be a nonempty down set."""
+    if not gamma.members:
+        raise ValueError("gamma must be nonempty")
+    if not _is_down_members(gamma.members):
+        raise ValueError("gamma must be a down set")
+    return union_support(gamma)
 
 
 def gamma_maximal_ideals(gamma: FamilyOfSets) -> list[FamilyOfSets]:
@@ -211,15 +204,10 @@ def gamma_maximal_ideals(gamma: FamilyOfSets) -> list[FamilyOfSets]:
     >>> [sorted(i.members) for i in gamma_maximal_ideals(g)]
     [[0, 1], [0, 2]]
     """
-    if not gamma.members:
-        raise ValueError("gamma must be nonempty")
-    if not _is_down_members(gamma.members):
-        raise ValueError("gamma must be a down set")
-    support = union_support(gamma)
+    support = _down_support(gamma)
     if support in gamma.members:
         raise ValueError("the support of gamma must not be a member")
-    found = _maximal_ideals_members(gamma.members, support)
-    found.sort(key=_family_sort_key)
+    found = sorted(map(_powerset, _maximal_tops(gamma.members, support)), key=_family_sort_key)
     return [gamma.replace_members(f) for f in found]
 
 
@@ -229,15 +217,10 @@ def i_hat(gamma: FamilyOfSets) -> FamilyOfSets:
     Degenerate case: when the support is a member of the down set gamma the
     intersection collapses to the family {empty set}, returned directly.
     """
-    if not gamma.members:
-        raise ValueError("gamma must be nonempty")
-    if not _is_down_members(gamma.members):
-        raise ValueError("gamma must be a down set")
-    support = union_support(gamma)
+    support = _down_support(gamma)
     if support in gamma.members:
         return gamma.replace_members(frozenset({0}))
-    maximal = _maximal_ideals_members(gamma.members, support)
-    return gamma.replace_members(_common_members(maximal))
+    return gamma.replace_members(_hat_members(_maximal_tops(gamma.members, support)))
 
 
 def i_star(gamma: FamilyOfSets) -> FamilyOfSets:
@@ -264,15 +247,15 @@ class IdealReport:
 def ideal_report(gamma: FamilyOfSets) -> IdealReport:
     """Compute maximal ideals, their intersection, and the star family.
 
-    The maximal-ideal search runs once; Î is read off its result.
+    Î is read off the maximal ideals: the largest member of P(M) is M.
     """
     support = union_support(gamma)
     if support in gamma.members:
         maximal: tuple[FamilyOfSets, ...] = ()
-        hat = i_hat(gamma)  # the degenerate case, settled without a search
+        hat = i_hat(gamma)  # the degenerate case: {empty set}
     else:
         maximal = tuple(gamma_maximal_ideals(gamma))
-        hat = gamma.replace_members(_common_members([m.members for m in maximal]))
+        hat = gamma.replace_members(_hat_members([max(m.members) for m in maximal]))
     star = i_star(gamma)
     return IdealReport(
         gamma=gamma,
@@ -295,6 +278,26 @@ def report_to_json(report: IdealReport) -> dict:
     }
 
 
+def _down_families(n: int) -> Iterator[frozenset[int]]:
+    """Every down set of the size-n universe, empty one included, for any n.
+
+    Subsets are decided in (popcount, value) order, so each comes up after
+    all of its proper subsets; it may be taken only when every one of its
+    maximal proper subsets (one point dropped) was taken.
+    """
+    order = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+    stack = [(0, frozenset())]
+    while stack:
+        i, members = stack.pop()
+        if i == len(order):
+            yield members
+            continue
+        m = order[i]
+        stack.append((i + 1, members))
+        if all((m & ~(1 << p)) in members for p in range(n) if m >> p & 1):
+            stack.append((i + 1, members | {m}))
+
+
 def enumerate_down_families(n: int) -> list[frozenset[int]]:
     """Every down-closed family over the size-n universe, empty one included.
 
@@ -302,14 +305,7 @@ def enumerate_down_families(n: int) -> list[frozenset[int]]:
     """
     if not 1 <= n <= MAX_GROUND_SIZE:
         raise ValueError(f"ground size must be 1..{MAX_GROUND_SIZE}")
-    subsets = list(range(1 << n))
-    out: list[frozenset[int]] = []
-    for bits in range(1 << len(subsets)):
-        fam = frozenset(m for m in subsets if bits >> m & 1)
-        if _is_down_members(fam):
-            out.append(fam)
-    out.sort(key=_family_sort_key)
-    return out
+    return sorted(_down_families(n), key=_family_sort_key)
 
 
 @dataclass(frozen=True)
@@ -367,14 +363,14 @@ def check_theorem_istar_eq_ihat(n: int) -> TheoremReport:
         if star_is_ideal != qualifying:
             corollary_bad.append({"gamma": sorted(members)})
 
-        maximal = _maximal_ideals_members(members, support)
-        covered = all(any(m in ideal for ideal in maximal) for m in members)
+        tops = _maximal_tops(members, support)
+        covered = all(any(m | t == t for t in tops) for m in members)
         if covered != qualifying:
             lemma_bad.append({"gamma": sorted(members)})
 
         if qualifying:
             checked += 1
-            hat = _common_members(maximal)
+            hat = _hat_members(tops)
             if hat != star.members:
                 theorem_bad.append(
                     {
@@ -410,15 +406,15 @@ class PrimeMaximalReport:
 
 
 def check_prime_iff_maximal(n: int) -> PrimeMaximalReport:
-    """Enumerate every ideal on the size-n ground set and verify that the
-    prime ones (for every subset, it or its complement belongs) are exactly
-    the maximal ones.  On a finite ground set there is one prime ideal per
-    point: the subsets missing that point.
+    """Take every ideal on the size-n ground set X, each P(M) for a subset
+    M other than X, and verify that the prime ones (for every subset, it or
+    its complement belongs) are exactly the maximal ones.  On a finite
+    ground set there is one prime ideal per point: the subsets missing that
+    point.
     """
     universe = Universe(n)
     full = universe.full_mask
-    base = frozenset(universe.subsets())
-    ideals = _ideals_within(base, full)
+    ideals = [_powerset(m) for m in range(full)]
     bad: list[dict] = []
     primes = 0
     maximals = 0

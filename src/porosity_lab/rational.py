@@ -58,8 +58,14 @@ def parse_rational(text: str) -> Fraction:
     """Parse the wire string of an exact rational back to a Fraction.
 
     Accepts "p" and "p/q".  Raises ValueError on anything else, including
-    floats in decimal notation and "inf": exactness is the point.
+    floats in decimal notation, "inf", and values that are not strings at
+    all (a JSON number): exactness is the point.
     """
+    if not isinstance(text, str):
+        raise ValueError(
+            f"not an exact rational: {text!r} "
+            '(give rationals as quoted strings, such as "1/2")'
+        )
     text = text.strip()
     if "." in text or "e" in text or "E" in text:
         raise ValueError(f"not an exact rational: {text!r}")

@@ -72,7 +72,6 @@ def test_criterion_1_foundations_exhaustive(foundation_reports):
     )
 
 
-@pytest.mark.slow
 def test_criterion_1_extended_n4():
     started = time.monotonic()
     report = check_theorem_istar_eq_ihat(4)

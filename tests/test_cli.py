@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porosity_lab.cli import main
 
@@ -181,6 +186,95 @@ def test_infinite_inputs_are_input_errors(capsys, argv):
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "not an exact rational" in err
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ('{"variant":"GeometricLadder","x0":1,"rho":"1/2"}', "quoted strings"),
+        ('{"variant":"GeometricLadder","x0":"1","rho":0.5}', "quoted strings"),
+        (
+            '{"variant":"PatternLadder","x0":"1","ratios":"12","decay":"1/4"}',
+            "bad family descriptor",
+        ),
+    ],
+)
+def test_mistyped_descriptor_fields_are_input_errors(capsys, family, message):
+    code, out, err = run_cli(capsys, "analyze", "--family", family)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert message in err
+
+
+_DESCRIPTORS = [json.loads(d) for d in (GEO, EXA, PAT, SUP)] + [
+    {
+        "variant": "ExplicitChain",
+        "chain": {
+            "blocks": [{"point": "1/2"}, {"lo": "1/8", "hi": "1/4"}],
+            "upper": "1",
+            "horizon": "0",
+        },
+    },
+    {"variant": "UnionOf", "parts": [json.loads(GEO), json.loads(EXA)]},
+    {"variant": "BlowupOf", "base": json.loads(GEO), "q": "2"},
+]
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    """The path to every value inside a descriptor, its root included."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mangled_descriptors(draw):
+    """A valid descriptor with one of its values, or all of it, replaced by
+    an arbitrary JSON value."""
+    descriptor = copy.deepcopy(draw(st.sampled_from(_DESCRIPTORS)))
+    path = draw(st.sampled_from(list(_paths(descriptor))))
+    value = draw(_json_values)
+    if not path:
+        return value
+    node = descriptor
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return descriptor
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    _mangled_descriptors(),
+    st.sampled_from([("analyze",), ("blowup",), ("decompose", "--n", "1")]),
+)
+def test_any_descriptor_gets_a_report_or_one_error_line(descriptor, command):
+    argv = [*command, "--family", json.dumps(descriptor), "--depth", "4"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+        assert len(err.getvalue().splitlines()) == 1
 
 
 @pytest.mark.parametrize(

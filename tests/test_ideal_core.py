@@ -7,6 +7,9 @@ import pytest
 
 from porosity_lab.ideal_core import (
     MAX_GROUND_SIZE,
+    _down_families,
+    _is_down_members,
+    _is_union_closed,
     FamilyOfSets,
     Universe,
     check_prime_iff_maximal,
@@ -25,10 +28,12 @@ from porosity_lab.ideal_core import (
 # Frozen oracle values: number of down-closed families of an n-set,
 # empty family included (computed independently below as a cross-check).
 DOWN_FAMILY_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168}
+# the Dedekind number for n = 5, past MAX_GROUND_SIZE
+DOWN_FAMILY_COUNT_5 = 7581
 
 
 def bits_of(mask):
-    return [i for i in range(4) if mask >> i & 1]
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def oracle_is_down(members):
@@ -59,6 +64,29 @@ def oracle_ideals_on(n):
     return out
 
 
+def oracle_ideals_within(members, ground):
+    """Every sub-family of members that is an ideal on ground, by trying
+    all of them.  The empty ground set carries no ideals at all (the empty
+    set would be the full set)."""
+    if 0 not in members or ground == 0:
+        return []
+    rest = sorted(m for m in members if m != 0 and m != ground and not (m & ~ground))
+    out = []
+    for bits in range(1 << len(rest)):
+        fam = frozenset([0] + [m for i, m in enumerate(rest) if bits >> i & 1])
+        if _is_down_members(fam) and _is_union_closed(fam):
+            out.append(fam)
+    return out
+
+
+def oracle_maximal_families(families):
+    return [f for f in families if not any(f < g for g in families)]
+
+
+def family_order(members):
+    return (len(members), sorted(members))
+
+
 def all_families(n, nonempty=True):
     subsets = list(range(1 << n))
     for bits in range(1 << len(subsets)):
@@ -83,6 +111,22 @@ def test_down_family_counts_match_frozen_oracle():
         assert len(families) == expected
         # and agree with the independent subset-closure oracle
         assert all(oracle_is_down(f) for f in families)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_GROUND_SIZE + 1))
+def test_down_families_equal_the_filtered_powerset_of_families(n):
+    # the same list, in the same order, as filtering all 2**(2**n) families
+    expected = sorted(
+        (f for f in all_families(n, nonempty=False) if oracle_is_down(f)),
+        key=family_order,
+    )
+    assert enumerate_down_families(n) == expected
+
+
+def test_down_family_generator_reaches_the_dedekind_number_at_n5():
+    families = list(_down_families(5))
+    assert len(families) == len(set(families)) == DOWN_FAMILY_COUNT_5
+    assert all(oracle_is_down(f) for f in families)
 
 
 def test_is_down_set_against_oracle_exhaustively_n2():
@@ -167,6 +211,30 @@ def test_ideal_report_agrees_with_public_functions():
                 assert list(report.maximal_ideals) == gamma_maximal_ideals(gamma)
 
 
+@pytest.mark.parametrize("n", range(1, MAX_GROUND_SIZE + 1))
+def test_closed_forms_equal_the_search_oracle_on_every_down_set(n):
+    u = Universe(n)
+    for members in enumerate_down_families(n):
+        if not members:
+            continue
+        gamma = FamilyOfSets(u, members)
+        support = union_support(gamma)
+        report = ideal_report(gamma)
+        if support in members:
+            assert report.maximal_ideals == ()
+            assert i_hat(gamma).members == report.i_hat.members == {0}
+            continue
+        maximal = sorted(
+            oracle_maximal_families(oracle_ideals_within(members, support)),
+            key=family_order,
+        )
+        hat = frozenset.intersection(*maximal)
+        assert [m.members for m in gamma_maximal_ideals(gamma)] == maximal
+        assert i_hat(gamma).members == hat
+        assert [m.members for m in report.maximal_ideals] == maximal
+        assert report.i_hat.members == hat
+
+
 def test_i_star_direct_definition_oracle():
     rng = random.Random(7)
     families = enumerate_down_families(3)
@@ -193,14 +261,11 @@ def test_theorem_star_equals_hat_small_universes():
 def test_member_coverage_iff_down_and_support_absent_arbitrary_families():
     # the coverage equivalence holds for arbitrary nonempty families, not
     # just down sets: exhaustive on the 2-universe
-    from porosity_lab.ideal_core import _maximal_ideals_members
-
-    u = Universe(2)
     for fam in all_families(2):
         support = 0
         for m in fam:
             support |= m
-        maximal = _maximal_ideals_members(fam, support)
+        maximal = oracle_maximal_families(oracle_ideals_within(fam, support))
         covered = all(any(m in ideal for ideal in maximal) for m in fam)
         expected = oracle_is_down(fam) and support not in fam
         assert covered == expected, sorted(fam)
@@ -216,12 +281,10 @@ def test_prime_iff_maximal_counts():
 
 def test_prime_ideals_are_point_complement_powersets():
     # the n prime ideals on an n-set are exactly {A : x not in A}, one per x
-    from porosity_lab.ideal_core import _ideals_within
-
     for n in (2, 3):
         full = (1 << n) - 1
         base = frozenset(range(1 << n))
-        ideals = _ideals_within(base, full)
+        ideals = oracle_ideals_within(base, full)
         primes = {
             ideal
             for ideal in ideals
@@ -233,7 +296,6 @@ def test_prime_ideals_are_point_complement_powersets():
         assert primes == expected
 
 
-@pytest.mark.slow
 def test_theorem_star_equals_hat_n4():
     report = check_theorem_istar_eq_ihat(4)
     assert report.scanned == DOWN_FAMILY_COUNTS[4]

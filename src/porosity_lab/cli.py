@@ -36,7 +36,6 @@ from .membership import (
 from .rational import format_rational, parse_rational
 from .tailset import (
     BlowupOf,
-    ExampleFamily,
     TailFamily,
     blowup_certificate,
     certificate_to_json,
@@ -140,13 +139,10 @@ def _cmd_analyze(config: RunConfig) -> int:
         for q in config.q_list
     ]
     bounds = None
-    if isinstance(f, ExampleFamily):
-        rep = reproduce_example(f.alpha, config.depth, (min(config.q_list),), config.m_max)
-        (b,) = rep.bounds
-        bounds = {
-            "beta_limsup": format_rational(b.beta_limsup),
-            "window_liminf": format_rational(b.window_liminf[config.m_max]),
-        }
+    certified = f.certified_bounds(min(config.q_list), config.m_max)
+    if certified is not None:
+        beta, window = map(format_rational, certified)
+        bounds = {"beta_limsup": beta, "window_liminf": window}
     report = _common_json(config)
     report.update(
         {

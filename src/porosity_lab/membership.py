@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 from .blowup import cc1_components
-from .rational import INF, RationalLike, format_rational, is_finite
+from .rational import INF, RationalLike, format_rational
 from .tailset import (
     PROBE_WINDOW,
     SP_EVIDENCE_RATIO,
@@ -27,17 +27,11 @@ from .tailset import (
     ExampleFamily,
     ExplicitChain,
     ExplicitLimit,
-    GeometricLadder,
-    PatternLadder,
-    SuperGeometricLadder,
     TailCertificate,
     TailFamily,
     UnionOf,
-    _POINT_FAMILIES,
-    _merge_cutoff,
     block_inf,
     block_sup,
-    blowup_certificate,
     certificate_to_json,
     component_ratios,
     expand,
@@ -147,27 +141,11 @@ def _require_accumulation(f: TailFamily) -> None:
         raise ValueError("0 is not an accumulation point of the family")
 
 
-def _bounded_away(f: TailFamily) -> bool:
-    # a completely known finite chain keeps clear of 0; such sets belong to
-    # every class at once
-    return isinstance(f, ExplicitChain) and f.chain.horizon == 0
-
-
-_TRIVIAL_NOTE = "bounded away from 0: the whole tail (0, min E) is one free gap"
-
-
-def _via(inner: Verdict, prefix: str) -> Verdict:
-    # a verdict on the base family carried over to a family built from it
-    return replace(inner, note=prefix + inner.note)
-
-
-def _sunk_by_part(part_verdicts, rule: str) -> Optional[Verdict]:
-    # for a class closed under subsets, a part certified outside it puts the
-    # union outside too
-    for i, pv in enumerate(part_verdicts):
-        if pv.is_definite and not pv.value:
-            return Verdict.definite(False, pv.certificate, f"{rule}; part {i}: " + pv.note)
-    return None
+def _representative_q(q_list) -> Fraction:
+    qs = [Fraction(q) for q in q_list]
+    if not qs or any(q <= 1 for q in qs):
+        raise ValueError("need at least one q > 1")
+    return min(qs)
 
 
 def _windowed_maxima(gammas, m: int) -> list:
@@ -183,58 +161,91 @@ def _width_record_early(betas) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# SP
+# one ladder for the four classes: a point family answers by its closed
+# form; the combinators' rules below are stated once for every class
 
 
-def _sp_verdict(f: TailFamily, depth: int) -> Verdict:
-    if _bounded_away(f):
+class _Query(NamedTuple):
+    """What an engine was asked: blow-up factors, largest window offset M
+    and depth (SP and CSP read only the depth)."""
+
+    q_list: tuple
+    M_max: int
+    depth: int
+
+
+@dataclass(frozen=True)
+class _ClassRules:
+    """How one class is decided: the point families' rule, the note a
+    blow-up puts in front, the rule named when a part sinks a union, whether
+    the class is an ideal (closed under finite unions), and the empirical
+    fallback."""
+
+    closed_form: Callable
+    blowup_note: str
+    sink_note: str
+    ideal: bool
+    empirical: Callable
+
+
+def _decide(c: _ClassRules, f: TailFamily, query: _Query) -> Verdict:
+    combinator = _COMBINATORS.get(type(f))
+    if combinator is None:
+        return Verdict.definite(*c.closed_form(f, query))
+    return combinator(c, f, query)
+
+
+_TRIVIAL_NOTE = "bounded away from 0: the whole tail (0, min E) is one free gap"
+
+
+def _explicit(c: _ClassRules, f: ExplicitChain, query: _Query) -> Verdict:
+    # a completely known finite chain keeps clear of 0; such sets belong to
+    # every class at once
+    if f.chain.horizon == 0:
         return Verdict.definite(True, ExplicitLimit(INF, True), _TRIVIAL_NOTE)
-    if isinstance(f, GeometricLadder):
-        return Verdict.definite(
-            False,
-            ExplicitLimit(1 / f.rho, False),
-            "free gaps (x_{n+1}, x_n) all have width ratio 1/rho; "
-            f"the porosity index is pinned at 1 - rho = {format_rational(1 - f.rho)} < 1",
-        )
-    if isinstance(f, SuperGeometricLadder):
-        return Verdict.definite(
-            True,
-            ExplicitLimit(INF, True),
-            "gap ratio x_{n+1}/x_n = rho^(n+1) -> 0: relative gaps open completely",
-        )
-    if isinstance(f, ExampleFamily):
-        return Verdict.definite(
-            True,
-            ExplicitLimit(INF, True),
-            "the joint below block j has gap ratio alpha^(j+1) -> 0",
-        )
-    if isinstance(f, PatternLadder):
+    return c.empirical(f, query)
+
+
+def _blown(c: _ClassRules, f: BlowupOf, query: _Query) -> Verdict:
+    # every class is invariant under blow-up: the base's verdict carries over
+    inner = _decide(c, f.base, query)
+    return replace(inner, note=c.blowup_note + inner.note)
+
+
+def _union(c: _ClassRules, f: UnionOf, query: _Query) -> Verdict:
+    verdicts = [_decide(c, p, query) for p in f.parts]
+    # every class is closed under subsets, so a part certified outside it
+    # puts the union outside too
+    for i, pv in enumerate(verdicts):
+        if pv.is_definite and not pv.value:
+            return Verdict.definite(False, pv.certificate, f"{c.sink_note}; part {i}: " + pv.note)
+    if c.ideal and all(pv.is_definite for pv in verdicts):
         return Verdict.definite(
             True,
-            ExplicitLimit(INF, True),
-            "the joint below group g has gap ratio prod(ratios) * decay^(g+1) -> 0",
+            verdicts[0].certificate,
+            "an ideal is closed under finite unions and every part belongs: "
+            + "; ".join(f"part {i}: {pv.note}" for i, pv in enumerate(verdicts)),
         )
-    if isinstance(f, BlowupOf):
-        return _via(_sp_verdict(f.base, depth), "via blow-up invariance of full porosity: ")
-    if isinstance(f, UnionOf):
-        sunk = _sunk_by_part(
-            [_sp_verdict(p, depth) for p in f.parts],
-            "supersets of a non-porous set are non-porous",
-        )
-        if sunk is not None:
-            return sunk
+    if c is _SP:
         # full porosity is not preserved by unions, but the ideal hull inside
         # it is: a union certified there is certified here
-        hull = _ihat_verdict(f, (Fraction(2),), depth)
+        hull = _decide(_IHAT_SP, f, query._replace(q_list=(Fraction(2),)))
         if hull.is_definite and hull.value:
             return Verdict.definite(
                 True, hull.certificate, "contained in the ideal hull: " + hull.note
             )
-        return _empirical_sp(f, depth)
-    return _empirical_sp(f, depth)
+    return c.empirical(f, query)
 
 
-def _empirical_sp(f: TailFamily, depth: int) -> Verdict:
+_COMBINATORS = {ExplicitChain: _explicit, BlowupOf: _blown, UnionOf: _union}
+
+
+# ---------------------------------------------------------------------------
+# SP
+
+
+def _empirical_sp(f: TailFamily, query: _Query) -> Verdict:
+    depth = query.depth
     ratios = [r for _, r in probe_ratios(expand(f, depth))]
     if not ratios:
         return Verdict.empirical(False, depth, "bounded", "no probes above the horizon")
@@ -249,82 +260,28 @@ def _empirical_sp(f: TailFamily, depth: int) -> Verdict:
     )
 
 
+_SP = _ClassRules(
+    lambda f, query: f.sp_rule(),
+    "via blow-up invariance of full porosity: ",
+    "supersets of a non-porous set are non-porous",
+    False,
+    _empirical_sp,
+)
+
+
 def is_sp(f: TailFamily, depth: int = 32) -> Verdict:
     """Is the set strongly porous at 0 (relative free gaps approaching the
     whole height)?"""
     _require_accumulation(f)
-    return _sp_verdict(f, depth)
+    return _decide(_SP, f, _Query((), 0, depth))
 
 
 # ---------------------------------------------------------------------------
 # Ihat(SP)
 
 
-def _ihat_verdict(f: TailFamily, q_list, depth: int) -> Verdict:
-    if _bounded_away(f):
-        return Verdict.definite(True, ExplicitLimit(INF, True), _TRIVIAL_NOTE)
-    if isinstance(f, SuperGeometricLadder):
-        return Verdict.definite(
-            True,
-            blowup_certificate(f, _representative_q(q_list)),
-            "for every q > 1 the blown points eventually separate: the chain is "
-            "infinite and every width ratio settles at q^2 (q0 = 1)",
-        )
-    if isinstance(f, ExampleFamily):
-        return Verdict.definite(
-            True,
-            blowup_certificate(f, _representative_q(q_list)),
-            "for every q > 1 each late block contributes one cluster plus isolated "
-            "components; width ratios stay below a bound depending only on alpha "
-            "and q (q0 = 1)",
-        )
-    if isinstance(f, PatternLadder):
-        return Verdict.definite(
-            True,
-            blowup_certificate(f, _representative_q(q_list)),
-            "for every q > 1 the blown groups repeat an identical finite pattern: "
-            "infinitely many components with periodic width ratios (q0 = 1)",
-        )
-    if isinstance(f, GeometricLadder):
-        return Verdict.definite(
-            False,
-            ExplicitLimit(INF, False),
-            "any q with q^2 * rho > 1 fuses all points into a single component, "
-            "so the component chain is finite (the set is not even porous: "
-            f"index {format_rational(1 - f.rho)})",
-        )
-    if isinstance(f, BlowupOf):
-        return _via(_ihat_verdict(f.base, q_list, depth), "via blow-up invariance of the class: ")
-    if isinstance(f, UnionOf):
-        return _combine_ideal(f, [_ihat_verdict(p, q_list, depth) for p in f.parts],
-                              lambda: _empirical_ihat(f, q_list, depth))
-    return _empirical_ihat(f, q_list, depth)
-
-
-def _representative_q(q_list) -> Fraction:
-    qs = [Fraction(q) for q in q_list]
-    if not qs or any(q <= 1 for q in qs):
-        raise ValueError("need at least one q > 1")
-    return min(qs)
-
-
-def _combine_ideal(f, part_verdicts, fallback) -> Verdict:
-    # both ideal classes are closed downward and under finite unions
-    sunk = _sunk_by_part(part_verdicts, "an ideal is closed downward")
-    if sunk is not None:
-        return sunk
-    if all(pv.is_definite for pv in part_verdicts):
-        first = part_verdicts[0]
-        return Verdict.definite(
-            True,
-            first.certificate,
-            "an ideal is closed under finite unions and every part belongs: "
-            + "; ".join(f"part {i}: {pv.note}" for i, pv in enumerate(part_verdicts)),
-        )
-    return fallback()
-
-
-def _empirical_ihat(f: TailFamily, q_list, depth: int) -> Verdict:
+def _empirical_ihat(f: TailFamily, query: _Query) -> Verdict:
+    q_list, _, depth = query
     _representative_q(q_list)
     value = True
     notes = []
@@ -348,73 +305,30 @@ def _empirical_ihat(f: TailFamily, q_list, depth: int) -> Verdict:
     )
 
 
+_IDEAL_SINK = "an ideal is closed downward"
+_IHAT_SP = _ClassRules(
+    lambda f, query: f.ihat_rule(_representative_q(query.q_list)),
+    "via blow-up invariance of the class: ",
+    _IDEAL_SINK,
+    True,
+    _empirical_ihat,
+)
+
+
 def test_ihat_sp(f: TailFamily, q_list=(Fraction(2),), depth: int = 32) -> Verdict:
     """Is the set in the intersection of maximal ideals inside the porous
     sets?  Characterized by: for every q > 1 the component chain of the
     blow-up in (0, 1] is infinite and its width ratios stay bounded."""
     _require_accumulation(f)
-    return _ihat_verdict(f, q_list, depth)
+    return _decide(_IHAT_SP, f, _Query(q_list, 0, depth))
 
 
 # ---------------------------------------------------------------------------
 # CSP
 
 
-def _csp_verdict(f: TailFamily, depth: int) -> Verdict:
-    if _bounded_away(f):
-        return Verdict.definite(True, ExplicitLimit(INF, True), _TRIVIAL_NOTE)
-    if isinstance(f, SuperGeometricLadder):
-        return Verdict.definite(
-            True,
-            ExplicitLimit(INF, True),
-            "the points are their own cover ladder: x_{n+1}/x_n = rho^(n+1) -> 0 "
-            "and any q > 1 makes (x/q, qx) swallow x",
-        )
-    if isinstance(f, PatternLadder):
-        span = Fraction(1)
-        for r in f.ratios:
-            span *= r
-        return Verdict.definite(
-            True,
-            ExplicitLimit(INF, True),
-            "cover ladder at the group heads with q = 2/prod(ratios) = "
-            f"{format_rational(2 / span)}: each interval swallows its whole group "
-            "and successive heads shrink by decay^(g+1) -> 0",
-        )
-    if isinstance(f, GeometricLadder):
-        return Verdict.definite(
-            False,
-            ExplicitLimit(1 / f.rho, False),
-            "consecutive points keep the fixed ratio rho, so any cover interval "
-            "holds boundedly many of them and successive cover centers cannot "
-            "shrink to ratio 0",
-        )
-    if isinstance(f, ExampleFamily):
-        return Verdict.definite(
-            False,
-            ExplicitLimit(1 / f.alpha, False),
-            "block heads repeat the gap ratio alpha: ever longer stretches force "
-            "cover centers with ratio at least alpha infinitely often",
-        )
-    if isinstance(f, BlowupOf):
-        return _via(
-            _csp_verdict(f.base, depth),
-            "a cover witness rescales under blow-up (q' = q * q_w): ",
-        )
-    if isinstance(f, UnionOf):
-        sunk = _sunk_by_part(
-            [_csp_verdict(p, depth) for p in f.parts],
-            "subsets of completely porous sets are completely porous, so a "
-            "bad part sinks the union",
-        )
-        if sunk is not None:
-            return sunk
-        # complete porosity is not closed under unions: keep it empirical
-        return _empirical_csp(f, depth)
-    return _empirical_csp(f, depth)
-
-
-def _empirical_csp(f: TailFamily, depth: int) -> Verdict:
+def _empirical_csp(f: TailFamily, query: _Query) -> Verdict:
+    depth = query.depth
     chain = expand(f, depth)
     blocks = chain.blocks
     if not blocks:
@@ -450,73 +364,30 @@ def _empirical_csp(f: TailFamily, depth: int) -> Verdict:
     )
 
 
+# complete porosity is not closed under unions: a union no part sinks
+# stays empirical
+_CSP = _ClassRules(
+    lambda f, query: f.csp_rule(),
+    "a cover witness rescales under blow-up (q' = q * q_w): ",
+    "subsets of completely porous sets are completely porous, so a "
+    "bad part sinks the union",
+    False,
+    _empirical_csp,
+)
+
+
 def test_csp(f: TailFamily, depth: int = 32) -> Verdict:
     """Is the set completely porous: coverable near 0 by intervals
     (x_n/q, q*x_n) around a ladder with x_{n+1}/x_n -> 0?"""
-    return _csp_verdict(f, depth)
+    return _decide(_CSP, f, _Query((), 0, depth))
 
 
 # ---------------------------------------------------------------------------
 # I(CSP)
 
 
-def _window_liminf_exact(alpha: Fraction, q: Fraction, M: int) -> Fraction:
-    # exact liminf of the windowed gap maxima for the blown block family:
-    # the flattest windows sit deep inside a block, right after the cluster
-    k = _merge_cutoff(alpha, q)
-    return alpha ** (-(k + M + 1)) / (q * q)
-
-
-def _icsp_verdict(f: TailFamily, q_list, M_max: int, depth: int) -> Verdict:
-    if _bounded_away(f):
-        return Verdict.definite(True, ExplicitLimit(INF, True), _TRIVIAL_NOTE)
-    if isinstance(f, SuperGeometricLadder):
-        return Verdict.definite(
-            True,
-            blowup_certificate(f, _representative_q(q_list)),
-            "M = 0 works for every q > 1: the gap ratios rho^-(n+1)/q^2 diverge "
-            "on their own (q0 = 1)",
-        )
-    if isinstance(f, PatternLadder):
-        single_m = len(f.ratios)
-        return Verdict.definite(
-            True,
-            blowup_certificate(f, _representative_q(q_list)),
-            f"M = {single_m} works for every q > 1: each group contributes at "
-            "most M bounded gap ratios before the diverging joint, so every "
-            "window of size M+1 catches a joint (q0 = 1)",
-        )
-    if isinstance(f, ExampleFamily):
-        q0 = _representative_q(q_list)
-        return Verdict.definite(
-            False,
-            blowup_certificate(f, q0),
-            "no (q, M) works: windows of any size M+1 land entirely inside a "
-            "block infinitely often, where the gap maxima stay at "
-            "alpha^-(k*+M+1)/q^2 < infinity",
-        )
-    if isinstance(f, GeometricLadder):
-        return Verdict.definite(
-            False,
-            ExplicitLimit(INF, False),
-            "below the class of porous sets nothing qualifies: the set is not "
-            f"porous (index {format_rational(1 - f.rho)}); for small q the gap "
-            "ratios are even constant at 1/(q^2 rho)",
-        )
-    if isinstance(f, BlowupOf):
-        return _via(
-            _icsp_verdict(f.base, q_list, M_max, depth), "via blow-up invariance of the class: "
-        )
-    if isinstance(f, UnionOf):
-        return _combine_ideal(
-            f,
-            [_icsp_verdict(p, q_list, M_max, depth) for p in f.parts],
-            lambda: _empirical_icsp(f, q_list, M_max, depth),
-        )
-    return _empirical_icsp(f, q_list, M_max, depth)
-
-
-def _empirical_icsp(f: TailFamily, q_list, M_max: int, depth: int) -> Verdict:
+def _empirical_icsp(f: TailFamily, query: _Query) -> Verdict:
+    q_list, M_max, depth = query
     _representative_q(q_list)
     value = True
     notes = []
@@ -547,6 +418,15 @@ def _empirical_icsp(f: TailFamily, q_list, M_max: int, depth: int) -> Verdict:
     )
 
 
+_I_CSP = _ClassRules(
+    lambda f, query: f.icsp_rule(_representative_q(query.q_list)),
+    "via blow-up invariance of the class: ",
+    _IDEAL_SINK,
+    True,
+    _empirical_icsp,
+)
+
+
 def test_i_csp(
     f: TailFamily, q_list=(Fraction(2),), M_max: int = 8, depth: int = 32
 ) -> Verdict:
@@ -554,7 +434,7 @@ def test_i_csp(
     by: some window size M and threshold q0 make the windowed maxima of the
     blown gap ratios diverge for every q > q0, with bounded width ratios."""
     _require_accumulation(f)
-    return _icsp_verdict(f, q_list, M_max, depth)
+    return _decide(_I_CSP, f, _Query(q_list, M_max, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +513,12 @@ def decompose_csp(
     if depth < 1:
         raise ValueError("depth must be at least 1")
 
-    failure = _certified_hypothesis_failure(f, n, q, depth)
-    if failure is not None:
-        return failure
+    # a point family's closed form settles the hypotheses at every depth
+    closed_form = type(f) not in _COMBINATORS
+    obstruction = f.decomposition_obstruction(n, q) if closed_form else None
+    if obstruction is not None:
+        reason, bound = obstruction
+        return HypothesisFailure(reason, n, q, depth, window_bound=bound)
 
     blown = expand(BlowupOf(f, q), depth)
     comps = cc1_components(blown)
@@ -646,8 +529,8 @@ def decompose_csp(
         )
 
     betas, gammas = component_ratios(comps)  # gammas[i - 1] follows component i
-    if not isinstance(f, _POINT_FAMILIES):
-        # no closed form: check the windowed maxima empirically at depth
+    if not closed_form:
+        # check the windowed maxima empirically at depth
         maxima = _windowed_maxima(gammas, n)
         if classify_trend(maxima) != "monotone-increasing" or maxima[-1] < GAMMA_GROWTH_CUT:
             return HypothesisFailure(
@@ -700,56 +583,8 @@ def decompose_csp(
     )
 
 
-def _certified_hypothesis_failure(
-    f: TailFamily, n: int, q: Fraction, depth: int
-) -> Optional[HypothesisFailure]:
-    # obstructions the point families' closed forms certify at every depth
-    if isinstance(f, ExampleFamily):
-        m = _smallest_exponent(f.alpha, q)
-        return HypothesisFailure(
-            "windowed gap maxima stay bounded: windows of size N+1 land inside "
-            "a block infinitely often",
-            n,
-            q,
-            depth,
-            window_bound=(1 / f.alpha) ** (m + n + 1),
-        )
-    if isinstance(f, GeometricLadder):
-        if q * q * f.rho > 1:
-            return HypothesisFailure(
-                "all points fuse into one component", n, q, depth
-            )
-        return HypothesisFailure(
-            "gap ratios are constant", n, q, depth, window_bound=1 / (q * q * f.rho)
-        )
-    if isinstance(f, PatternLadder):
-        cert = blowup_certificate(f, q)
-        needed = len(cert.beta_pattern) - 1
-        if n < needed:
-            slack = max(g for g in cert.gamma_pattern if is_finite(g))
-            return HypothesisFailure(
-                f"each group carries {needed} bounded gap ratios in a row; windows "
-                f"of size {n + 1} miss the diverging joint infinitely often",
-                n,
-                q,
-                depth,
-                window_bound=slack,
-            )
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the worked example
-
-
-def _smallest_exponent(alpha: Fraction, q: Fraction) -> int:
-    # smallest positive m with q < (1/alpha)^m
-    m = 1
-    power = 1 / alpha
-    while power <= q:
-        power /= alpha
-        m += 1
-    return m
 
 
 @dataclass(frozen=True)
@@ -780,31 +615,21 @@ def reproduce_example(alpha, depth: int, q_list, M_max: int = 8) -> ExampleRepor
     """Evaluate the separating family: inside the ideal hull of the porous
     sets, outside the finite unions of completely porous ones, with the
     certified bounds spelled out for every requested q and window size."""
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
     f = ExampleFamily(alpha)
     ihat = test_ihat_sp(f, q_list, depth)
     icsp = test_i_csp(f, q_list, M_max, depth)
     if not (ihat.is_definite and ihat.value and icsp.is_definite and not icsp.value):
         raise RuntimeError("the separating example lost its certificates")
-    bounds = []
-    for q in q_list:
-        q = Fraction(q)
-        m = _smallest_exponent(alpha, q)
-        k = _merge_cutoff(alpha, q)
-        bounds.append(
-            ExampleQBounds(
-                q=q,
-                m=m,
-                beta_limsup=sum((1 / alpha) ** j for j in range(m + 1)),
-                beta_limsup_exact=q * q * alpha ** (-(k * (k + 1) // 2)),
-                window_liminf=tuple(
-                    (1 / alpha) ** (m + M + 1) for M in range(M_max + 1)
-                ),
-                window_liminf_exact=tuple(
-                    _window_liminf_exact(alpha, q, M) for M in range(M_max + 1)
-                ),
-            )
+    windows = range(M_max + 1)
+    bounds = tuple(
+        ExampleQBounds(
+            q=q,
+            m=f.smallest_exponent(q),
+            beta_limsup=f.beta_limsup(q),
+            beta_limsup_exact=f.blowup_certificate(q).limsup_beta,
+            window_liminf=tuple(f.window_liminf(q, M) for M in windows),
+            window_liminf_exact=tuple(f.window_liminf_exact(q, M) for M in windows),
         )
-    return ExampleReport(alpha, depth, ihat, icsp, tuple(bounds))
+        for q in map(Fraction, q_list)
+    )
+    return ExampleReport(f.alpha, depth, ihat, icsp, bounds)

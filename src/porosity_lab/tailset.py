@@ -13,11 +13,11 @@ value is the infinity marker for diverging gap ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union, get_args
 
-from .rational import INF, RationalLike, format_rational, parse_rational
+from .rational import INF, RationalLike, format_rational, is_finite, parse_rational
 
 __all__ = [
     "DEFAULT_DEPTH",
@@ -250,16 +250,54 @@ def certificate_to_json(cert: TailCertificate) -> dict:
 # families
 
 
+class _Family:
+    """What a family knows about itself; the defaults mean no closed form."""
+
+    def porosity_index(self) -> Optional[Fraction]:
+        """Closed-form upper porosity at 0."""
+        return None
+
+    def blowup_certificate(self, q: Fraction) -> TailCertificate:
+        """Tail certificate of the component chain of the q-blow-up, q > 1."""
+        return UNKNOWN
+
+    def component_certificate(self) -> TailCertificate:
+        """Tail certificate of the family's own component chain."""
+        return UNKNOWN
+
+    def certified_bounds(self, q: Fraction, M: int) -> Optional[Tuple[Fraction, Fraction]]:
+        """At blow-up factor q: bounds on the width-ratio limsup and on the
+        liminf of the gap maxima over windows of M+1."""
+        return None
+
+
+class _PointFamily(_Family):
+    """A family of points given by a closed form, from which it states
+    everything the verdicts need: its points (`_points`), the porosity
+    index, the blow-up certificate, one rule per class as plain
+    (value, certificate, note) data (`sp_rule`, `csp_rule`, and
+    `ihat_rule`/`icsp_rule` at a representative blow-up factor q), and
+    what keeps the 2N+2-part decomposition from existing."""
+
+    has_zero_accumulation = True
+
+    def _expand(self, depth: int) -> Chain:
+        points = [Point(x) for x in self._points(depth)]
+        return Chain(tuple(points), upper=points[0].x, horizon=points[-1].x)
+
+    def decomposition_obstruction(self, n: int, q: Fraction):
+        """(reason, window bound) when the closed form rules out the
+        decomposition with part-count parameter n at every depth, else
+        None."""
+        return None
+
+
 @dataclass(frozen=True)
-class GeometricLadder:
-    """Points x0 * rho**n, n = 0, 1, 2, ...  Gap ratios are constant, so the
-    set keeps a fixed fraction of free space below every point and never
-    becomes strongly porous."""
+class _Ladder(_PointFamily):
+    """Points descending from x0 by ratios built from one rho in (0, 1)."""
 
     x0: Fraction
     rho: Fraction
-
-    has_zero_accumulation = True
 
     def __post_init__(self):
         object.__setattr__(self, "x0", Fraction(self.x0))
@@ -268,6 +306,13 @@ class GeometricLadder:
             raise ValueError("x0 must be positive")
         if not 0 < self.rho < 1:
             raise ValueError("rho must lie in (0, 1)")
+
+
+@dataclass(frozen=True)
+class GeometricLadder(_Ladder):
+    """Points x0 * rho**n, n = 0, 1, 2, ...  Gap ratios are constant, so the
+    set keeps a fixed fraction of free space below every point and never
+    becomes strongly porous."""
 
     def _points(self, depth):
         x = self.x0
@@ -275,24 +320,51 @@ class GeometricLadder:
             yield x
             x *= self.rho
 
+    def porosity_index(self):
+        return 1 - self.rho
+
+    def blowup_certificate(self, q):
+        if q * q * self.rho > 1:
+            return UNKNOWN  # everything merges into one interval, no tail
+        return ExplicitLimit(q * q, False)
+
+    def sp_rule(self):
+        return False, ExplicitLimit(1 / self.rho, False), (
+            "free gaps (x_{n+1}, x_n) all have width ratio 1/rho; "
+            f"the porosity index is pinned at 1 - rho = {format_rational(1 - self.rho)} < 1"
+        )
+
+    def csp_rule(self):
+        return False, ExplicitLimit(1 / self.rho, False), (
+            "consecutive points keep the fixed ratio rho, so any cover interval "
+            "holds boundedly many of them and successive cover centers cannot "
+            "shrink to ratio 0"
+        )
+
+    def ihat_rule(self, q):
+        return False, ExplicitLimit(INF, False), (
+            "any q with q^2 * rho > 1 fuses all points into a single component, "
+            "so the component chain is finite (the set is not even porous: "
+            f"index {format_rational(1 - self.rho)})"
+        )
+
+    def icsp_rule(self, q):
+        return False, ExplicitLimit(INF, False), (
+            "below the class of porous sets nothing qualifies: the set is not "
+            f"porous (index {format_rational(1 - self.rho)}); for small q the gap "
+            "ratios are even constant at 1/(q^2 rho)"
+        )
+
+    def decomposition_obstruction(self, n, q):
+        if q * q * self.rho > 1:
+            return "all points fuse into one component", None
+        return "gap ratios are constant", 1 / (q * q * self.rho)
+
 
 @dataclass(frozen=True)
-class SuperGeometricLadder:
+class SuperGeometricLadder(_Ladder):
     """Points x0 * rho**(n(n+1)/2): consecutive ratios rho**(n+1) shrink to
     zero, so the relative gaps below the points open up completely."""
-
-    x0: Fraction
-    rho: Fraction
-
-    has_zero_accumulation = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "x0", Fraction(self.x0))
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        if self.x0 <= 0:
-            raise ValueError("x0 must be positive")
-        if not 0 < self.rho < 1:
-            raise ValueError("rho must lie in (0, 1)")
 
     def _points(self, depth):
         x = self.x0
@@ -302,9 +374,40 @@ class SuperGeometricLadder:
             x *= step
             step *= self.rho
 
+    def porosity_index(self):
+        return Fraction(1)
+
+    def blowup_certificate(self, q):
+        # ratios shrink below 1/q**2 eventually: isolated components of
+        # width ratio exactly q**2 and gap ratios rho**-(n+1)/q**2 -> inf
+        return ExplicitLimit(q * q, True)
+
+    def sp_rule(self):
+        return True, ExplicitLimit(INF, True), (
+            "gap ratio x_{n+1}/x_n = rho^(n+1) -> 0: relative gaps open completely"
+        )
+
+    def csp_rule(self):
+        return True, ExplicitLimit(INF, True), (
+            "the points are their own cover ladder: x_{n+1}/x_n = rho^(n+1) -> 0 "
+            "and any q > 1 makes (x/q, qx) swallow x"
+        )
+
+    def ihat_rule(self, q):
+        return True, self.blowup_certificate(q), (
+            "for every q > 1 the blown points eventually separate: the chain is "
+            "infinite and every width ratio settles at q^2 (q0 = 1)"
+        )
+
+    def icsp_rule(self, q):
+        return True, self.blowup_certificate(q), (
+            "M = 0 works for every q > 1: the gap ratios rho^-(n+1)/q^2 diverge "
+            "on their own (q0 = 1)"
+        )
+
 
 @dataclass(frozen=True)
-class ExampleFamily:
+class ExampleFamily(_PointFamily):
     """Blocks of points whose in-block gap ratios alpha**k tighten more and
     more slowly while the joints between blocks widen without bound.
 
@@ -314,8 +417,6 @@ class ExampleFamily:
     """
 
     alpha: Fraction
-
-    has_zero_accumulation = True
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -331,9 +432,86 @@ class ExampleFamily:
                 yield y
             y *= self.alpha ** (j + 1)
 
+    def merge_cutoff(self, q: Fraction) -> int:
+        """Largest k >= 0 with alpha**k * q**2 > 1: the first k gaps of a
+        late block merge under the q-blow-up."""
+        k = 0
+        value = q * q
+        while value * self.alpha > 1:
+            value *= self.alpha
+            k += 1
+        return k
+
+    def smallest_exponent(self, q: Fraction) -> int:
+        """Smallest positive m with q < (1/alpha)**m."""
+        m = 1
+        power = 1 / self.alpha
+        while power <= q:
+            power /= self.alpha
+            m += 1
+        return m
+
+    def beta_limsup(self, q: Fraction) -> Fraction:
+        """Bound on the width-ratio limsup: sum of alpha**-j, j = 0..m."""
+        return sum((1 / self.alpha) ** j for j in range(self.smallest_exponent(q) + 1))
+
+    def window_liminf(self, q: Fraction, M: int) -> Fraction:
+        """Bound (1/alpha)**(m+M+1) on the liminf of the gap maxima over
+        windows of M+1 consecutive gap ratios."""
+        return (1 / self.alpha) ** (self.smallest_exponent(q) + M + 1)
+
+    def window_liminf_exact(self, q: Fraction, M: int) -> Fraction:
+        """Exact liminf of the windowed gap maxima: the flattest windows sit
+        deep inside a block, right after the cluster."""
+        return self.alpha ** (-(self.merge_cutoff(q) + M + 1)) / (q * q)
+
+    def certified_bounds(self, q, M):
+        return self.beta_limsup(q), self.window_liminf(q, M)
+
+    def porosity_index(self):
+        return Fraction(1)
+
+    def blowup_certificate(self, q):
+        # within a late block the first k* gaps merge into one cluster and
+        # the rest stay isolated; the cluster width dominates the limsup
+        k = self.merge_cutoff(q)
+        return ExplicitLimit(q * q * self.alpha ** Fraction(-k * (k + 1), 2), False)
+
+    def sp_rule(self):
+        return True, ExplicitLimit(INF, True), (
+            "the joint below block j has gap ratio alpha^(j+1) -> 0"
+        )
+
+    def csp_rule(self):
+        return False, ExplicitLimit(1 / self.alpha, False), (
+            "block heads repeat the gap ratio alpha: ever longer stretches force "
+            "cover centers with ratio at least alpha infinitely often"
+        )
+
+    def ihat_rule(self, q):
+        return True, self.blowup_certificate(q), (
+            "for every q > 1 each late block contributes one cluster plus isolated "
+            "components; width ratios stay below a bound depending only on alpha "
+            "and q (q0 = 1)"
+        )
+
+    def icsp_rule(self, q):
+        return False, self.blowup_certificate(q), (
+            "no (q, M) works: windows of any size M+1 land entirely inside a "
+            "block infinitely often, where the gap maxima stay at "
+            "alpha^-(k*+M+1)/q^2 < infinity"
+        )
+
+    def decomposition_obstruction(self, n, q):
+        return (
+            "windowed gap maxima stay bounded: windows of size N+1 land inside "
+            "a block infinitely often",
+            self.window_liminf(q, n),
+        )
+
 
 @dataclass(frozen=True)
-class PatternLadder:
+class PatternLadder(_PointFamily):
     """Points in groups of a fixed multiplicative shape.
 
     Inside a group the consecutive ratios run through `ratios` once; group
@@ -346,8 +524,6 @@ class PatternLadder:
     x0: Fraction
     ratios: Tuple[Fraction, ...]
     decay: Fraction
-
-    has_zero_accumulation = True
 
     def __post_init__(self):
         object.__setattr__(self, "x0", Fraction(self.x0))
@@ -370,9 +546,66 @@ class PatternLadder:
                 yield x
             x *= self.decay ** (g + 1)
 
+    def porosity_index(self):
+        return Fraction(1)
+
+    def blowup_certificate(self, q):
+        qq = q * q
+        betas, gammas = [], []
+        width = qq
+        for r in self.ratios:
+            if r * qq > 1:
+                width /= r
+            else:
+                betas.append(width)
+                gammas.append(1 / (r * qq))
+                width = qq
+        betas.append(width)
+        gammas.append(INF)  # the joint after each group outgrows every bound
+        return EventuallyPeriodic(tuple(betas), tuple(gammas))
+
+    def sp_rule(self):
+        return True, ExplicitLimit(INF, True), (
+            "the joint below group g has gap ratio prod(ratios) * decay^(g+1) -> 0"
+        )
+
+    def csp_rule(self):
+        span = Fraction(1)
+        for r in self.ratios:
+            span *= r
+        return True, ExplicitLimit(INF, True), (
+            "cover ladder at the group heads with q = 2/prod(ratios) = "
+            f"{format_rational(2 / span)}: each interval swallows its whole group "
+            "and successive heads shrink by decay^(g+1) -> 0"
+        )
+
+    def ihat_rule(self, q):
+        return True, self.blowup_certificate(q), (
+            "for every q > 1 the blown groups repeat an identical finite pattern: "
+            "infinitely many components with periodic width ratios (q0 = 1)"
+        )
+
+    def icsp_rule(self, q):
+        return True, self.blowup_certificate(q), (
+            f"M = {len(self.ratios)} works for every q > 1: each group contributes at "
+            "most M bounded gap ratios before the diverging joint, so every "
+            "window of size M+1 catches a joint (q0 = 1)"
+        )
+
+    def decomposition_obstruction(self, n, q):
+        cert = self.blowup_certificate(q)
+        needed = len(cert.beta_pattern) - 1
+        if n >= needed:
+            return None
+        return (
+            f"each group carries {needed} bounded gap ratios in a row; windows "
+            f"of size {n + 1} miss the diverging joint infinitely often",
+            max(g for g in cert.gamma_pattern if is_finite(g)),
+        )
+
 
 @dataclass(frozen=True)
-class ExplicitChain:
+class ExplicitChain(_Family):
     """A chain given verbatim; depth is ignored on expansion.  Carries no
     accumulation claim: a finite block list never certifies behaviour at 0."""
 
@@ -380,9 +613,12 @@ class ExplicitChain:
 
     has_zero_accumulation = False
 
+    def _expand(self, depth):
+        return self.chain
+
 
 @dataclass(frozen=True)
-class UnionOf:
+class UnionOf(_Family):
     """Union of finitely many families.  The union is known only where every
     part is, so the merged chain keeps the highest of the part horizons."""
 
@@ -397,9 +633,16 @@ class UnionOf:
     def has_zero_accumulation(self):
         return any(p.has_zero_accumulation for p in self.parts)
 
+    def _expand(self, depth):
+        chains = [expand(p, depth) for p in self.parts]
+        horizon = max(c.horizon for c in chains)
+        upper = max(c.upper for c in chains)
+        blocks = merge_blocks(b for c in chains for b in c.blocks)
+        return Chain(restrict_blocks(blocks, horizon), upper=upper, horizon=horizon)
+
 
 @dataclass(frozen=True)
-class BlowupOf:
+class BlowupOf(_Family):
     """The q-blow-up of another family: every point x thickens to the open
     interval (x/q, q*x) and overlaps merge."""
 
@@ -415,6 +658,20 @@ class BlowupOf:
     def has_zero_accumulation(self):
         return self.base.has_zero_accumulation
 
+    def _expand(self, depth):
+        from . import blowup
+
+        return blowup.blow_up_chain(expand(self.base, depth), self.q)
+
+    def porosity_index(self):
+        # full porosity survives the blow-up in both directions; partial
+        # porosity values do not transfer exactly
+        base = self.base.porosity_index()
+        return base if base == 1 else None
+
+    def component_certificate(self):
+        return self.base.blowup_certificate(self.q)
+
 
 TailFamily = Union[
     GeometricLadder,
@@ -425,8 +682,6 @@ TailFamily = Union[
     UnionOf,
     BlowupOf,
 ]
-
-_POINT_FAMILIES = (GeometricLadder, SuperGeometricLadder, ExampleFamily, PatternLadder)
 
 
 def expand(f: TailFamily, depth: int) -> Chain:
@@ -439,22 +694,9 @@ def expand(f: TailFamily, depth: int) -> Chain:
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if isinstance(f, _POINT_FAMILIES):
-        points = [Point(x) for x in f._points(depth)]
-        return Chain(tuple(points), upper=points[0].x, horizon=points[-1].x)
-    if isinstance(f, ExplicitChain):
-        return f.chain
-    if isinstance(f, UnionOf):
-        chains = [expand(p, depth) for p in f.parts]
-        horizon = max(c.horizon for c in chains)
-        upper = max(c.upper for c in chains)
-        blocks = merge_blocks(b for c in chains for b in c.blocks)
-        return Chain(restrict_blocks(blocks, horizon), upper=upper, horizon=horizon)
-    if isinstance(f, BlowupOf):
-        from . import blowup
-
-        return blowup.blow_up_chain(expand(f.base, depth), f.q)
-    raise TypeError(f"not a tail family: {f!r}")
+    if not isinstance(f, _Family):
+        raise TypeError(f"not a tail family: {f!r}")
+    return f._expand(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -550,16 +792,7 @@ class PorosityProfile:
 
 def certified_porosity_index(f: TailFamily) -> Optional[Fraction]:
     """Closed-form upper porosity at 0, when the family carries one."""
-    if isinstance(f, GeometricLadder):
-        return 1 - f.rho
-    if isinstance(f, (SuperGeometricLadder, ExampleFamily, PatternLadder)):
-        return Fraction(1)
-    if isinstance(f, BlowupOf):
-        # full porosity survives the blow-up in both directions; partial
-        # porosity values do not transfer exactly
-        base = certified_porosity_index(f.base)
-        return base if base == 1 else None
-    return None
+    return f.porosity_index()
 
 
 def porosity_profile(f: TailFamily, depth: int) -> PorosityProfile:
@@ -589,50 +822,13 @@ class RatioProfile:
     certificate: TailCertificate
 
 
-def _merge_cutoff(alpha: Fraction, q: Fraction) -> int:
-    # largest k >= 0 with alpha**k * q**2 > 1; k=0 always qualifies
-    k = 0
-    value = q * q
-    while value * alpha > 1:
-        value *= alpha
-        k += 1
-    return k
-
-
 def blowup_certificate(base: TailFamily, q) -> TailCertificate:
     """Closed-form tail certificate for the component chain of base blown up
     by q, where the family admits one."""
     q = Fraction(q)
     if q <= 1:
         raise ValueError("q must exceed 1")
-    qq = q * q
-    if isinstance(base, SuperGeometricLadder):
-        # ratios shrink below 1/q**2 eventually: isolated components of
-        # width ratio exactly q**2 and gap ratios rho**-(n+1)/q**2 -> inf
-        return ExplicitLimit(qq, True)
-    if isinstance(base, GeometricLadder):
-        if qq * base.rho > 1:
-            return UNKNOWN  # everything merges into one interval, no tail
-        return ExplicitLimit(qq, False)
-    if isinstance(base, ExampleFamily):
-        # within a late block the first k* gaps merge into one cluster and
-        # the rest stay isolated; the cluster width dominates the limsup
-        k = _merge_cutoff(base.alpha, q)
-        return ExplicitLimit(qq * base.alpha ** Fraction(-k * (k + 1), 2), False)
-    if isinstance(base, PatternLadder):
-        betas, gammas = [], []
-        width = qq
-        for r in base.ratios:
-            if r * qq > 1:
-                width /= r
-            else:
-                betas.append(width)
-                gammas.append(1 / (r * qq))
-                width = qq
-        betas.append(width)
-        gammas.append(INF)  # the joint after each group outgrows every bound
-        return EventuallyPeriodic(tuple(betas), tuple(gammas))
-    return UNKNOWN
+    return base.blowup_certificate(q)
 
 
 def component_ratios(comps) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
@@ -653,10 +849,7 @@ def ratio_profile(source, depth: int = DEFAULT_DEPTH) -> RatioProfile:
     if isinstance(source, Chain):
         chain, cert = source, UNKNOWN
     else:
-        chain = expand(source, depth)
-        cert = UNKNOWN
-        if isinstance(source, BlowupOf):
-            cert = blowup_certificate(source.base, source.q)
+        chain, cert = expand(source, depth), source.component_certificate()
     for b in chain.blocks:
         if not isinstance(b, Interval):
             raise ValueError("chain has isolated points; blow up first")
@@ -695,39 +888,32 @@ def chain_from_json(data: dict) -> Chain:
     )
 
 
+# the family variants by name, and the wire format of each field as
+# (to JSON, from JSON) by field name; every other field is one rational
+_VARIANTS = {cls.__name__: cls for cls in get_args(TailFamily)}
+_FIELD_CODECS = {
+    "ratios": (
+        lambda rs: [format_rational(r) for r in rs],
+        lambda rs: tuple(parse_rational(r) for r in rs),
+    ),
+    "chain": (chain_to_json, chain_from_json),
+    "base": (lambda f: family_to_json(f), lambda d: family_from_json(d)),
+    "parts": (
+        lambda fs: [family_to_json(f) for f in fs],
+        lambda ds: tuple(family_from_json(d) for d in ds),
+    ),
+}
+_RATIONAL_CODEC = (format_rational, parse_rational)
+
+
 def family_to_json(f: TailFamily) -> dict:
-    if isinstance(f, GeometricLadder):
-        return {
-            "variant": "GeometricLadder",
-            "x0": format_rational(f.x0),
-            "rho": format_rational(f.rho),
-        }
-    if isinstance(f, SuperGeometricLadder):
-        return {
-            "variant": "SuperGeometricLadder",
-            "x0": format_rational(f.x0),
-            "rho": format_rational(f.rho),
-        }
-    if isinstance(f, ExampleFamily):
-        return {"variant": "ExampleFamily", "alpha": format_rational(f.alpha)}
-    if isinstance(f, PatternLadder):
-        return {
-            "variant": "PatternLadder",
-            "x0": format_rational(f.x0),
-            "ratios": [format_rational(r) for r in f.ratios],
-            "decay": format_rational(f.decay),
-        }
-    if isinstance(f, ExplicitChain):
-        return {"variant": "ExplicitChain", "chain": chain_to_json(f.chain)}
-    if isinstance(f, UnionOf):
-        return {"variant": "UnionOf", "parts": [family_to_json(p) for p in f.parts]}
-    if isinstance(f, BlowupOf):
-        return {
-            "variant": "BlowupOf",
-            "base": family_to_json(f.base),
-            "q": format_rational(f.q),
-        }
-    raise TypeError(f"not a tail family: {f!r}")
+    cls = type(f)
+    if _VARIANTS.get(cls.__name__) is not cls:
+        raise TypeError(f"not a tail family: {f!r}")
+    out = {"variant": cls.__name__}
+    for fld in fields(cls):
+        out[fld.name] = _FIELD_CODECS.get(fld.name, _RATIONAL_CODEC)[0](getattr(f, fld.name))
+    return out
 
 
 def family_from_json(data: dict) -> TailFamily:
@@ -735,24 +921,9 @@ def family_from_json(data: dict) -> TailFamily:
         variant = data["variant"]
     except (TypeError, KeyError):
         raise ValueError("family descriptor needs a 'variant' key")
-    if variant == "GeometricLadder":
-        return GeometricLadder(parse_rational(data["x0"]), parse_rational(data["rho"]))
-    if variant == "SuperGeometricLadder":
-        return SuperGeometricLadder(
-            parse_rational(data["x0"]), parse_rational(data["rho"])
-        )
-    if variant == "ExampleFamily":
-        return ExampleFamily(parse_rational(data["alpha"]))
-    if variant == "PatternLadder":
-        return PatternLadder(
-            parse_rational(data["x0"]),
-            tuple(parse_rational(r) for r in data["ratios"]),
-            parse_rational(data["decay"]),
-        )
-    if variant == "ExplicitChain":
-        return ExplicitChain(chain_from_json(data["chain"]))
-    if variant == "UnionOf":
-        return UnionOf(tuple(family_from_json(p) for p in data["parts"]))
-    if variant == "BlowupOf":
-        return BlowupOf(family_from_json(data["base"]), parse_rational(data["q"]))
-    raise ValueError(f"unknown family variant: {variant!r}")
+    cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise ValueError(f"unknown family variant: {variant!r}")
+    return cls(
+        *(_FIELD_CODECS.get(fld.name, _RATIONAL_CODEC)[1](data[fld.name]) for fld in fields(cls))
+    )

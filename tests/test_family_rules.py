@@ -1,0 +1,243 @@
+"""The closed-form rules behind Definite verdicts, pinned and checked.
+
+The pinned grid hashes everything a family's closed forms decide (the four
+verdicts, the blow-up certificates, the porosity index and the
+decomposition outcome), so any change to a rule, a note or a certificate
+shows up as a changed digest.  The certificate audit checks the closed
+forms against the exact component chain of the blown family at depth.
+"""
+
+import hashlib
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from porosity_lab.blowup import cc1_components
+from porosity_lab.membership import (
+    CofiniteTail,
+    DecompositionResult,
+    decompose_csp,
+    is_sp,
+    verdict_to_json,
+)
+from porosity_lab.membership import test_csp as csp_verdict
+from porosity_lab.membership import test_i_csp as i_csp_verdict
+from porosity_lab.membership import test_ihat_sp as ihat_sp_verdict
+from porosity_lab.rational import INF, format_rational
+from porosity_lab.tailset import (
+    BlowupOf,
+    Chain,
+    EventuallyPeriodic,
+    ExampleFamily,
+    ExplicitChain,
+    GeometricLadder,
+    Interval,
+    PatternLadder,
+    Point,
+    SuperGeometricLadder,
+    UnionOf,
+    blowup_certificate,
+    certificate_to_json,
+    certified_porosity_index,
+    component_ratios,
+    expand,
+    family_to_json,
+)
+
+QS = (F(3, 2), F(2), F(3))
+DEPTH = 12
+M_MAX = 4
+
+# two parameter sets per point family; the first PatternLadder touches
+# q^2 r = 1 at q = 2
+POINT_FAMILIES = {
+    "geometric-1/2": GeometricLadder(1, F(1, 2)),
+    "geometric-1/5": GeometricLadder(F(3, 4), F(1, 5)),
+    "super-geometric-2/3": SuperGeometricLadder(1, F(2, 3)),
+    "super-geometric-1/3": SuperGeometricLadder(F(1, 2), F(1, 3)),
+    "example-1/2": ExampleFamily(F(1, 2)),
+    "example-3/5": ExampleFamily(F(3, 5)),
+    "pattern-touching": PatternLadder(1, (F(1, 2), F(1, 4)), F(1, 2)),
+    "pattern-2/3": PatternLadder(F(3, 4), (F(2, 3),), F(3, 5)),
+}
+BOUNDED_AWAY = ExplicitChain(
+    Chain((Point(1), Interval(F(1, 3), F(1, 2))), upper=1, horizon=0)
+)
+GRID = {
+    **POINT_FAMILIES,
+    **{f"blowup-{name}": BlowupOf(f, 2) for name, f in POINT_FAMILIES.items()},
+    "union-super-geometric-pattern": UnionOf(
+        (POINT_FAMILIES["super-geometric-2/3"], POINT_FAMILIES["pattern-touching"])
+    ),
+    "union-geometric-example": UnionOf(
+        (POINT_FAMILIES["geometric-1/2"], POINT_FAMILIES["example-1/2"])
+    ),
+    "union-example-bounded-away": UnionOf((POINT_FAMILIES["example-1/2"], BOUNDED_AWAY)),
+}
+
+# sha256 of _rules_record(f) per case, recorded once: a changed digest
+# means a changed verdict, note, certificate or decomposition outcome, so
+# re-record one only for a deliberate change of what a rule reports
+PINNED = {
+    "blowup-example-1/2": "b71b9d33378b8019907f4b62db92d4d59b85932126781395ad2141020eb0709f",
+    "blowup-example-3/5": "d51996af5ce156066b7596f6b47b1b341fda319eb446ea0b7155d2a86c01a2c7",
+    "blowup-geometric-1/2": "9c135874cf14fe4204c01f801baa70e065341abf3a02dadb718e5e933c6260f4",
+    "blowup-geometric-1/5": "292fc905f172324a6eb8d792f1b85952193c913dcd4b3c1a298b2ce67e46b201",
+    "blowup-pattern-2/3": "ad5ac20e5e447a58f0ab5a17e793e0a9b848f7b50395fd205ffdf938d0ab6a39",
+    "blowup-pattern-touching": "e3419d7595f77dba72ec894809ffd657d24f1da7ff4b625457db945d3afa3443",
+    "blowup-super-geometric-1/3": "57bf20930865762d0bda7194465e0ef44ca67a58a77dfa649eb23c7dd3be9911",
+    "blowup-super-geometric-2/3": "7b1e9f28c57f420e9cab2ee21c2f6bb5e7fcbbf681d4750ad839bf2b6382ae28",
+    "example-1/2": "b812fe2dab8380bccd23b8c84e9ffe4f685a420b0ea5ea5a250bc7259df9b0e0",
+    "example-3/5": "d2adeae89aee876d982e36d2048833379b176b4798d59f382456c0b4b2b51b52",
+    "geometric-1/2": "aa470c5ba2db5903b5642a3f75f46ae1c2d74c74af839e3618997a6a9d84619b",
+    "geometric-1/5": "21095b80e9e7d39a22ba0da78cae431b253f032ece6bc54e086c63b5c075a159",
+    "pattern-2/3": "aabfb88b9329aef991ec07ec15117d2e8e86caa5a722094f4ec1c33e0da93b77",
+    "pattern-touching": "c945c554a4bd9405cfd0a4df0ef2b0b950adbf92371c18837790bf6294e3526f",
+    "super-geometric-1/3": "20c5fa14eb06a9ad4b47fc8d851a5b9c678273e64dbfe80e57c612ba1d4f7371",
+    "super-geometric-2/3": "8e456b4dd83e85f06313e9c7933b897758c544dfdd80fb713bcc38a32b072629",
+    "union-example-bounded-away": "86c1171dc5d23b9daa3c945aaed337d0ca40ca4808b2e4293bbe30de14ac66a9",
+    "union-geometric-example": "2786dc0ad97978625871d1b43ee950e7f48eb4735f0c10f3fe83f7d21f36bbd5",
+    "union-super-geometric-pattern": "4a9d4389363af59c7246eff0f7c9c547298dd50047e9370bb481bc1de1a6c710",
+}
+
+
+def _decomposition(f, n):
+    out = decompose_csp(f, n, 2, DEPTH)
+    if isinstance(out, DecompositionResult):
+        return {"block_indices": list(out.block_indices)}
+    bound = None if out.window_bound is None else format_rational(out.window_bound)
+    return {"reason": out.reason, "window_bound": bound}
+
+
+def _rules_record(f) -> dict:
+    p_plus = certified_porosity_index(f)
+    return {
+        "SP": verdict_to_json(is_sp(f, DEPTH)),
+        "CSP": verdict_to_json(csp_verdict(f, DEPTH)),
+        "I_CSP": verdict_to_json(i_csp_verdict(f, QS, M_MAX, DEPTH)),
+        "Ihat_SP": verdict_to_json(ihat_sp_verdict(f, QS, DEPTH)),
+        "certificates": [certificate_to_json(blowup_certificate(f, q)) for q in QS],
+        "p_plus": None if p_plus is None else format_rational(p_plus),
+        "decompose": [_decomposition(f, n) for n in (1, 2)],
+    }
+
+
+def _digest(f) -> str:
+    text = json.dumps(_rules_record(f), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GRID))
+def test_pinned_rules(name):
+    assert _digest(GRID[name]) == PINNED[name]
+
+
+# ---------------------------------------------------------------------------
+# closed forms never fall back to finite evidence
+
+DEFINITE_GRID = (
+    [GeometricLadder(1, rho) for rho in (F(1, 3), F(1, 2), F(4, 5))]
+    + [SuperGeometricLadder(F(3, 4), rho) for rho in (F(1, 3), F(1, 2), F(4, 5))]
+    + [ExampleFamily(alpha) for alpha in (F(1, 3), F(1, 2), F(4, 5))]
+    + [
+        PatternLadder(1, ratios, decay)
+        for ratios, decay in (((F(1, 2),), F(1, 2)), ((F(1, 4), F(3, 4)), F(2, 3)))
+    ]
+)
+
+
+@pytest.mark.parametrize("qs", [(F(3, 2),), (F(2), F(5, 4))])
+@pytest.mark.parametrize("f", DEFINITE_GRID + [BlowupOf(f, 3) for f in DEFINITE_GRID], ids=repr)
+def test_closed_form_families_are_always_definite(f, qs):
+    verdicts = (
+        is_sp(f, 4),
+        csp_verdict(f, 4),
+        i_csp_verdict(f, qs, 8, 4),
+        ihat_sp_verdict(f, qs, 4),
+    )
+    assert all(v.is_definite for v in verdicts)
+
+
+def test_family_to_json_rejects_non_families():
+    with pytest.raises(TypeError):
+        family_to_json(CofiniteTail(F(1, 2)))
+    with pytest.raises(TypeError):
+        family_to_json(Chain((Point(1),), upper=1, horizon=1))
+
+
+# ---------------------------------------------------------------------------
+# certificate audit: closed forms against the blown chain at depth
+
+AUDIT_QS = (F(5, 4), F(3, 2), F(2), F(5, 2), F(3))
+
+
+def _blown_ratios(f, q, depth):
+    return component_ratios(cc1_components(expand(BlowupOf(f, q), depth)))
+
+
+def _limit_cases():
+    # (family, q, depth, how many of the deepest components are late)
+    for rho in (F(1, 3), F(1, 2), F(2, 3), F(5, 6)):
+        for q in AUDIT_QS:
+            yield SuperGeometricLadder(1, rho), q, 24, 8
+    for rho in (F(1, 4), F(1, 3), F(1, 2), F(2, 3)):
+        for q in AUDIT_QS:
+            if q * q * rho <= 1:  # q^2 rho = 1 touches: no two blow-ups merge
+                yield GeometricLadder(F(3, 4), rho), q, 24, 8
+    for alpha in (F(1, 3), F(1, 2), F(2, 3), F(4, 5)):
+        for q in AUDIT_QS:
+            # blocks past the merge cutoff k hold a cluster plus j - k
+            # isolated components; the last two blocks are late
+            f = ExampleFamily(alpha)
+            late_block = f.merge_cutoff(q) + 4
+            yield f, q, late_block, 2 * (late_block - f.merge_cutoff(q)) + 1
+
+
+@pytest.mark.parametrize("f, q, depth, late", list(_limit_cases()), ids=repr)
+def test_explicit_limit_matches_late_betas(f, q, depth, late):
+    cert = blowup_certificate(f, q)
+    betas, gammas = _blown_ratios(f, q, depth)
+    assert len(betas) > late
+    assert max(betas[-late:]) == cert.limsup_beta
+    late_gammas = gammas[-(late - 1) :]
+    increasing = all(a < b for a, b in zip(late_gammas, late_gammas[1:]))
+    assert increasing == cert.gamma_tends_to_infinity
+
+
+def _pattern_cases():
+    # q^2 r = 1 (blown points that share an endpoint and stay apart) comes up
+    # for r = 1/4 at q = 2, r = 1/9 at q = 3 and r = 4/25 at q = 5/2
+    patterns = (
+        ((F(1, 2), F(1, 4)), F(1, 2)),
+        ((F(2, 3),), F(3, 5)),
+        ((F(1, 4), F(1, 2), F(3, 4)), F(2, 3)),
+        ((F(1, 9), F(4, 9)), F(1, 3)),
+        ((F(4, 25),), F(1, 2)),
+    )
+    for ratios, decay in patterns:
+        for q in AUDIT_QS:
+            yield PatternLadder(1, ratios, decay), q
+
+
+@pytest.mark.parametrize("f, q", list(_pattern_cases()), ids=repr)
+def test_eventually_periodic_matches_last_full_period(f, q):
+    cert = blowup_certificate(f, q)
+    assert isinstance(cert, EventuallyPeriodic)
+    period = len(cert.beta_pattern)
+    betas, gammas = _blown_ratios(f, q, 12)
+    t = len(betas)
+    assert t >= 3 * period
+    # the deepest group and the one above it repeat the width pattern
+    assert betas[t - period :] == betas[t - 2 * period : t - period] == cert.beta_pattern
+    # the gaps after the components of the last group with a gap below it,
+    # and of the group before that
+    last = gammas[t - 2 * period : t - period]
+    before = gammas[t - 3 * period : t - 2 * period]
+    finite = [g for g in cert.gamma_pattern if g != INF]
+    for g, now, earlier in zip(cert.gamma_pattern, last, before):
+        if g == INF:
+            assert now > earlier and now > max(finite, default=0)
+        else:
+            assert now == earlier == g
+

@@ -149,12 +149,13 @@ def test_is_ideal_basics():
 
 
 def test_every_ideal_is_a_powerset_of_its_support():
-    # structure oracle: ideal <=> powerset of a proper subset
+    # structure oracle: ideal <=> powerset of a proper subset, against every
+    # family that is_ideal accepts
     for n in (1, 2, 3, 4):
         u = Universe(n)
-        expected = {frozenset(f) for f in oracle_ideals_on(n)}
-        report = check_prime_iff_maximal(n)
-        assert report.ideal_count == len(expected) == (1 << n) - 1
+        ideals = {fam for fam in all_families(n) if is_ideal(FamilyOfSets(u, fam), u)}
+        assert ideals == set(oracle_ideals_on(n))
+        assert check_prime_iff_maximal(n).ideal_count == len(ideals) == (1 << n) - 1
 
 
 def test_worked_maximal_ideal_example():

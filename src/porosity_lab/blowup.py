@@ -20,11 +20,12 @@ from .tailset import (
     Interval,
     Point,
     TailFamily,
+    _chain,
+    _interval,
     block_inf,
     block_sup,
     certified_porosity_index,
     expand,
-    merge_blocks,
     probe_ratios,
 )
 
@@ -61,10 +62,21 @@ def blow_up_chain(c: Chain, q) -> Chain:
     scales to horizon/q (the deepest blown coordinate); note the blown set
     is only pinned down above q*horizon, since unknown points just below
     the horizon would reach up that far.
+
+    One pass, top down: the blocks descend, so both ends of their blow-ups
+    descend too, and a blow-up joins the component above it exactly when
+    it reaches past that component's lower end.
     """
     q = _check_q(q)
-    blown = merge_blocks(blow_up_block(b, q) for b in c.blocks)
-    return Chain(blown, upper=q * c.upper, horizon=c.horizon / q)
+    comps = []  # [lo, hi] of each component so far
+    for b in c.blocks:
+        lo, hi = block_inf(b) / q, q * block_sup(b)
+        if comps and hi > comps[-1][0]:
+            comps[-1][0] = lo
+        else:
+            comps.append([lo, hi])
+    blown = tuple(_interval(lo, hi) for lo, hi in comps)
+    return _chain(blown, q * c.upper, c.horizon / q)
 
 
 def cc1_components(c: Chain) -> Tuple[Interval, ...]:

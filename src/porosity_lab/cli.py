@@ -42,6 +42,7 @@ from .tailset import (
     certified_porosity_index,
     component_ratios,
     expand,
+    expand_memo,
     family_from_json,
     family_to_json,
 )
@@ -366,7 +367,10 @@ _COMMANDS = {
 
 
 def run(config: RunConfig) -> int:
-    return _COMMANDS[config.command](config)
+    # the engines of one command look at the same chains many times over;
+    # each is built once, and the memo ends with the command
+    with expand_memo():
+        return _COMMANDS[config.command](config)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -388,6 +392,10 @@ def _build_parser() -> _Parser:
     parser.add_argument("--format", dest="fmt", choices=["json", "text"], default="text")
     parser.add_argument("--seed", type=int, default=None, help="echoed into reports for fixtures")
     return parser
+
+
+# parse_args keeps no state between calls, so one parser serves every main
+_PARSER = _build_parser()
 
 
 def _config_from_args(args) -> RunConfig:
@@ -417,9 +425,8 @@ def main(argv=None) -> int:
     # printing long integers; every digit belongs in the report
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         config = _config_from_args(args)
         return run(config)
     except InputError as e:

@@ -46,12 +46,13 @@ def format_rational(x: RationalLike) -> str:
     >>> format_rational(INF)
     'inf'
     """
-    if x == INF:
-        return "inf"
-    frac = Fraction(x)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    if type(x) is not Fraction:
+        if x == INF:
+            return "inf"
+        x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -13,6 +13,8 @@ value is the infinity marker for diverging gap ratios.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union, get_args
@@ -44,6 +46,7 @@ __all__ = [
     "merge_blocks",
     "restrict_blocks",
     "expand",
+    "expand_memo",
     "lambda_gap",
     "SP_EVIDENCE_RATIO",
     "PROBE_WINDOW",
@@ -144,6 +147,33 @@ class Chain:
         for higher, lower in zip(self.blocks, self.blocks[1:]):
             if not _blocks_descend(higher, lower):
                 raise ValueError(f"blocks not strictly descending at {higher} > {lower}")
+
+
+# Constructors for values that are valid by construction: they skip the checks
+# and Fraction conversions of __post_init__.  Only internal code whose
+# output is a valid chain by its own arithmetic uses them; every value from
+# outside the program goes through the public constructors.
+
+
+def _point(x: Fraction) -> Point:
+    p = object.__new__(Point)
+    object.__setattr__(p, "x", x)
+    return p
+
+
+def _interval(lo: Fraction, hi: Fraction) -> Interval:
+    i = object.__new__(Interval)
+    object.__setattr__(i, "lo", lo)
+    object.__setattr__(i, "hi", hi)
+    return i
+
+
+def _chain(blocks: Tuple[Block, ...], upper: Fraction, horizon: Fraction) -> Chain:
+    c = object.__new__(Chain)
+    object.__setattr__(c, "blocks", blocks)
+    object.__setattr__(c, "upper", upper)
+    object.__setattr__(c, "horizon", horizon)
+    return c
 
 
 def merge_blocks(blocks) -> Tuple[Block, ...]:
@@ -270,6 +300,9 @@ class _Family:
         liminf of the gap maxima over windows of M+1."""
         return None
 
+    def _memo_key(self, depth: int) -> tuple:
+        return id(self), depth
+
 
 class _PointFamily(_Family):
     """A family of points given by a closed form, from which it states
@@ -282,8 +315,9 @@ class _PointFamily(_Family):
     has_zero_accumulation = True
 
     def _expand(self, depth: int) -> Chain:
-        points = [Point(x) for x in self._points(depth)]
-        return Chain(tuple(points), upper=points[0].x, horizon=points[-1].x)
+        # the points are positive Fractions, strictly descending
+        points = tuple(map(_point, self._points(depth)))
+        return _chain(points, points[0].x, points[-1].x)
 
     def decomposition_obstruction(self, n: int, q: Fraction):
         """(reason, window bound) when the closed form rules out the
@@ -638,7 +672,7 @@ class UnionOf(_Family):
         horizon = max(c.horizon for c in chains)
         upper = max(c.upper for c in chains)
         blocks = merge_blocks(b for c in chains for b in c.blocks)
-        return Chain(restrict_blocks(blocks, horizon), upper=upper, horizon=horizon)
+        return _chain(restrict_blocks(blocks, horizon), upper, horizon)
 
 
 @dataclass(frozen=True)
@@ -663,6 +697,11 @@ class BlowupOf(_Family):
 
         return blowup.blow_up_chain(expand(self.base, depth), self.q)
 
+    def _memo_key(self, depth):
+        # callers build a BlowupOf afresh for every look at a blown chain,
+        # so the key names what it is made of
+        return id(self.base), self.q, depth
+
     def porosity_index(self):
         # full porosity survives the blow-up in both directions; partial
         # porosity values do not transfer exactly
@@ -684,6 +723,24 @@ TailFamily = Union[
 ]
 
 
+# (family, depth) -> (family, chain) inside an expand_memo() scope, else None
+_EXPAND_MEMO: ContextVar[Optional[dict]] = ContextVar("expand_memo", default=None)
+
+
+@contextmanager
+def expand_memo():
+    """Within the block, expand builds each (family, depth) chain once.
+
+    The memo lives as long as the block: one CLI command runs inside one
+    scope, and nothing survives it.
+    """
+    token = _EXPAND_MEMO.set({})
+    try:
+        yield
+    finally:
+        _EXPAND_MEMO.reset(token)
+
+
 def expand(f: TailFamily, depth: int) -> Chain:
     """Materialize the first `depth` generations of a family.
 
@@ -691,12 +748,26 @@ def expand(f: TailFamily, depth: int) -> Chain:
     variants); the horizon lands on the smallest emitted coordinate.  Blown
     families expand the base and blow the result up; unions expand every
     part and merge.
+
+    Inside an `expand_memo()` scope, such as one CLI command, each chain is
+    built once.  The memo is keyed by the family's identity, not by its
+    hash, which would hash every Fraction in it; it holds the family too,
+    so no identity is reused while the scope lasts.  It is never global:
+    a process-wide memo would grow without bound and turn every repeated
+    call into a lookup.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if not isinstance(f, _Family):
         raise TypeError(f"not a tail family: {f!r}")
-    return f._expand(depth)
+    memo = _EXPAND_MEMO.get()
+    if memo is None:
+        return f._expand(depth)
+    key = f._memo_key(depth)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (f, f._expand(depth))
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------

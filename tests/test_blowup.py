@@ -4,6 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_tailset import _chains, _fractions
 
 from porosity_lab import blowup
 from porosity_lab.blowup import (
@@ -28,6 +31,7 @@ from porosity_lab.tailset import (
     block_inf,
     block_sup,
     expand,
+    merge_blocks,
 )
 
 
@@ -99,6 +103,22 @@ def test_blow_up_chain_touching_components_stay_separate():
     c = Chain((Point(1), Point(F(1, 4))), upper=1, horizon=F(1, 4))
     blown = blow_up_chain(c, 2)
     assert blown.blocks == (Interval(F(1, 2), 2), Interval(F(1, 8), F(1, 2)))
+
+
+@st.composite
+def _chain_and_q(draw):
+    q = draw(_fractions(1, 4))
+    return draw(_chains(ratio=q * q)), q
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_chain_and_q())
+def test_blow_up_chain_matches_merging_the_blown_blocks(case):
+    # the one-pass walk against sorting and merging every blown block
+    c, q = case
+    blown = blow_up_chain(c, q)
+    assert blown.blocks == merge_blocks(blow_up_block(b, q) for b in c.blocks)
+    assert (blown.upper, blown.horizon) == (q * c.upper, c.horizon / q)
 
 
 def test_set_grows_under_blow_up():

@@ -1,13 +1,16 @@
+import collections
 import contextlib
 import copy
 import io
 import json
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from porosity_lab import tailset
 from porosity_lab.cli import main
 
 GEO = '{"variant":"GeometricLadder","x0":"1","rho":"1/2"}'
@@ -329,3 +332,85 @@ def test_analyze_without_accumulation_is_input_error(capsys):
     code, _, err = run_cli(capsys, "analyze", "--family", fam, "--q", "2")
     assert code == 1
     assert "accumulation" in err
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once at import; a call that fails halfway through
+    # parsing must leave nothing behind for the next one
+    code, _, err = run_cli(capsys, "analyze", "--family", SUP, "--q", "5", "--q", "7", "--depth", "deep")
+    assert code == 1 and err.startswith("error:")
+    for _ in range(2):
+        code, out, _ = run_cli(
+            capsys, "analyze", "--family", SUP, "--q", "2", "--q", "3/2", "--format", "json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["q_list"] == ["2", "3/2"]
+        assert report["depth"] == 32
+
+
+# no closed form, so all four engines fall back to their empirical paths
+UNION_EXPLICIT = json.dumps(
+    {
+        "variant": "UnionOf",
+        "parts": [
+            json.loads(SUP),
+            {
+                "variant": "ExplicitChain",
+                "chain": {
+                    "blocks": [{"point": "1/2"}, {"point": "1/5"}, {"point": "1/13"}],
+                    "upper": "1/2",
+                    "horizon": "1/13",
+                },
+            },
+        ],
+    }
+)
+UNION_ANALYZE = ("analyze", "--family", UNION_EXPLICIT, "--depth", "24", "--q", "2", "--q", "3/2")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """How often each (family, depth) chain gets built."""
+    counts = collections.Counter()
+    for cls in (tailset._PointFamily, tailset.ExplicitChain, tailset.UnionOf, tailset.BlowupOf):
+        def counting(self, depth, build=cls._expand):
+            counts[self, depth] += 1
+            return build(self, depth)
+
+        monkeypatch.setattr(cls, "_expand", counting)
+    return counts
+
+
+def test_one_command_builds_each_chain_once(capsys, builds):
+    code, out, _ = run_cli(capsys, *UNION_ANALYZE)
+    assert code == 0 and "empirical" in out
+    union = tailset.family_from_json(json.loads(UNION_EXPLICIT))
+    # the union and its parts, and the blow-ups of the union and of the
+    # part without a closed form, each at full and at half depth
+    families = [union, *union.parts] + [
+        tailset.BlowupOf(f, q) for f in (union, union.parts[1]) for q in (2, Fraction(3, 2))
+    ]
+    assert builds == {(f, depth): 1 for f in families for depth in (24, 12)}
+
+
+def test_nothing_is_memoized_across_commands(capsys, builds):
+    run_cli(capsys, *UNION_ANALYZE)
+    first = dict(builds)
+    run_cli(capsys, *UNION_ANALYZE)
+    assert builds == {key: 2 * n for key, n in first.items()}
+
+
+def test_bare_expand_is_not_memoized(builds):
+    f = tailset.SuperGeometricLadder(1, Fraction(1, 2))
+    tailset.expand(f, 8)
+    tailset.expand(f, 8)
+    assert builds[f, 8] == 2
+
+
+def test_memo_ends_with_a_failing_command(capsys, builds):
+    # the command fails inside its memo scope
+    no_accumulation = json.loads(UNION_EXPLICIT)["parts"][1]
+    code, _, err = run_cli(capsys, "analyze", "--family", json.dumps(no_accumulation))
+    assert code == 1 and "accumulation" in err
+    assert tailset._EXPAND_MEMO.get() is None

@@ -1,0 +1,47 @@
+"""The rational wire format."""
+
+import contextlib
+import sys
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from porosity_lab.rational import INF, format_rational, parse_rational
+
+
+@contextlib.contextmanager
+def _digit_limit_lifted():
+    # integers of more than 4,300 digits print and parse only with the
+    # interpreter's limit lifted, as the CLI does (Python 3.11+)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+# numerators of more than 4,300 digits, whatever the denominator cancels
+_huge = st.builds(
+    lambda n, sign, d: F(sign * n, d),
+    st.integers(10**4400, 10**4500),
+    st.sampled_from((1, -1)),
+    st.integers(1, 10**80),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.fractions() | _huge)
+def test_wire_strings_round_trip(x):
+    with _digit_limit_lifted():
+        assert parse_rational(format_rational(x)) == x
+
+
+def test_format_rational_values():
+    assert format_rational(INF) == "inf"
+    assert format_rational(F(-3, 2)) == "-3/2"
+    assert format_rational(7) == "7"

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_family_rules import DEPTH, GRID
 
 from porosity_lab.blowup import blow_up_chain
 from porosity_lab.rational import INF
@@ -372,11 +373,16 @@ def _fractions(lo, hi):
 
 
 @st.composite
-def _chains(draw):
+def _chains(draw, ratio=None):
     """Chains of points and intervals in (0, 2), some touching: an open
     lower end may be shared by the next interval or carry a point, and a
-    point may sit on the open upper end of the interval below it."""
-    coords = sorted(set(draw(st.lists(_fractions(0, 2), max_size=10))), reverse=True)
+    point may sit on the open upper end of the interval below it.  Given a
+    `ratio`, some coordinates also appear `ratio` times smaller, so that
+    blow-ups by its square root can meet end to end."""
+    coords = draw(st.lists(_fractions(0, 2), max_size=10))
+    if ratio is not None:
+        coords += [x / ratio for x in coords[: draw(st.integers(0, len(coords)))]]
+    coords = sorted(set(coords), reverse=True)
     blocks = []
     i, force_interval = 0, False
     while i < len(coords):
@@ -425,6 +431,32 @@ def test_family_wire_format_round_trips(f):
     data = family_to_json(f)
     assert family_from_json(data) == f
     assert family_from_json(json.loads(json.dumps(data))) == f
+
+
+def _assert_rebuilds(c):
+    # internal builds skip the constructors' checks: the same chain must
+    # pass them, with every coordinate a Fraction
+    blocks = tuple(Point(b.x) if isinstance(b, Point) else Interval(b.lo, b.hi) for b in c.blocks)
+    assert Chain(blocks, upper=c.upper, horizon=c.horizon) == c
+    assert type(c.blocks) is tuple
+    values = [c.upper, c.horizon] + [v for b in c.blocks for v in vars(b).values()]
+    assert all(type(v) is F for v in values)
+
+
+def test_pinned_grid_chains_pass_the_public_constructors():
+    for f in GRID.values():
+        for depth in (1, 2, DEPTH):
+            _assert_rebuilds(expand(f, depth))
+            for q in (F(3, 2), F(2), F(5)):
+                _assert_rebuilds(expand(BlowupOf(f, q), depth))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_families, st.integers(1, 5), _fractions(1, 8))
+def test_expanded_chains_pass_the_public_constructors(f, depth, q):
+    _assert_rebuilds(expand(f, depth))
+    _assert_rebuilds(expand(BlowupOf(f, q), depth))
+    _assert_rebuilds(expand(UnionOf((f, BlowupOf(f, q))), depth))
 
 
 @settings(max_examples=200, deadline=None, database=None)

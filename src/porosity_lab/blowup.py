@@ -21,6 +21,7 @@ from .tailset import (
     Point,
     TailFamily,
     _chain,
+    _check_q,
     _interval,
     block_inf,
     block_sup,
@@ -39,12 +40,6 @@ __all__ = [
     "check_inclusion_lemma",
     "find_covering_blowup",
 ]
-
-def _check_q(q) -> Fraction:
-    q = Fraction(q)
-    if q <= 1:
-        raise ValueError("q must exceed 1")
-    return q
 
 
 def blow_up_block(b: Block, q) -> Interval:

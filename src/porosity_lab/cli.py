@@ -83,9 +83,12 @@ def _load_family(text: str) -> TailFamily:
     raw = text.strip()
     if not raw.startswith("{"):
         path = Path(raw)
-        if not path.is_file():
-            raise InputError(f"no such family file: {raw}")
-        raw = path.read_text()
+        try:
+            if not path.is_file():
+                raise InputError(f"no such family file: {raw}")
+            raw = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
+            raise InputError(f"cannot read family file: {e}") from e
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as e:
@@ -124,12 +127,9 @@ def _verdict_text(label: str, v) -> str:
 
 def _cmd_analyze(config: RunConfig) -> int:
     f = _require_family(config)
-    try:
-        v_sp = is_sp(f, config.depth)
-        v_ihat = test_ihat_sp(f, config.q_list, config.depth)
-        v_icsp = test_i_csp(f, config.q_list, config.m_max, config.depth)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    v_sp = is_sp(f, config.depth)
+    v_ihat = test_ihat_sp(f, config.q_list, config.depth)
+    v_icsp = test_i_csp(f, config.q_list, config.m_max, config.depth)
     v_csp = test_csp(f, config.depth)
 
     # the analyze report carries only the certified porosity index; the
@@ -167,7 +167,7 @@ def _cmd_analyze(config: RunConfig) -> int:
         _verdict_text("Ihat(SP)", v_ihat),
     ]
     if p_plus is not None:
-        lines.append(f"p+: {format_rational(p_plus)}")
+        lines.append(f"p+: {report['p_plus']}")
     if bounds is not None:
         lines.append(
             f"beta limsup bound: {bounds['beta_limsup']}; "
@@ -186,24 +186,24 @@ def _cmd_blowup(config: RunConfig) -> int:
         comps = cc1_components(chain)
         betas, gammas = component_ratios(comps)
         cert = blowup_certificate(f, q)
-        profiles.append(
-            {
-                "q": format_rational(q),
-                "components": [
-                    {"lo": format_rational(c.lo), "hi": format_rational(c.hi)}
-                    for c in comps
-                ],
-                "betas": [format_rational(x) for x in betas],
-                "gammas": [format_rational(x) for x in gammas],
-                "certificate": certificate_to_json(cert),
-            }
-        )
-        lines.append(f"q={format_rational(q)}: {len(comps)} components below 1")
-        for i, c in enumerate(comps):
-            gamma = format_rational(gammas[i]) if i < len(gammas) else "-"
+        profile = {
+            "q": format_rational(q),
+            "components": [
+                {"lo": format_rational(c.lo), "hi": format_rational(c.hi)}
+                for c in comps
+            ],
+            "betas": [format_rational(x) for x in betas],
+            "gammas": [format_rational(x) for x in gammas],
+            "certificate": certificate_to_json(cert),
+        }
+        profiles.append(profile)
+        # the text lines reuse the report's strings: each value is formatted once
+        lines.append(f"q={profile['q']}: {len(comps)} components below 1")
+        gammas_text = profile["gammas"] + ["-"]  # no gap below the last one
+        for i, c in enumerate(profile["components"]):
             lines.append(
-                f"  {i + 1}: ({format_rational(c.lo)}, {format_rational(c.hi)})"
-                f" beta={format_rational(betas[i])} gamma={gamma}"
+                f"  {i + 1}: ({c['lo']}, {c['hi']})"
+                f" beta={profile['betas'][i]} gamma={gammas_text[i]}"
             )
     report = _common_json(config)
     report.update({"family": family_to_json(f), "profiles": profiles})
@@ -221,32 +221,16 @@ def _cmd_decompose(config: RunConfig) -> int:
     f = _require_family(config)
     if config.n is None:
         raise InputError("decompose needs --n (the part-count parameter)")
-    if config.n < 1:
-        raise InputError("n must be at least 1")
     result = decompose_csp(f, config.n, config.q_list[0], config.depth)
     report = _common_json(config)
     report["family"] = family_to_json(f)
     report["q"] = format_rational(config.q_list[0])
     report["n"] = config.n
     if not isinstance(result, DecompositionResult):
-        report["hypothesis_failure"] = {
-            "reason": result.reason,
-            "window_bound": None
-            if result.window_bound is None
-            else format_rational(result.window_bound),
-        }
-        _emit(
-            config,
-            report,
-            [
-                f"hypothesis failure: {result.reason}"
-                + (
-                    ""
-                    if result.window_bound is None
-                    else f" (window value {format_rational(result.window_bound)})"
-                )
-            ],
-        )
+        bound = None if result.window_bound is None else format_rational(result.window_bound)
+        report["hypothesis_failure"] = {"reason": result.reason, "window_bound": bound}
+        suffix = "" if bound is None else f" (window value {bound})"
+        _emit(config, report, [f"hypothesis failure: {result.reason}{suffix}"])
         return 2
     report.update(
         {
@@ -260,22 +244,18 @@ def _cmd_decompose(config: RunConfig) -> int:
     for i, part in enumerate(result.parts[:-1]):
         count = len(part.chain.blocks)
         lines.append(f"part {i + 1}: {count} component{'s' if count != 1 else ''}")
-    tail = result.parts[-1]
     lines.append(
-        f"part {len(result.parts)}: {{0}} u ({format_rational(tail.cut)}, inf)"
+        f"part {len(result.parts)}: {{0}} u ({report['parts'][-1]['cut']}, inf)"
     )
-    lines.append(f"cover verified above {format_rational(result.cover_verified_to)}")
+    lines.append(f"cover verified above {report['cover_verified_to']}")
     _emit(config, report, lines)
     return 0
 
 
 def _cmd_verify_foundations(config: RunConfig) -> int:
     n = 3 if config.n is None else config.n
-    try:
-        theorem = check_theorem_istar_eq_ihat(n)
-        primes = check_prime_iff_maximal(n)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    theorem = check_theorem_istar_eq_ihat(n)
+    primes = check_prime_iff_maximal(n)
     bad = (
         len(theorem.counterexamples)
         + len(theorem.lemma_counterexamples)
@@ -304,8 +284,6 @@ def _cmd_verify_foundations(config: RunConfig) -> int:
 
 
 def _cmd_reproduce_example(config: RunConfig) -> int:
-    if not 0 < config.alpha < 1:
-        raise InputError("alpha must lie in (0, 1)")
     rep = reproduce_example(config.alpha, config.depth, config.q_list, config.m_max)
     report = _common_json(config)
     report.update(
@@ -332,21 +310,18 @@ def _cmd_reproduce_example(config: RunConfig) -> int:
         }
     )
     lines = [
-        f"alpha: {format_rational(rep.alpha)}",
+        f"alpha: {report['alpha']}",
         _verdict_text("Ihat(SP)", rep.ihat_sp),
         _verdict_text("I(CSP)", rep.i_csp),
     ]
-    for b in rep.bounds:
+    for b in report["bounds"]:
         lines.append(
-            f"q={format_rational(b.q)}: m={b.m}"
-            f" beta_limsup={format_rational(b.beta_limsup)}"
-            f" (exact {format_rational(b.beta_limsup_exact)})"
+            f"q={b['q']}: m={b['m']}"
+            f" beta_limsup={b['beta_limsup']}"
+            f" (exact {b['beta_limsup_exact']})"
         )
-        for M, (w, wx) in enumerate(zip(b.window_liminf, b.window_liminf_exact)):
-            lines.append(
-                f"  M={M}: window_liminf={format_rational(w)}"
-                f" (exact {format_rational(wx)})"
-            )
+        for M, (w, wx) in enumerate(zip(b["window_liminf"], b["window_liminf_exact"])):
+            lines.append(f"  M={M}: window_liminf={w} (exact {wx})")
     _emit(config, report, lines)
     return 0
 
@@ -399,13 +374,10 @@ _PARSER = _build_parser()
 
 
 def _config_from_args(args) -> RunConfig:
-    try:
-        q_list = tuple(
-            parse_rational(q) for q in (args.q if args.q else ["2"])
-        )
-        alpha = parse_rational(args.alpha)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    q_list = tuple(
+        parse_rational(q) for q in (args.q if args.q else ["2"])
+    )
+    alpha = parse_rational(args.alpha)
     family = None if args.family is None else _load_family(args.family)
     return RunConfig(
         command=args.command,
@@ -420,18 +392,30 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
+# every character str.splitlines breaks at, mapped to its escape sequence
+_ESCAPE_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def main(argv=None) -> int:
     # exact values routinely run past the interpreter's default cap on
-    # printing long integers; every digit belongs in the report
-    if hasattr(sys, "set_int_max_str_digits"):
+    # printing long integers; every digit belongs in the report, and the
+    # caller's cap comes back when the command ends
+    capped = hasattr(sys, "set_int_max_str_digits")
+    if capped:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
         args = _PARSER.parse_args(argv)
-        config = _config_from_args(args)
-        return run(config)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
+        return run(_config_from_args(args))
+    except (InputError, ValueError) as e:
+        # the one input boundary: an unusable input, caught by the parser or
+        # by any check below it, is one error line, even when the message
+        # quotes raw user text that holds a line break
+        print(f"error: {str(e).translate(_ESCAPE_LINE_BREAKS)}", file=sys.stderr)
         return 1
+    finally:
+        if capped:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

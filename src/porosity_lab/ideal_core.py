@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Optional
 
 __all__ = [
     "MAX_GROUND_SIZE",
@@ -41,7 +41,6 @@ __all__ = [
     "ideal_report",
     "is_down_set",
     "is_ideal",
-    "report_to_json",
     "union_support",
 ]
 
@@ -66,10 +65,6 @@ class Universe:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
-    def subsets(self) -> range:
-        """All subset bitmasks, empty set included."""
-        return range(1 << self.size)
-
 
 @dataclass(frozen=True)
 class FamilyOfSets:
@@ -83,12 +78,6 @@ class FamilyOfSets:
         for m in self.members:
             if m < 0 or m & ~full:
                 raise ValueError(f"member {m:#b} is not a subset of the universe")
-
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
-    def replace_members(self, members: frozenset[int]) -> "FamilyOfSets":
-        return FamilyOfSets(self.universe, members)
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -171,9 +160,12 @@ def _maximal_tops(members: frozenset[int], ground: int) -> list[int]:
     return [m for m in below if not any(m != o and m | o == o for o in below)]
 
 
-def _hat_members(tops: list[int]) -> frozenset[int]:
-    """Intersection of the ideals P(M), M in the nonempty list tops: the
-    power set of the members' common part."""
+def _hat_members(tops: Optional[list[int]]) -> frozenset[int]:
+    """Intersection of the ideals P(M), M in tops: the power set of the
+    members' common part.  None stands for a down set whose support is a
+    member, where the intersection collapses to {empty set}."""
+    if tops is None:
+        return frozenset({0})
     common = tops[0]
     for m in tops[1:]:
         common &= m
@@ -184,13 +176,21 @@ def _family_sort_key(members: frozenset[int]) -> tuple:
     return (len(members), sorted(members))
 
 
-def _down_support(gamma: FamilyOfSets) -> int:
-    """Support of gamma, which must be a nonempty down set."""
+def _gamma_tops(gamma: FamilyOfSets) -> Optional[list[int]]:
+    """Largest members of the maximal ideals inside gamma, which must be a
+    nonempty down set; None when its support is a member."""
     if not gamma.members:
         raise ValueError("gamma must be nonempty")
     if not _is_down_members(gamma.members):
         raise ValueError("gamma must be a down set")
-    return union_support(gamma)
+    support = union_support(gamma)
+    return None if support in gamma.members else _maximal_tops(gamma.members, support)
+
+
+def _ideals(universe: Universe, tops) -> list[FamilyOfSets]:
+    """The ideals P(M), M in tops, ordered by size, then members."""
+    found = sorted(map(_powerset, tops), key=_family_sort_key)
+    return [FamilyOfSets(universe, f) for f in found]
 
 
 def gamma_maximal_ideals(gamma: FamilyOfSets) -> list[FamilyOfSets]:
@@ -204,11 +204,10 @@ def gamma_maximal_ideals(gamma: FamilyOfSets) -> list[FamilyOfSets]:
     >>> [sorted(i.members) for i in gamma_maximal_ideals(g)]
     [[0, 1], [0, 2]]
     """
-    support = _down_support(gamma)
-    if support in gamma.members:
+    tops = _gamma_tops(gamma)
+    if tops is None:
         raise ValueError("the support of gamma must not be a member")
-    found = sorted(map(_powerset, _maximal_tops(gamma.members, support)), key=_family_sort_key)
-    return [gamma.replace_members(f) for f in found]
+    return _ideals(gamma.universe, tops)
 
 
 def i_hat(gamma: FamilyOfSets) -> FamilyOfSets:
@@ -217,10 +216,7 @@ def i_hat(gamma: FamilyOfSets) -> FamilyOfSets:
     Degenerate case: when the support is a member of the down set gamma the
     intersection collapses to the family {empty set}, returned directly.
     """
-    support = _down_support(gamma)
-    if support in gamma.members:
-        return gamma.replace_members(frozenset({0}))
-    return gamma.replace_members(_hat_members(_maximal_tops(gamma.members, support)))
+    return FamilyOfSets(gamma.universe, _hat_members(_gamma_tops(gamma)))
 
 
 def i_star(gamma: FamilyOfSets) -> FamilyOfSets:
@@ -230,7 +226,7 @@ def i_star(gamma: FamilyOfSets) -> FamilyOfSets:
     for s in _submasks(support):
         if all((s | b) in gamma.members for b in gamma.members):
             out.add(s)
-    return gamma.replace_members(frozenset(out))
+    return FamilyOfSets(gamma.universe, frozenset(out))
 
 
 @dataclass(frozen=True)
@@ -247,35 +243,19 @@ class IdealReport:
 def ideal_report(gamma: FamilyOfSets) -> IdealReport:
     """Compute maximal ideals, their intersection, and the star family.
 
-    Î is read off the maximal ideals: the largest member of P(M) is M.
+    One scan finds the maximal tops M; the maximal ideals are the P(M), and
+    Î is read off the same tops.
     """
-    support = union_support(gamma)
-    if support in gamma.members:
-        maximal: tuple[FamilyOfSets, ...] = ()
-        hat = i_hat(gamma)  # the degenerate case: {empty set}
-    else:
-        maximal = tuple(gamma_maximal_ideals(gamma))
-        hat = gamma.replace_members(_hat_members([max(m.members) for m in maximal]))
+    tops = _gamma_tops(gamma)
+    hat = _hat_members(tops)
     star = i_star(gamma)
     return IdealReport(
         gamma=gamma,
-        maximal_ideals=maximal,
-        i_hat=hat,
+        maximal_ideals=tuple(_ideals(gamma.universe, tops or ())),
+        i_hat=FamilyOfSets(gamma.universe, hat),
         i_star=star,
-        equal=hat.members == star.members,
+        equal=hat == star.members,
     )
-
-
-def report_to_json(report: IdealReport) -> dict:
-    """JSON-ready dict; subsets stay bitmask integers, families sorted."""
-    return {
-        "universe": report.gamma.universe.size,
-        "gamma": report.gamma.sorted_members(),
-        "maximal_ideals": [m.sorted_members() for m in report.maximal_ideals],
-        "i_hat": report.i_hat.sorted_members(),
-        "i_star": report.i_star.sorted_members(),
-        "equal": report.equal,
-    }
 
 
 def _down_families(n: int) -> Iterator[frozenset[int]]:
@@ -419,7 +399,7 @@ def check_prime_iff_maximal(n: int) -> PrimeMaximalReport:
     primes = 0
     maximals = 0
     for ideal in ideals:
-        prime = all(a in ideal or (full & ~a) in ideal for a in universe.subsets())
+        prime = all(a in ideal or (full & ~a) in ideal for a in range(full + 1))
         maximal = not any(ideal < other for other in ideals)
         primes += prime
         maximals += maximal

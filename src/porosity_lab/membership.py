@@ -30,6 +30,7 @@ from .tailset import (
     TailCertificate,
     TailFamily,
     UnionOf,
+    _check_q,
     block_inf,
     block_sup,
     certificate_to_json,
@@ -507,9 +508,7 @@ def decompose_csp(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    q = Fraction(q)
-    if q <= 1:
-        raise ValueError("q must exceed 1")
+    q = _check_q(q)
     if depth < 1:
         raise ValueError("depth must be at least 1")
 

@@ -1,9 +1,9 @@
 """Exact rational values and their wire format.
 
-Every quantity that feeds a verdict is a fractions.Fraction; floats never
-enter a comparison.  The only non-rational value that circulates is the
-infinity marker used for diverging gap ratios in certificates, represented
-by the float infinity because Fraction compares against it exactly.
+Every quantity that feeds a verdict is a fractions.Fraction.  The only other
+value that circulates is INF, the marker for diverging gap ratios in
+certificates: a value of its own, not a number, with no ordering, so it can
+be recognised and printed but never compared against a Fraction.
 
 Wire format: a rational serializes as the string "p/q" (or "p" when the
 denominator is 1), infinity as the string "inf".  Only exact rationals are
@@ -18,22 +18,26 @@ from typing import Union
 
 __all__ = [
     "INF",
-    "Rational",
     "RationalLike",
     "format_rational",
     "is_finite",
     "parse_rational",
 ]
 
-Rational = Fraction
-RationalLike = Union[Fraction, float]
 
-INF = float("inf")
+class _Infinity:
+    def __repr__(self):
+        return "inf"
+
+
+INF = _Infinity()
+
+RationalLike = Union[Fraction, _Infinity]
 
 
 def is_finite(x: RationalLike) -> bool:
     """True for Fraction values, False for the infinity marker."""
-    return x != INF
+    return x is not INF
 
 
 def format_rational(x: RationalLike) -> str:
@@ -46,10 +50,8 @@ def format_rational(x: RationalLike) -> str:
     >>> format_rational(INF)
     'inf'
     """
-    if type(x) is not Fraction:
-        if x == INF:
-            return "inf"
-        x = Fraction(x)
+    if x is INF:
+        return "inf"
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

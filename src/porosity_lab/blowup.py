@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Tuple
 
+from .rational import _fraction, _gt
 from .tailset import (
     PROBE_WINDOW,
     SP_EVIDENCE_RATIO,
@@ -61,16 +63,31 @@ def blow_up_chain(c: Chain, q) -> Chain:
     One pass, top down: the blocks descend, so both ends of their blow-ups
     descend too, and a blow-up joins the component above it exactly when
     it reaches past that component's lower end.
+
+    The ends are kept as numerator/denominator ints.  With x = n/d and
+    q = a/b both in lowest terms, x/q = (n*b)/(d*a) reduces by
+    gcd(n, a) * gcd(d, b), two gcds against q's small terms; q*x likewise.
+    Fractions are built only for the ends of the finished components.
     """
     q = _check_q(q)
-    comps = []  # [lo, hi] of each component so far
-    for b in c.blocks:
-        lo, hi = block_inf(b) / q, q * block_sup(b)
-        if comps and hi > comps[-1][0]:
-            comps[-1][0] = lo
+    a, b = q.numerator, q.denominator
+    comps = []  # [lo_n, lo_d, hi_n, hi_d] of each component so far
+    for blk in c.blocks:
+        if type(blk) is Point:
+            lo = hi = blk.x
         else:
-            comps.append([lo, hi])
-    blown = tuple(_interval(lo, hi) for lo, hi in comps)
+            lo, hi = blk.lo, blk.hi
+        n, d = lo.numerator, lo.denominator
+        g, h = gcd(n, a), gcd(d, b)
+        lo_n, lo_d = (n // g) * (b // h), (d // h) * (a // g)
+        n, d = hi.numerator, hi.denominator
+        g, h = gcd(n, b), gcd(d, a)
+        hi_n, hi_d = (n // g) * (a // h), (d // h) * (b // g)
+        if comps and _gt(hi_n, hi_d, comps[-1][0], comps[-1][1]):
+            comps[-1][0], comps[-1][1] = lo_n, lo_d
+        else:
+            comps.append([lo_n, lo_d, hi_n, hi_d])
+    blown = tuple(_interval(_fraction(ln, ld), _fraction(hn, hd)) for ln, ld, hn, hd in comps)
     return _chain(blown, q * c.upper, c.horizon / q)
 
 
@@ -83,7 +100,7 @@ def cc1_components(c: Chain) -> Tuple[Interval, ...]:
     for b in c.blocks:
         if not isinstance(b, Interval):
             raise ValueError("chain has isolated points; blow up first")
-    return tuple(b for b in c.blocks if b.hi <= 1)
+    return tuple(b for b in c.blocks if b.hi.numerator <= b.hi.denominator)
 
 
 # ---------------------------------------------------------------------------

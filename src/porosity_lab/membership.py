@@ -8,6 +8,12 @@ family-level closed form settles the matter for every blow-up factor,
 Empirical (value at the inspected depth plus a trend) when only finite
 evidence exists.  Sampled q values alone never produce a Definite verdict: a
 finite prefix cannot certify a limsup.
+
+A verdict is certified first: closed forms and the combinator rules (blow-up
+invariance, a part sinking a union, ideal closure, the SP ideal hull) read
+only the certified verdicts of the parts.  When none applies, the empirical
+fallback runs once, on the family asked about (the base of a blow-up), never
+on the parts of a union.
 """
 
 from __future__ import annotations
@@ -23,13 +29,13 @@ from .tailset import (
     SP_EVIDENCE_RATIO,
     UNKNOWN,
     BlowupOf,
-    Chain,
     ExampleFamily,
     ExplicitChain,
     ExplicitLimit,
     TailCertificate,
     TailFamily,
     UnionOf,
+    _chain,
     _check_q,
     block_inf,
     block_sup,
@@ -190,6 +196,22 @@ class _ClassRules:
 
 
 def _decide(c: _ClassRules, f: TailFamily, query: _Query) -> Verdict:
+    certified = _certified(c, f, query)
+    if certified is not None:
+        return certified
+    # the one empirical fallback, on the family asked about; blow-ups carry
+    # the base's evidence over
+    prefix = ""
+    while type(f) is BlowupOf:
+        prefix += c.blowup_note
+        f = f.base
+    evidence = c.empirical(f, query)
+    return replace(evidence, note=prefix + evidence.note)
+
+
+def _certified(c: _ClassRules, f: TailFamily, query: _Query) -> Optional[Verdict]:
+    """The Definite verdict a closed form or a combinator rule gives, else
+    None."""
     combinator = _COMBINATORS.get(type(f))
     if combinator is None:
         return Verdict.definite(*c.closed_form(f, query))
@@ -199,28 +221,32 @@ def _decide(c: _ClassRules, f: TailFamily, query: _Query) -> Verdict:
 _TRIVIAL_NOTE = "bounded away from 0: the whole tail (0, min E) is one free gap"
 
 
-def _explicit(c: _ClassRules, f: ExplicitChain, query: _Query) -> Verdict:
+def _explicit(c: _ClassRules, f: ExplicitChain, query: _Query) -> Optional[Verdict]:
     # a completely known finite chain keeps clear of 0; such sets belong to
     # every class at once
     if f.chain.horizon == 0:
         return Verdict.definite(True, ExplicitLimit(INF, True), _TRIVIAL_NOTE)
-    return c.empirical(f, query)
+    return None
 
 
-def _blown(c: _ClassRules, f: BlowupOf, query: _Query) -> Verdict:
+def _blown(c: _ClassRules, f: BlowupOf, query: _Query) -> Optional[Verdict]:
     # every class is invariant under blow-up: the base's verdict carries over
-    inner = _decide(c, f.base, query)
+    inner = _certified(c, f.base, query)
+    if inner is None:
+        return None
     return replace(inner, note=c.blowup_note + inner.note)
 
 
-def _union(c: _ClassRules, f: UnionOf, query: _Query) -> Verdict:
-    verdicts = [_decide(c, p, query) for p in f.parts]
+def _union(c: _ClassRules, f: UnionOf, query: _Query) -> Optional[Verdict]:
+    # only certified part verdicts decide anything here, so no part runs its
+    # empirical fallback
+    verdicts = [_certified(c, p, query) for p in f.parts]
     # every class is closed under subsets, so a part certified outside it
     # puts the union outside too
     for i, pv in enumerate(verdicts):
-        if pv.is_definite and not pv.value:
+        if pv is not None and not pv.value:
             return Verdict.definite(False, pv.certificate, f"{c.sink_note}; part {i}: " + pv.note)
-    if c.ideal and all(pv.is_definite for pv in verdicts):
+    if c.ideal and None not in verdicts:
         return Verdict.definite(
             True,
             verdicts[0].certificate,
@@ -230,12 +256,12 @@ def _union(c: _ClassRules, f: UnionOf, query: _Query) -> Verdict:
     if c is _SP:
         # full porosity is not preserved by unions, but the ideal hull inside
         # it is: a union certified there is certified here
-        hull = _decide(_IHAT_SP, f, query._replace(q_list=(Fraction(2),)))
-        if hull.is_definite and hull.value:
+        hull = _certified(_IHAT_SP, f, query._replace(q_list=(Fraction(2),)))
+        if hull is not None and hull.value:
             return Verdict.definite(
                 True, hull.certificate, "contained in the ideal hull: " + hull.note
             )
-    return c.empirical(f, query)
+    return None
 
 
 _COMBINATORS = {ExplicitChain: _explicit, BlowupOf: _blown, UnionOf: _union}
@@ -568,7 +594,8 @@ def decompose_csp(
     for indices in slots:
         chosen = tuple(comps[i - 1] for i in indices)
         upper = chosen[0].hi if chosen else comps[0].hi
-        parts.append(ExplicitChain(Chain(chosen, upper=upper, horizon=blown.horizon)))
+        # a subsequence of the blown components, all above its horizon
+        parts.append(ExplicitChain(_chain(chosen, upper, blown.horizon)))
     parts.append(CofiniteTail(comps[seps[0] - 1].lo))
 
     verdicts = tuple(test_csp(p, depth) for p in parts[:-1])

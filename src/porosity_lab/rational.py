@@ -9,6 +9,10 @@ Wire format: a rational serializes as the string "p/q" (or "p" when the
 denominator is 1), infinity as the string "inf".  Only exact rationals are
 read back: every parsed value is an input parameter, and no input may be
 infinite.
+
+The blow-up kernel works on numerator/denominator ints and uses two helpers
+from here: `_fraction` wraps a pair that is already in lowest terms, and
+`_gt` compares two positive ratios, from bit lengths where they settle it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,37 @@ class _Infinity:
 INF = _Infinity()
 
 RationalLike = Union[Fraction, _Infinity]
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d, for n and d > 0 already in lowest terms.
+
+    It skips Fraction's conversions, sign handling and gcd by setting the
+    two slots directly (the same two on Python 3.6 through 3.13).  Only
+    code whose n and d are coprime by construction calls it; every value
+    from outside goes through Fraction itself.
+    """
+    x = object.__new__(Fraction)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _gt(an: int, ad: int, bn: int, bd: int) -> bool:
+    """an/ad > bn/bd, for positive ints.
+
+    The cross products an*bd and bn*ad are below 2**s and at least
+    2**(s-2), where s sums the bit lengths of their factors; when the two
+    sums differ by 2 or more (the products by more than 4x), the sums
+    decide, and only closer pairs are multiplied out.
+    """
+    left = an.bit_length() + bd.bit_length()
+    right = bn.bit_length() + ad.bit_length()
+    if left - right >= 2:
+        return True
+    if right - left >= 2:
+        return False
+    return an * bd > bn * ad
 
 
 def is_finite(x: RationalLike) -> bool:

@@ -17,9 +17,10 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional, Tuple, Union, get_args
 
-from .rational import INF, RationalLike, format_rational, is_finite, parse_rational
+from .rational import INF, RationalLike, _fraction, format_rational, is_finite, parse_rational
 
 __all__ = [
     "Point",
@@ -459,10 +460,12 @@ class ExampleFamily(_PointFamily):
         y = Fraction(1)
         for j in range(1, depth + 1):
             yield y
-            for k in range(1, j + 1):
-                y *= self.alpha ** k
+            step = self.alpha  # alpha**k for the k-th point of the block
+            for _ in range(j):
+                y *= step
                 yield y
-            y *= self.alpha ** (j + 1)
+                step *= self.alpha
+            y *= step  # the joint: alpha**(j+1)
 
     def merge_cutoff(self, q: Fraction) -> int:
         """Largest k >= 0 with alpha**k * q**2 > 1: the first k gaps of a
@@ -571,12 +574,14 @@ class PatternLadder(_PointFamily):
 
     def _points(self, depth):
         x = self.x0
-        for g in range(depth):
+        joint = self.decay  # decay**(g+1) below group g
+        for _ in range(depth):
             yield x
             for r in self.ratios:
                 x *= r
                 yield x
-            x *= self.decay ** (g + 1)
+            x *= joint
+            joint *= self.decay
 
     def porosity_index(self):
         return Fraction(1)
@@ -885,11 +890,19 @@ def blowup_certificate(base: TailFamily, q) -> TailCertificate:
     return base.blowup_certificate(_check_q(q))
 
 
+def _quotient(x: Fraction, y: Fraction) -> Fraction:
+    # x / y for positive x and y, reduced by the same two gcds as
+    # Fraction's own division
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    g, h = gcd(xn, yn), gcd(xd, yd)
+    return _fraction((xn // g) * (yd // h), (xd // h) * (yn // g))
+
+
 def component_ratios(comps) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
     """Width ratios b_i/a_i and gap ratios a_i/b_{i+1} of a descending
     tuple of intervals (a_i, b_i)."""
-    betas = tuple(c.hi / c.lo for c in comps)
-    gammas = tuple(comps[i].lo / comps[i + 1].hi for i in range(len(comps) - 1))
+    betas = tuple(_quotient(c.hi, c.lo) for c in comps)
+    gammas = tuple(_quotient(comps[i].lo, comps[i + 1].hi) for i in range(len(comps) - 1))
     return betas, gammas
 
 

@@ -1,5 +1,6 @@
 """Blow-up operator laws, component extraction, and the inclusion lemma."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -30,6 +31,7 @@ from porosity_lab.tailset import (
     SuperGeometricLadder,
     block_inf,
     block_sup,
+    component_ratios,
     expand,
     merge_blocks,
 )
@@ -121,6 +123,29 @@ def test_blow_up_chain_matches_merging_the_blown_blocks(case):
     assert (blown.upper, blown.horizon) == (q * c.upper, c.horizon / q)
 
 
+def _assert_reduced(x):
+    # a Fraction built from raw ints must be one Fraction would build
+    n, d = x.numerator, x.denominator
+    assert type(x) is F and type(n) is int and type(d) is int
+    assert d > 0 and math.gcd(n, d) == 1
+    assert x == F(n, d) and hash(x) == hash(F(n, d))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_chain_and_q())
+def test_kernel_builds_reduced_fractions(case):
+    c, q = case
+    blown = blow_up_chain(c, q)
+    for comp in blown.blocks:
+        _assert_reduced(comp.lo)
+        _assert_reduced(comp.hi)
+    betas, gammas = component_ratios(blown.blocks)
+    for x in betas + gammas:
+        _assert_reduced(x)
+    assert betas == tuple(b.hi / b.lo for b in blown.blocks)
+    assert gammas == tuple(a.lo / b.hi for a, b in zip(blown.blocks, blown.blocks[1:]))
+
+
 def test_set_grows_under_blow_up():
     rng = random.Random(5)
     for _ in range(200):
@@ -181,6 +206,9 @@ def test_cc1_components_filter_and_order():
         horizon=F(1, 8),
     )
     assert cc1_components(c) == (Interval(F(1, 8), F(1, 4)),)
+    # a component ending exactly at 1 lies in (0, 1]
+    at_1 = Chain((Interval(1, F(1001, 1000)), Interval(F(1, 4), 1)), upper=2, horizon=0)
+    assert cc1_components(at_1) == (Interval(F(1, 4), 1),)
     with pytest.raises(ValueError):
         cc1_components(Chain((Point(1),), upper=1, horizon=0))
 

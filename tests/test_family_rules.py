@@ -9,14 +9,20 @@ forms against the exact component chain of the blown family at depth.
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_cli import UNION_ANALYZE, UNION_EXPLICIT, run_cli
 
+from porosity_lab import membership
 from porosity_lab.blowup import cc1_components
 from porosity_lab.membership import (
     CofiniteTail,
     DecompositionResult,
+    Verdict,
     decompose_csp,
     is_sp,
     verdict_to_json,
@@ -31,6 +37,7 @@ from porosity_lab.tailset import (
     EventuallyPeriodic,
     ExampleFamily,
     ExplicitChain,
+    ExplicitLimit,
     GeometricLadder,
     Interval,
     PatternLadder,
@@ -42,6 +49,7 @@ from porosity_lab.tailset import (
     certified_porosity_index,
     component_ratios,
     expand,
+    family_from_json,
     family_to_json,
 )
 
@@ -131,6 +139,122 @@ def _digest(f) -> str:
 @pytest.mark.parametrize("name", sorted(GRID))
 def test_pinned_rules(name):
     assert _digest(GRID[name]) == PINNED[name]
+
+
+# ---------------------------------------------------------------------------
+# certified first: a union reads only its parts' certified verdicts
+
+
+def _eager(c, f, query):
+    """The verdict ladder that decides every part in full, empirical
+    fallback included, and then reads only the Definite part verdicts."""
+    if type(f) is ExplicitChain:
+        if f.chain.horizon == 0:
+            return Verdict.definite(True, ExplicitLimit(INF, True), membership._TRIVIAL_NOTE)
+        return c.empirical(f, query)
+    if type(f) is BlowupOf:
+        inner = _eager(c, f.base, query)
+        return replace(inner, note=c.blowup_note + inner.note)
+    if type(f) is UnionOf:
+        verdicts = [_eager(c, p, query) for p in f.parts]
+        for i, pv in enumerate(verdicts):
+            if pv.is_definite and not pv.value:
+                return Verdict.definite(
+                    False, pv.certificate, f"{c.sink_note}; part {i}: " + pv.note
+                )
+        if c.ideal and all(pv.is_definite for pv in verdicts):
+            return Verdict.definite(
+                True,
+                verdicts[0].certificate,
+                "an ideal is closed under finite unions and every part belongs: "
+                + "; ".join(f"part {i}: {pv.note}" for i, pv in enumerate(verdicts)),
+            )
+        if c is membership._SP:
+            hull = _eager(membership._IHAT_SP, f, query._replace(q_list=(F(2),)))
+            if hull.is_definite and hull.value:
+                return Verdict.definite(
+                    True, hull.certificate, "contained in the ideal hull: " + hull.note
+                )
+        return c.empirical(f, query)
+    return Verdict.definite(*c.closed_form(f, query))
+
+
+def _assert_engines_match_eager(f, qs, m_max, depth):
+    query = membership._Query
+    engines = {
+        "SP": (membership._SP, query((), 0, depth), lambda: is_sp(f, depth)),
+        "CSP": (membership._CSP, query((), 0, depth), lambda: csp_verdict(f, depth)),
+        "I_CSP": (
+            membership._I_CSP,
+            query(qs, m_max, depth),
+            lambda: i_csp_verdict(f, qs, m_max, depth),
+        ),
+        "Ihat_SP": (membership._IHAT_SP, query(qs, 0, depth), lambda: ihat_sp_verdict(f, qs, depth)),
+    }
+    for name, (rules, q, engine) in engines.items():
+        if name != "CSP" and not f.has_zero_accumulation:
+            with pytest.raises(ValueError, match="accumulation"):
+                engine()
+            continue
+        assert verdict_to_json(engine()) == verdict_to_json(_eager(rules, f, q)), name
+
+
+@pytest.mark.parametrize("name", sorted(GRID))
+def test_pinned_grid_verdicts_match_eager_ladder(name):
+    _assert_engines_match_eager(GRID[name], QS, M_MAX, DEPTH)
+
+
+def _explicit_chains():
+    # points in (0, 1], known down to 0 or only down to the lowest point
+    coords = st.lists(
+        st.fractions(min_value=F(1, 40), max_value=1, max_denominator=40),
+        min_size=1,
+        max_size=6,
+        unique=True,
+    ).map(lambda xs: sorted(xs, reverse=True))
+    return st.builds(
+        lambda xs, known_to_0: ExplicitChain(
+            Chain(tuple(map(Point, xs)), upper=xs[0], horizon=0 if known_to_0 else xs[-1])
+        ),
+        coords,
+        st.booleans(),
+    )
+
+
+_NESTED = st.recursive(
+    st.sampled_from(list(POINT_FAMILIES.values())) | _explicit_chains(),
+    lambda inner: st.builds(UnionOf, st.lists(inner, min_size=1, max_size=3).map(tuple))
+    | st.builds(BlowupOf, inner, st.sampled_from(QS)),
+    max_leaves=5,
+)
+_EXPLICIT_NEAR = ExplicitChain(Chain((Point(F(1, 2)), Point(F(1, 5))), upper=F(1, 2), horizon=F(1, 5)))
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_NESTED, st.sampled_from(((F(3, 2),), (F(2), F(5, 4)))), st.integers(1, 6))
+@example(UnionOf((POINT_FAMILIES["example-1/2"], _EXPLICIT_NEAR)), (F(2),), 6)
+@example(UnionOf((POINT_FAMILIES["geometric-1/2"], _EXPLICIT_NEAR)), (F(2),), 6)
+@example(BlowupOf(UnionOf((BOUNDED_AWAY, POINT_FAMILIES["pattern-2/3"])), 2), (F(2),), 4)
+@example(BlowupOf(UnionOf((_EXPLICIT_NEAR, BOUNDED_AWAY)), 3), (F(3, 2),), 3)
+def test_nested_unions_and_blowups_match_eager_ladder(f, qs, depth):
+    _assert_engines_match_eager(f, qs, 2, depth)
+
+
+def test_union_explicit_runs_each_fallback_once(capsys, monkeypatch):
+    calls = []
+    for name in ("_SP", "_IHAT_SP", "_CSP", "_I_CSP"):
+        rules = getattr(membership, name)
+
+        def counting(f, query, run=rules.empirical, name=name):
+            calls.append((name, f))
+            return run(f, query)
+
+        monkeypatch.setattr(membership, name, replace(rules, empirical=counting))
+    code, out, _ = run_cli(capsys, *UNION_ANALYZE)
+    assert code == 0 and out.count("empirical") == 4
+    union = family_from_json(json.loads(UNION_EXPLICIT))
+    assert sorted(name for name, _ in calls) == ["_CSP", "_IHAT_SP", "_I_CSP", "_SP"]
+    assert all(f == union for _, f in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porosity_lab
-from porosity_lab.rational import INF, format_rational, is_finite, parse_rational
+from porosity_lab.rational import INF, _fraction, _gt, format_rational, is_finite, parse_rational
 
 
 @contextlib.contextmanager
@@ -71,3 +71,55 @@ def test_no_floats_in_the_library():
             if isinstance(node, ast.Constant) and isinstance(node.value, float):
                 found.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# the blow-up kernel's helpers
+
+_positive = st.fractions(min_value=0).filter(lambda x: x > 0) | st.builds(
+    F, st.integers(1, 2**300), st.integers(1, 2**300)
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_positive, _positive)
+def test_gt_is_fraction_gt(x, y):
+    assert _gt(x.numerator, x.denominator, y.numerator, y.denominator) is (x > y)
+
+
+@pytest.mark.parametrize("gap", [0, 1, 2, 3])
+@pytest.mark.parametrize("bits", [1, 2, 7, 64])
+def test_gt_at_each_bit_length_gap(gap, bits):
+    # an/ad against bn/bd where the bit lengths of the cross products an*bd
+    # and bn*ad sum to s + gap and s; each side takes its smallest and its
+    # largest value for those bit lengths, so the products come as close as
+    # the bit lengths allow
+    def ends(n):
+        return (2 ** (n - 1), 2**n - 1)
+
+    s = 2 * bits
+    for an in ends(bits + gap):
+        for bd in ends(bits):
+            for bn in ends(bits):
+                for ad in ends(bits):
+                    assert an.bit_length() + bd.bit_length() == s + gap
+                    assert bn.bit_length() + ad.bit_length() == s
+                    for left, right in (((an, ad), (bn, bd)), ((bn, bd), (an, ad))):
+                        expect = F(*left) > F(*right)
+                        assert _gt(*left, *right) is expect, (left, right)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_positive)
+def test_trusted_fraction_matches_fraction(x):
+    built = _fraction(x.numerator, x.denominator)
+    assert type(built) is F
+    assert built == x and hash(built) == hash(x)
+    assert (built.numerator, built.denominator) == (x.numerator, x.denominator)
+    assert str(built) == str(x) and repr(built) == repr(x)
+
+
+def test_fraction_keeps_its_two_slots():
+    # `_fraction` sets these two slots directly; a Python whose
+    # Fraction stores anything else fails here first
+    assert F.__slots__ == ("_numerator", "_denominator")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from test_family_rules import DEPTH, GRID
 
 from porosity_lab.blowup import blow_up_chain
+from porosity_lab.membership import DecompositionResult, decompose_csp
 from porosity_lab.rational import INF
 from porosity_lab.tailset import (
     UNKNOWN,
@@ -411,11 +412,19 @@ def _assert_rebuilds(c):
 
 
 def test_pinned_grid_chains_pass_the_public_constructors():
+    decomposed = 0
     for f in GRID.values():
         for depth in (1, 2, DEPTH):
             _assert_rebuilds(expand(f, depth))
             for q in (F(3, 2), F(2), F(5)):
                 _assert_rebuilds(expand(BlowupOf(f, q), depth))
+        for n in (1, 2):
+            out = decompose_csp(f, n, 2, DEPTH)
+            if isinstance(out, DecompositionResult):
+                decomposed += 1
+                for part in out.parts[:-1]:
+                    _assert_rebuilds(part.chain)
+    assert decomposed > 0
 
 
 @settings(max_examples=100, deadline=None, database=None)

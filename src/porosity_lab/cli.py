@@ -15,10 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Tuple
 
 from .blowup import cc1_components
 from .ideal_core import check_prime_iff_maximal, check_theorem_istar_eq_ihat
@@ -49,34 +46,11 @@ from .tailset import (
 
 SCHEMA = "porosity-lab/1"
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 
 class InputError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    family: Optional[TailFamily] = None
-    q_list: Tuple[Fraction, ...] = (Fraction(2),)
-    depth: int = 32
-    m_max: int = 8
-    n: Optional[int] = None
-    alpha: Fraction = Fraction(1, 2)
-    fmt: str = "text"
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise InputError("depth must be at least 1")
-        if self.m_max < 0:
-            raise InputError("M must be at least 0")
-        if any(q <= 1 for q in self.q_list) or not self.q_list:
-            raise InputError("every q must exceed 1")
-        if self.fmt not in ("json", "text"):
-            raise InputError("format must be json or text")
 
 
 def _load_family(text: str) -> TailFamily:
@@ -99,17 +73,17 @@ def _load_family(text: str) -> TailFamily:
         raise InputError(f"bad family descriptor: {e}") from e
 
 
-def _common_json(config: RunConfig) -> dict:
+def _common_json(args) -> dict:
     return {
         "schema": SCHEMA,
-        "command": config.command,
-        "depth": config.depth,
-        "seed": config.seed,
+        "command": args.command,
+        "depth": args.depth,
+        "seed": args.seed,
     }
 
 
-def _emit(config: RunConfig, report: dict, text_lines) -> None:
-    if config.fmt == "json":
+def _emit(args, report: dict, text_lines) -> None:
+    if args.fmt == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         for line in text_lines:
@@ -125,30 +99,30 @@ def _verdict_text(label: str, v) -> str:
     )
 
 
-def _cmd_analyze(config: RunConfig) -> int:
-    f = _require_family(config)
-    v_sp = is_sp(f, config.depth)
-    v_ihat = test_ihat_sp(f, config.q_list, config.depth)
-    v_icsp = test_i_csp(f, config.q_list, config.m_max, config.depth)
-    v_csp = test_csp(f, config.depth)
+def _cmd_analyze(args) -> int:
+    f = _require_family(args)
+    v_sp = is_sp(f, args.depth)
+    v_ihat = test_ihat_sp(f, args.q_list, args.depth)
+    v_icsp = test_i_csp(f, args.q_list, args.m_max, args.depth)
+    v_csp = test_csp(f, args.depth)
 
     # the analyze report carries only the certified porosity index; the
     # probe tables live under the blowup command where they are printed
     p_plus = certified_porosity_index(f)
     certs = [
         {"q": format_rational(q), "certificate": certificate_to_json(blowup_certificate(f, q))}
-        for q in config.q_list
+        for q in args.q_list
     ]
     bounds = None
-    certified = f.certified_bounds(min(config.q_list), config.m_max)
+    certified = f.certified_bounds(min(args.q_list), args.m_max)
     if certified is not None:
         beta, window = map(format_rational, certified)
         bounds = {"beta_limsup": beta, "window_liminf": window}
-    report = _common_json(config)
+    report = _common_json(args)
     report.update(
         {
             "family": family_to_json(f),
-            "q_list": [format_rational(q) for q in config.q_list],
+            "q_list": [format_rational(q) for q in args.q_list],
             "p_plus": None if p_plus is None else format_rational(p_plus),
             "verdicts": {
                 "SP": verdict_to_json(v_sp),
@@ -171,18 +145,18 @@ def _cmd_analyze(config: RunConfig) -> int:
     if bounds is not None:
         lines.append(
             f"beta limsup bound: {bounds['beta_limsup']}; "
-            f"window liminf bound at M={config.m_max}: {bounds['window_liminf']}"
+            f"window liminf bound at M={args.m_max}: {bounds['window_liminf']}"
         )
-    _emit(config, report, lines)
+    _emit(args, report, lines)
     return 0
 
 
-def _cmd_blowup(config: RunConfig) -> int:
-    f = _require_family(config)
+def _cmd_blowup(args) -> int:
+    f = _require_family(args)
     profiles = []
     lines = []
-    for q in config.q_list:
-        chain = expand(BlowupOf(f, q), config.depth)
+    for q in args.q_list:
+        chain = expand(BlowupOf(f, q), args.depth)
         comps = cc1_components(chain)
         betas, gammas = component_ratios(comps)
         cert = blowup_certificate(f, q)
@@ -205,9 +179,9 @@ def _cmd_blowup(config: RunConfig) -> int:
                 f"  {i + 1}: ({c['lo']}, {c['hi']})"
                 f" beta={profile['betas'][i]} gamma={gammas_text[i]}"
             )
-    report = _common_json(config)
+    report = _common_json(args)
     report.update({"family": family_to_json(f), "profiles": profiles})
-    _emit(config, report, lines)
+    _emit(args, report, lines)
     return 0
 
 
@@ -217,20 +191,20 @@ def _part_to_json(part) -> dict:
     return family_to_json(part)
 
 
-def _cmd_decompose(config: RunConfig) -> int:
-    f = _require_family(config)
-    if config.n is None:
+def _cmd_decompose(args) -> int:
+    f = _require_family(args)
+    if args.n is None:
         raise InputError("decompose needs --n (the part-count parameter)")
-    result = decompose_csp(f, config.n, config.q_list[0], config.depth)
-    report = _common_json(config)
+    result = decompose_csp(f, args.n, args.q_list[0], args.depth)
+    report = _common_json(args)
     report["family"] = family_to_json(f)
-    report["q"] = format_rational(config.q_list[0])
-    report["n"] = config.n
+    report["q"] = format_rational(args.q_list[0])
+    report["n"] = args.n
     if not isinstance(result, DecompositionResult):
         bound = None if result.window_bound is None else format_rational(result.window_bound)
         report["hypothesis_failure"] = {"reason": result.reason, "window_bound": bound}
         suffix = "" if bound is None else f" (window value {bound})"
-        _emit(config, report, [f"hypothesis failure: {result.reason}{suffix}"])
+        _emit(args, report, [f"hypothesis failure: {result.reason}{suffix}"])
         return 2
     report.update(
         {
@@ -248,12 +222,12 @@ def _cmd_decompose(config: RunConfig) -> int:
         f"part {len(result.parts)}: {{0}} u ({report['parts'][-1]['cut']}, inf)"
     )
     lines.append(f"cover verified above {report['cover_verified_to']}")
-    _emit(config, report, lines)
+    _emit(args, report, lines)
     return 0
 
 
-def _cmd_verify_foundations(config: RunConfig) -> int:
-    n = 3 if config.n is None else config.n
+def _cmd_verify_foundations(args) -> int:
+    n = 3 if args.n is None else args.n
     theorem = check_theorem_istar_eq_ihat(n)
     primes = check_prime_iff_maximal(n)
     bad = (
@@ -261,7 +235,7 @@ def _cmd_verify_foundations(config: RunConfig) -> int:
         + len(theorem.lemma_counterexamples)
         + len(theorem.corollary_counterexamples)
     )
-    report = _common_json(config)
+    report = _common_json(args)
     report.update(
         {
             "n": n,
@@ -279,17 +253,17 @@ def _cmd_verify_foundations(config: RunConfig) -> int:
         f"{primes.ideal_count} ideals enumerated, {primes.prime_count} prime, "
         f"{primes.maximal_count} maximal, {len(primes.counterexamples)} mismatches",
     ]
-    _emit(config, report, lines)
+    _emit(args, report, lines)
     return 0 if theorem.ok and primes.ok else 2
 
 
-def _cmd_reproduce_example(config: RunConfig) -> int:
-    rep = reproduce_example(config.alpha, config.depth, config.q_list, config.m_max)
-    report = _common_json(config)
+def _cmd_reproduce_example(args) -> int:
+    rep = reproduce_example(args.alpha, args.depth, args.q_list, args.m_max)
+    report = _common_json(args)
     report.update(
         {
             "alpha": format_rational(rep.alpha),
-            "q_list": [format_rational(q) for q in config.q_list],
+            "q_list": [format_rational(q) for q in args.q_list],
             "verdicts": {
                 "Ihat_SP": verdict_to_json(rep.ihat_sp),
                 "I_CSP": verdict_to_json(rep.i_csp),
@@ -322,14 +296,14 @@ def _cmd_reproduce_example(config: RunConfig) -> int:
         )
         for M, (w, wx) in enumerate(zip(b["window_liminf"], b["window_liminf_exact"])):
             lines.append(f"  M={M}: window_liminf={w} (exact {wx})")
-    _emit(config, report, lines)
+    _emit(args, report, lines)
     return 0
 
 
-def _require_family(config: RunConfig) -> TailFamily:
-    if config.family is None:
-        raise InputError(f"{config.command} needs --family")
-    return config.family
+def _require_family(args) -> TailFamily:
+    if args.family is None:
+        raise InputError(f"{args.command} needs --family")
+    return args.family
 
 
 _COMMANDS = {
@@ -339,13 +313,6 @@ _COMMANDS = {
     "verify-foundations": _cmd_verify_foundations,
     "reproduce-example": _cmd_reproduce_example,
 }
-
-
-def run(config: RunConfig) -> int:
-    # the engines of one command look at the same chains many times over;
-    # each is built once, and the memo ends with the command
-    with expand_memo():
-        return _COMMANDS[config.command](config)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -359,7 +326,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="porosity-lab", description=__doc__, add_help=True)
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--family", help="family descriptor: JSON file path or inline JSON")
-    parser.add_argument("--q", action="append", default=None, help="blow-up factor, repeatable")
+    parser.add_argument(
+        "--q", dest="q_list", metavar="Q", action="append", help="blow-up factor, repeatable"
+    )
     parser.add_argument("--depth", type=int, default=32)
     parser.add_argument("--M", dest="m_max", type=int, default=8, help="largest window size offset")
     parser.add_argument("--n", type=int, default=None, help="universe size / part-count parameter")
@@ -373,23 +342,19 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _config_from_args(args) -> RunConfig:
-    q_list = tuple(
-        parse_rational(q) for q in (args.q if args.q else ["2"])
-    )
-    alpha = parse_rational(args.alpha)
-    family = None if args.family is None else _load_family(args.family)
-    return RunConfig(
-        command=args.command,
-        family=family,
-        q_list=q_list,
-        depth=args.depth,
-        m_max=args.m_max,
-        n=args.n,
-        alpha=alpha,
-        fmt=args.fmt,
-        seed=args.seed,
-    )
+def _config_from_args(args) -> argparse.Namespace:
+    """Read the q list, alpha and family into the namespace, then check
+    depth, M and q in that order; argparse has already checked the rest."""
+    args.q_list = tuple(parse_rational(q) for q in (args.q_list or ["2"]))
+    args.alpha = parse_rational(args.alpha)
+    args.family = None if args.family is None else _load_family(args.family)
+    if args.depth < 1:
+        raise InputError("depth must be at least 1")
+    if args.m_max < 0:
+        raise InputError("M must be at least 0")
+    if any(q <= 1 for q in args.q_list):
+        raise InputError("every q must exceed 1")
+    return args
 
 
 # every character str.splitlines breaks at, mapped to its escape sequence
@@ -405,8 +370,11 @@ def main(argv=None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        args = _PARSER.parse_args(argv)
-        return run(_config_from_args(args))
+        args = _config_from_args(_PARSER.parse_args(argv))
+        # the engines of one command look at the same chains many times over;
+        # each is built once, and the memo ends with the command
+        with expand_memo():
+            return _COMMANDS[args.command](args)
     except (InputError, ValueError) as e:
         # the one input boundary: an unusable input, caught by the parser or
         # by any check below it, is one error line, even when the message

@@ -35,6 +35,7 @@ from .tailset import (
     TailCertificate,
     TailFamily,
     UnionOf,
+    _PointFamily,
     _chain,
     _check_q,
     block_inf,
@@ -148,13 +149,6 @@ def _require_accumulation(f: TailFamily) -> None:
         raise ValueError("0 is not an accumulation point of the family")
 
 
-def _representative_q(q_list) -> Fraction:
-    qs = [Fraction(q) for q in q_list]
-    if not qs or any(q <= 1 for q in qs):
-        raise ValueError("need at least one q > 1")
-    return min(qs)
-
-
 def _windowed_maxima(gammas, m: int) -> list:
     # maxima of the gap ratios over every window of m+1 consecutive entries
     return [max(gammas[i : i + m + 1]) for i in range(len(gammas) - m)]
@@ -176,9 +170,22 @@ class _Query(NamedTuple):
     """What an engine was asked: blow-up factors, largest window offset M
     and depth (SP and CSP read only the depth)."""
 
-    q_list: tuple
+    q_list: Optional[Tuple[Fraction, ...]]
     M_max: int
     depth: int
+
+
+def _query(depth: int, q_list=None, M_max: int = 0) -> _Query:
+    """The one argument check of the four engines: a q list, when the class
+    reads one, holds at least one q and every q exceeds 1; depth is at
+    least 1."""
+    if q_list is not None:
+        q_list = tuple(map(Fraction, q_list))
+        if not q_list or any(q <= 1 for q in q_list):
+            raise ValueError("need at least one q > 1")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    return _Query(q_list, M_max, depth)
 
 
 @dataclass(frozen=True)
@@ -195,27 +202,34 @@ class _ClassRules:
     empirical: Callable
 
 
-def _decide(c: _ClassRules, f: TailFamily, query: _Query) -> Verdict:
-    certified = _certified(c, f, query)
-    if certified is not None:
-        return certified
-    # the one empirical fallback, on the family asked about; blow-ups carry
-    # the base's evidence over
+def _peel(c: _ClassRules, f: TailFamily) -> Tuple[str, TailFamily]:
+    """Every class is invariant under blow-up, so the base of a blow-up
+    decides; each layer stripped puts the class's note in front."""
     prefix = ""
     while type(f) is BlowupOf:
         prefix += c.blowup_note
         f = f.base
-    evidence = c.empirical(f, query)
-    return replace(evidence, note=prefix + evidence.note)
+    return prefix, f
+
+
+def _decide(c: _ClassRules, f: TailFamily, query: _Query) -> Verdict:
+    # the one empirical fallback runs on the family asked about, and a
+    # blow-up carries the base's evidence over
+    prefix, f = _peel(c, f)
+    verdict = _certified(c, f, query) or c.empirical(f, query)
+    return replace(verdict, note=prefix + verdict.note)
 
 
 def _certified(c: _ClassRules, f: TailFamily, query: _Query) -> Optional[Verdict]:
     """The Definite verdict a closed form or a combinator rule gives, else
     None."""
+    prefix, f = _peel(c, f)
     combinator = _COMBINATORS.get(type(f))
     if combinator is None:
-        return Verdict.definite(*c.closed_form(f, query))
-    return combinator(c, f, query)
+        verdict = Verdict.definite(*c.closed_form(f, query))
+    else:
+        verdict = combinator(c, f, query)
+    return None if verdict is None else replace(verdict, note=prefix + verdict.note)
 
 
 _TRIVIAL_NOTE = "bounded away from 0: the whole tail (0, min E) is one free gap"
@@ -227,14 +241,6 @@ def _explicit(c: _ClassRules, f: ExplicitChain, query: _Query) -> Optional[Verdi
     if f.chain.horizon == 0:
         return Verdict.definite(True, ExplicitLimit(INF, True), _TRIVIAL_NOTE)
     return None
-
-
-def _blown(c: _ClassRules, f: BlowupOf, query: _Query) -> Optional[Verdict]:
-    # every class is invariant under blow-up: the base's verdict carries over
-    inner = _certified(c, f.base, query)
-    if inner is None:
-        return None
-    return replace(inner, note=c.blowup_note + inner.note)
 
 
 def _union(c: _ClassRules, f: UnionOf, query: _Query) -> Optional[Verdict]:
@@ -264,7 +270,7 @@ def _union(c: _ClassRules, f: UnionOf, query: _Query) -> Optional[Verdict]:
     return None
 
 
-_COMBINATORS = {ExplicitChain: _explicit, BlowupOf: _blown, UnionOf: _union}
+_COMBINATORS = {ExplicitChain: _explicit, UnionOf: _union}
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +306,7 @@ def is_sp(f: TailFamily, depth: int = 32) -> Verdict:
     """Is the set strongly porous at 0 (relative free gaps approaching the
     whole height)?"""
     _require_accumulation(f)
-    return _decide(_SP, f, _Query((), 0, depth))
+    return _decide(_SP, f, _query(depth))
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +315,10 @@ def is_sp(f: TailFamily, depth: int = 32) -> Verdict:
 
 def _empirical_ihat(f: TailFamily, query: _Query) -> Verdict:
     q_list, _, depth = query
-    _representative_q(q_list)
     value = True
     notes = []
     trend = "bounded"
     for q in q_list:
-        q = Fraction(q)
         comps = cc1_components(expand(BlowupOf(f, q), depth))
         shallow = cc1_components(expand(BlowupOf(f, q), max(1, depth // 2)))
         growing = len(comps) > len(shallow)
@@ -334,7 +338,7 @@ def _empirical_ihat(f: TailFamily, query: _Query) -> Verdict:
 
 _IDEAL_SINK = "an ideal is closed downward"
 _IHAT_SP = _ClassRules(
-    lambda f, query: f.ihat_rule(_representative_q(query.q_list)),
+    lambda f, query: f.ihat_rule(min(query.q_list)),
     "via blow-up invariance of the class: ",
     _IDEAL_SINK,
     True,
@@ -347,7 +351,7 @@ def test_ihat_sp(f: TailFamily, q_list=(Fraction(2),), depth: int = 32) -> Verdi
     sets?  Characterized by: for every q > 1 the component chain of the
     blow-up in (0, 1] is infinite and its width ratios stay bounded."""
     _require_accumulation(f)
-    return _decide(_IHAT_SP, f, _Query(q_list, 0, depth))
+    return _decide(_IHAT_SP, f, _query(depth, q_list))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +410,7 @@ _CSP = _ClassRules(
 def test_csp(f: TailFamily, depth: int = 32) -> Verdict:
     """Is the set completely porous: coverable near 0 by intervals
     (x_n/q, q*x_n) around a ladder with x_{n+1}/x_n -> 0?"""
-    return _decide(_CSP, f, _Query((), 0, depth))
+    return _decide(_CSP, f, _query(depth))
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +419,10 @@ def test_csp(f: TailFamily, depth: int = 32) -> Verdict:
 
 def _empirical_icsp(f: TailFamily, query: _Query) -> Verdict:
     q_list, M_max, depth = query
-    _representative_q(q_list)
     value = True
     notes = []
     trend = "bounded"
     for q in q_list:
-        q = Fraction(q)
         _, gammas = component_ratios(cc1_components(expand(BlowupOf(f, q), depth)))
         found = None
         for m_try in range(M_max + 1):
@@ -446,7 +448,7 @@ def _empirical_icsp(f: TailFamily, query: _Query) -> Verdict:
 
 
 _I_CSP = _ClassRules(
-    lambda f, query: f.icsp_rule(_representative_q(query.q_list)),
+    lambda f, query: f.icsp_rule(min(query.q_list)),
     "via blow-up invariance of the class: ",
     _IDEAL_SINK,
     True,
@@ -461,7 +463,7 @@ def test_i_csp(
     by: some window size M and threshold q0 make the windowed maxima of the
     blown gap ratios diverge for every q > q0, with bounded width ratios."""
     _require_accumulation(f)
-    return _decide(_I_CSP, f, _Query(q_list, M_max, depth))
+    return _decide(_I_CSP, f, _query(depth, q_list, M_max))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +541,7 @@ def decompose_csp(
         raise ValueError("depth must be at least 1")
 
     # a point family's closed form settles the hypotheses at every depth
-    closed_form = type(f) not in _COMBINATORS
+    closed_form = isinstance(f, _PointFamily)
     obstruction = f.decomposition_obstruction(n, q) if closed_form else None
     if obstruction is not None:
         reason, bound = obstruction

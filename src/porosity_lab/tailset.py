@@ -299,9 +299,6 @@ class _Family:
         liminf of the gap maxima over windows of M+1."""
         return None
 
-    def _memo_key(self, depth: int) -> tuple:
-        return id(self), depth
-
 
 class _PointFamily(_Family):
     """A family of points given by a closed form, from which it states
@@ -653,10 +650,6 @@ class ExplicitChain(_Family):
     def _expand(self, depth):
         return self.chain
 
-    def _memo_key(self, depth):
-        # one chain at every depth
-        return (id(self),)
-
 
 @dataclass(frozen=True)
 class UnionOf(_Family):
@@ -702,11 +695,6 @@ class BlowupOf(_Family):
 
         return blowup.blow_up_chain(expand(self.base, depth), self.q)
 
-    def _memo_key(self, depth):
-        # callers build a BlowupOf afresh for every look at a blown chain,
-        # so the key names what it is made of: the base's chain and q
-        return self.base._memo_key(depth), self.q
-
     def porosity_index(self):
         # full porosity survives the blow-up in both directions; partial
         # porosity values do not transfer exactly
@@ -725,16 +713,26 @@ TailFamily = Union[
 ]
 
 
-# f._memo_key(depth) -> (f, chain) inside an expand_memo() scope, else None
+# _memo_key(f, depth) -> (f, chain) inside an expand_memo() scope, else None
 _EXPAND_MEMO: ContextVar[Optional[dict]] = ContextVar("expand_memo", default=None)
+
+
+def _memo_key(f: TailFamily, depth: int) -> tuple:
+    if isinstance(f, BlowupOf):
+        # callers build a BlowupOf afresh for every look at a blown chain,
+        # so the key names what it is made of: the base's chain and q
+        return _memo_key(f.base, depth), f.q
+    if isinstance(f, ExplicitChain):
+        return (id(f),)  # one chain at every depth
+    return id(f), depth
 
 
 @contextmanager
 def expand_memo():
     """Within the block, expand builds each (family, depth) chain once.
 
-    The memo lives as long as the block: one CLI command runs inside one
-    scope, and nothing survives it.
+    The memo lives as long as the block: `cli.main` runs each command
+    inside one scope, and nothing survives it.
     """
     token = _EXPAND_MEMO.set({})
     try:
@@ -751,12 +749,12 @@ def expand(f: TailFamily, depth: int) -> Chain:
     families expand the base and blow the result up; unions expand every
     part and merge.
 
-    Inside an `expand_memo()` scope, such as one CLI command, each chain is
-    built once.  The memo is keyed by the family's identity, not by its
-    hash, which would hash every Fraction in it; it holds the family too,
-    so no identity is reused while the scope lasts.  It is never global:
-    a process-wide memo would grow without bound and turn every repeated
-    call into a lookup.
+    Inside an `expand_memo()` scope, such as the one `cli.main` opens
+    around each command, each chain is built once.  The memo is keyed by
+    the family's identity (`_memo_key`), not by its hash, which would hash
+    every Fraction in it; it holds the family too, so no identity is
+    reused while the scope lasts.  It is never global: a process-wide memo
+    would grow without bound and turn every repeated call into a lookup.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -765,7 +763,7 @@ def expand(f: TailFamily, depth: int) -> Chain:
     memo = _EXPAND_MEMO.get()
     if memo is None:
         return f._expand(depth)
-    key = f._memo_key(depth)
+    key = _memo_key(f, depth)
     hit = memo.get(key)
     if hit is None:
         hit = memo[key] = (f, f._expand(depth))

@@ -222,6 +222,27 @@ def test_input_errors_exit_one(capsys, argv):
     assert err.startswith("error:")
 
 
+# the checks run in one order: the q list, alpha and family are read first,
+# then depth, M and every q > 1 are checked, so the first bad input names it
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("--family", GEO, "--depth", "0", "--q", "1/2"), "error: depth must be at least 1"),
+        (("--family", GEO, "--depth", "0", "--M", "-1"), "error: depth must be at least 1"),
+        (("--family", GEO, "--M", "-1", "--q", "1"), "error: M must be at least 0"),
+        (("--family", GEO, "--q", "0.5", "--depth", "0"), "error: not an exact rational: '0.5'"),
+        (
+            ("--family", "{broken", "--depth", "0"),
+            "error: family is not valid JSON: Expecting property name enclosed in "
+            "double quotes: line 1 column 2 (char 1)",
+        ),
+    ],
+)
+def test_input_errors_are_reported_in_a_fixed_order(capsys, argv, line):
+    code, out, err = run_cli(capsys, "analyze", *argv)
+    assert (code, out, err) == (1, "", line + "\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

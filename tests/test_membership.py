@@ -151,6 +151,33 @@ def test_q_list_must_be_sensible():
         i_csp_verdict(SUP, (F(1),))
 
 
+# a closed form, its blow-up and a union left to the empirical fallbacks:
+# every engine checks its arguments before any of them is decided
+ARGUMENT_CHECK_FAMILIES = [
+    GEO,
+    BlowupOf(GEO, F(2)),
+    UnionOf((SUP, ExplicitChain(Chain((Point(F(1, 2)), Point(F(1, 5))), F(1, 2), F(1, 5))))),
+]
+
+
+@pytest.mark.parametrize("f", ARGUMENT_CHECK_FAMILIES)
+def test_every_engine_checks_depth_and_q_on_every_path(f):
+    engines = (
+        lambda: is_sp(f, 0),
+        lambda: csp_verdict(f, 0),
+        lambda: i_csp_verdict(f, QS, 8, 0),
+        lambda: ihat_sp_verdict(f, QS, 0),
+    )
+    for engine in engines:
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            engine()
+    for q_list in ((), (1,)):
+        with pytest.raises(ValueError, match="need at least one q > 1"):
+            ihat_sp_verdict(f, q_list)
+        with pytest.raises(ValueError, match="need at least one q > 1"):
+            i_csp_verdict(f, q_list)
+
+
 def random_family(rng, wrap=True):
     kind = rng.randrange(4)
     if kind == 0:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Tuple
 
-from .rational import _fraction, _gt
+from .rational import _scaled
 from .tailset import (
     PROBE_WINDOW,
     SP_EVIDENCE_RATIO,
@@ -22,6 +21,7 @@ from .tailset import (
     Interval,
     Point,
     TailFamily,
+    _View,
     _chain,
     _check_q,
     _interval,
@@ -64,43 +64,42 @@ def blow_up_chain(c: Chain, q) -> Chain:
     descend too, and a blow-up joins the component above it exactly when
     it reaches past that component's lower end.
 
-    The ends are kept as numerator/denominator ints.  With x = n/d and
-    q = a/b both in lowest terms, x/q = (n*b)/(d*a) reduces by
-    gcd(n, a) * gcd(d, b), two gcds against q's small terms; q*x likewise.
-    Fractions are built only for the ends of the finished components.
+    The pass runs on the chain's view: for q = a/b in lowest terms, the
+    blown view has denominator D*a*b, where x/q and q*x are lo*b^2 and
+    hi*a^2, so each merge is one int comparison.  Only the two ends of each
+    finished component become Fractions, reduced against q's small terms.
     """
     q = _check_q(q)
     a, b = q.numerator, q.denominator
-    comps = []  # [lo_n, lo_d, hi_n, hi_d] of each component so far
-    for blk in c.blocks:
-        if type(blk) is Point:
-            lo = hi = blk.x
+    aa, bb = a * a, b * b
+    v = c._view
+    comps = []  # [lo, hi, top block, bottom block] of each component
+    for i, (lo, hi) in enumerate(zip(v.lo, v.hi)):
+        hi *= aa
+        if comps and hi > comps[-1][0]:
+            comps[-1][0], comps[-1][3] = lo * bb, i
         else:
-            lo, hi = blk.lo, blk.hi
-        n, d = lo.numerator, lo.denominator
-        g, h = gcd(n, a), gcd(d, b)
-        lo_n, lo_d = (n // g) * (b // h), (d // h) * (a // g)
-        n, d = hi.numerator, hi.denominator
-        g, h = gcd(n, b), gcd(d, a)
-        hi_n, hi_d = (n // g) * (a // h), (d // h) * (b // g)
-        if comps and _gt(hi_n, hi_d, comps[-1][0], comps[-1][1]):
-            comps[-1][0], comps[-1][1] = lo_n, lo_d
-        else:
-            comps.append([lo_n, lo_d, hi_n, hi_d])
-    blown = tuple(_interval(_fraction(ln, ld), _fraction(hn, hd)) for ln, ld, hn, hd in comps)
-    return _chain(blown, q * c.upper, c.horizon / q)
+            comps.append([lo * bb, hi, i, i])
+    blocks = c.blocks
+    blown = tuple(
+        _interval(_scaled(block_inf(blocks[j]), b, a), _scaled(block_sup(blocks[i]), a, b))
+        for _, _, i, j in comps
+    )
+    view = _View(v.D * a * b, tuple(x[0] for x in comps), tuple(x[1] for x in comps), v.horizon * bb)
+    return _chain(blown, _scaled(c.upper, a, b), _scaled(c.horizon, b, a), view)
 
 
-def cc1_components(c: Chain) -> Tuple[Interval, ...]:
-    """Components of a blown-up chain contained in (0, 1], descending.
-
-    The first entry is the numerically largest component.  Chains with
-    isolated points are rejected: components only exist after a blow-up.
+def cc1_components(c: Chain) -> Chain:
+    """Components of a blown-up chain contained in (0, 1], descending, as a
+    chain of their own with upper edge 1.  Chains with isolated points are
+    rejected: components only exist after a blow-up.
     """
-    for b in c.blocks:
-        if not isinstance(b, Interval):
-            raise ValueError("chain has isolated points; blow up first")
-    return tuple(b for b in c.blocks if b.hi.numerator <= b.hi.denominator)
+    D, lo, hi, horizon = c._view
+    if any(l == h for l, h in zip(lo, hi)):
+        raise ValueError("chain has isolated points; blow up first")
+    i = next((k for k, h in enumerate(hi) if h <= D), len(hi))
+    view = _View(D, lo[i:], hi[i:], min(horizon, D))
+    return _chain(c.blocks[i:], Fraction(1), min(c.horizon, Fraction(1)), view)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,8 @@ def find_covering_blowup(f: TailFamily, depth: int) -> Optional[Tuple[Fraction, 
         if not blown.blocks:
             return None
         anchor = block_inf(blown.blocks[-1])
-    for b in blown.blocks:
+    # the anchor sits near the bottom, and at most one block holds it
+    for b in reversed(blown.blocks):
         if block_inf(b) <= anchor < block_sup(b):
             t = min(chain.upper, block_sup(b))
             if t > anchor:

@@ -156,15 +156,14 @@ def _cmd_blowup(args) -> int:
     profiles = []
     lines = []
     for q in args.q_list:
-        chain = expand(BlowupOf(f, q), args.depth)
-        comps = cc1_components(chain)
+        comps = cc1_components(expand(BlowupOf(f, q), args.depth))
         betas, gammas = component_ratios(comps)
         cert = blowup_certificate(f, q)
         profile = {
             "q": format_rational(q),
             "components": [
                 {"lo": format_rational(c.lo), "hi": format_rational(c.hi)}
-                for c in comps
+                for c in comps.blocks
             ],
             "betas": [format_rational(x) for x in betas],
             "gammas": [format_rational(x) for x in gammas],
@@ -172,7 +171,7 @@ def _cmd_blowup(args) -> int:
         }
         profiles.append(profile)
         # the text lines reuse the report's strings: each value is formatted once
-        lines.append(f"q={profile['q']}: {len(comps)} components below 1")
+        lines.append(f"q={profile['q']}: {len(comps.blocks)} components below 1")
         gammas_text = profile["gammas"] + ["-"]  # no gap below the last one
         for i, c in enumerate(profile["components"]):
             lines.append(

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 from .blowup import cc1_components
-from .rational import INF, RationalLike, format_rational
+from .rational import INF, RationalLike, _ratio, format_rational
 from .tailset import (
     PROBE_WINDOW,
     SP_EVIDENCE_RATIO,
@@ -36,10 +36,9 @@ from .tailset import (
     TailFamily,
     UnionOf,
     _PointFamily,
+    _View,
     _chain,
     _check_q,
-    block_inf,
-    block_sup,
     certificate_to_json,
     component_ratios,
     expand,
@@ -81,12 +80,10 @@ def classify_trend(values) -> str:
     only ever go up, bounded when they hold still or settle downward,
     oscillating otherwise."""
     vals = list(values)[-TREND_WINDOW:]
-    if len(vals) < 2:
-        return "bounded"
-    diffs = [b - a for a, b in zip(vals, vals[1:])]
-    if all(d >= 0 for d in diffs) and any(d > 0 for d in diffs):
+    steps = list(zip(vals, vals[1:]))
+    if all(a <= b for a, b in steps) and any(a < b for a, b in steps):
         return "monotone-increasing"
-    if all(d <= 0 for d in diffs):
+    if all(a >= b for a, b in steps):
         return "bounded"
     return "oscillating"
 
@@ -178,13 +175,15 @@ class _Query(NamedTuple):
 def _query(depth: int, q_list=None, M_max: int = 0) -> _Query:
     """The one argument check of the four engines: a q list, when the class
     reads one, holds at least one q and every q exceeds 1; depth is at
-    least 1."""
+    least 1, and M at least 0."""
     if q_list is not None:
         q_list = tuple(map(Fraction, q_list))
         if not q_list or any(q <= 1 for q in q_list):
             raise ValueError("need at least one q > 1")
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if M_max < 0:
+        raise ValueError("M must be at least 0")
     return _Query(q_list, M_max, depth)
 
 
@@ -321,13 +320,13 @@ def _empirical_ihat(f: TailFamily, query: _Query) -> Verdict:
     for q in q_list:
         comps = cc1_components(expand(BlowupOf(f, q), depth))
         shallow = cc1_components(expand(BlowupOf(f, q), max(1, depth // 2)))
-        growing = len(comps) > len(shallow)
+        growing = len(comps.blocks) > len(shallow.blocks)
         betas, _ = component_ratios(comps)
         stable = _width_record_early(betas)
         value = value and growing and stable
         trend = classify_trend(betas)
         notes.append(
-            f"q={format_rational(q)}: {len(comps)} components"
+            f"q={format_rational(q)}: {len(comps.blocks)} components"
             f" ({'growing' if growing else 'stalled'}),"
             f" width-ratio record {'early' if stable else 'still moving'}"
         )
@@ -361,35 +360,34 @@ def test_ihat_sp(f: TailFamily, q_list=(Fraction(2),), depth: int = 32) -> Verdi
 def _empirical_csp(f: TailFamily, query: _Query) -> Verdict:
     depth = query.depth
     chain = expand(f, depth)
-    blocks = chain.blocks
-    if not blocks:
+    if not chain.blocks:
         return Verdict.empirical(True, depth, "bounded", "nothing known above the horizon")
     # greedy ladder search with the fixed candidate factor COVER_Q: a block
     # joins the running cluster while the gap stays bridgeable and the span
     # stays coverable by one interval (both within COVER_Q^2); the witness
-    # looks real when successive cluster heads shrink ever faster
-    cap = COVER_Q * COVER_Q
+    # looks real when successive cluster heads shrink ever faster (on ints)
+    _, lo, hi, _ = chain._view
+    n, d = (COVER_Q * COVER_Q).as_integer_ratio()
     clusters = []
-    head = block_sup(blocks[0])
-    low = block_inf(blocks[0])
-    for b in blocks[1:]:
-        if low <= cap * block_sup(b) and head <= cap * block_inf(b):
-            low = block_inf(b)
+    head, low = hi[0], lo[0]
+    for k in range(1, len(lo)):
+        if low * d <= n * hi[k] and head * d <= n * lo[k]:
+            low = lo[k]
         else:
             clusters.append(head)
-            head, low = block_sup(b), block_inf(b)
+            head, low = hi[k], lo[k]
     clusters.append(head)
-    ratios = [clusters[i + 1] / clusters[i] for i in range(len(clusters) - 1)]
-    growth = [1 / r for r in ratios]
+    growth = list(map(_ratio, clusters, clusters[1:]))
+    trend = classify_trend(growth)
     value = (
-        len(ratios) >= 3
-        and ratios[-1] <= HEAD_RATIO_CUT
-        and classify_trend(growth) == "monotone-increasing"
+        len(growth) >= 3
+        and clusters[-1] * HEAD_RATIO_CUT.denominator <= HEAD_RATIO_CUT.numerator * clusters[-2]
+        and trend == "monotone-increasing"
     )
     return Verdict.empirical(
         value,
         depth,
-        classify_trend(growth),
+        trend,
         f"trend of inverse cover-head ratios with candidate factor "
         f"{format_rational(COVER_Q)}; {len(clusters)} clusters",
     )
@@ -511,7 +509,7 @@ class DecompositionResult:
         sequence never clears it, 0 when it always does)."""
         out = []
         for part in self.parts[:-1]:
-            _, gammas = component_ratios(part.chain.blocks)
+            _, gammas = component_ratios(part.chain)
             pos = 0
             for i, g in enumerate(gammas):
                 if g <= bound:
@@ -547,15 +545,15 @@ def decompose_csp(
         reason, bound = obstruction
         return HypothesisFailure(reason, n, q, depth, window_bound=bound)
 
-    blown = expand(BlowupOf(f, q), depth)
-    comps = cc1_components(blown)
+    chain = cc1_components(expand(BlowupOf(f, q), depth))
+    comps = chain.blocks
     t = len(comps)
     if t < 3 * (n + 1):
         return HypothesisFailure(
             f"only {t} components at this depth; need {3 * (n + 1)}", n, q, depth
         )
 
-    betas, gammas = component_ratios(comps)  # gammas[i - 1] follows component i
+    betas, gammas = component_ratios(chain)  # gammas[i - 1] follows component i
     if not closed_form:
         # check the windowed maxima empirically at depth
         maxima = _windowed_maxima(gammas, n)
@@ -593,11 +591,13 @@ def decompose_csp(
     assert all(comps[i].lo >= comps[seps[0] - 1].lo for i in range(seps[0]))
 
     parts = []
+    D, lo, hi, horizon = chain._view
     for indices in slots:
         chosen = tuple(comps[i - 1] for i in indices)
         upper = chosen[0].hi if chosen else comps[0].hi
-        # a subsequence of the blown components, all above its horizon
-        parts.append(ExplicitChain(_chain(chosen, upper, blown.horizon)))
+        # a subsequence of the blown components, all above their horizon
+        view = _View(D, tuple(lo[i - 1] for i in indices), tuple(hi[i - 1] for i in indices), horizon)
+        parts.append(ExplicitChain(_chain(chosen, upper, chain.horizon, view)))
     parts.append(CofiniteTail(comps[seps[0] - 1].lo))
 
     verdicts = tuple(test_csp(p, depth) for p in parts[:-1])

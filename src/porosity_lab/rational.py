@@ -10,14 +10,16 @@ denominator is 1), infinity as the string "inf".  Only exact rationals are
 read back: every parsed value is an input parameter, and no input may be
 infinite.
 
-The blow-up kernel works on numerator/denominator ints and uses two helpers
-from here: `_fraction` wraps a pair that is already in lowest terms, and
-`_gt` compares two positive ratios, from bit lengths where they settle it.
+The integer paths (chain views, the blow-up kernel) build Fractions with
+three helpers: `_fraction` wraps a pair already in lowest terms, `_ratio`
+reduces a quotient of ints by one gcd, and `_scaled` multiplies by a ratio
+with gcds against the ratio's small terms only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 __all__ = [
@@ -53,21 +55,18 @@ def _fraction(n: int, d: int) -> Fraction:
     return x
 
 
-def _gt(an: int, ad: int, bn: int, bd: int) -> bool:
-    """an/ad > bn/bd, for positive ints.
+def _ratio(n: int, d: int) -> Fraction:
+    """The Fraction n/d, for ints n >= 0 and d > 0."""
+    g = gcd(n, d)
+    return _fraction(n // g, d // g)
 
-    The cross products an*bd and bn*ad are below 2**s and at least
-    2**(s-2), where s sums the bit lengths of their factors; when the two
-    sums differ by 2 or more (the products by more than 4x), the sums
-    decide, and only closer pairs are multiplied out.
-    """
-    left = an.bit_length() + bd.bit_length()
-    right = bn.bit_length() + ad.bit_length()
-    if left - right >= 2:
-        return True
-    if right - left >= 2:
-        return False
-    return an * bd > bn * ad
+
+def _scaled(x: Fraction, a: int, b: int) -> Fraction:
+    """x * a/b, for a and b > 0 coprime: x = n/d in lowest terms can share
+    a factor only between n and b and between d and a."""
+    n, d = x.numerator, x.denominator
+    g, h = gcd(n, b), gcd(d, a)
+    return _fraction((n // g) * (a // h), (d // h) * (b // g))
 
 
 def is_finite(x: RationalLike) -> bool:

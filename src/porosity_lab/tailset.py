@@ -7,8 +7,9 @@ set is unspecified.  Parametric families expand to a chain at any requested
 depth; the analytic ones also carry closed-form tail certificates for the
 asymptotics a finite prefix can never prove.
 
-All coordinates and ratios are fractions.Fraction.  The only non-rational
-value is the infinity marker for diverging gap ratios.
+Every coordinate and ratio handed out is a fractions.Fraction, and the only
+non-rational value is the infinity marker for diverging gap ratios.  Inside,
+each chain carries a view of itself as ints over one denominator (`_View`).
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import gcd
+from heapq import merge
+from itertools import repeat
+from math import lcm
 from typing import NamedTuple, Optional, Tuple, Union, get_args
 
-from .rational import INF, RationalLike, _fraction, format_rational, is_finite, parse_rational
+from .rational import INF, RationalLike, _ratio, _scaled, format_rational, is_finite, parse_rational
 
 __all__ = [
     "Point",
@@ -43,7 +46,6 @@ __all__ = [
     "block_inf",
     "block_sup",
     "merge_blocks",
-    "restrict_blocks",
     "expand",
     "expand_memo",
     "lambda_gap",
@@ -102,15 +104,17 @@ def block_sup(b: Block) -> Fraction:
     return b.x if isinstance(b, Point) else b.hi
 
 
-def _blocks_descend(higher: Block, lower: Block) -> bool:
-    # every element of `lower` must be strictly below every element of
-    # `higher`; open endpoints may touch, two equal points may not
-    s, i = block_sup(lower), block_inf(higher)
-    if s > i:
-        return False
-    if s == i and isinstance(higher, Point) and isinstance(lower, Point):
-        return False
-    return True
+class _View(NamedTuple):
+    """A chain's coordinates as ints over one common denominator D: block k
+    spans lo[k]/D to hi[k]/D, the horizon is horizon/D.  Point families emit
+    it, blow-ups and unions transform their inputs' views, and only a chain
+    from outside takes an lcm.  The hot scans run on it and build Fractions
+    only for what they return."""
+
+    D: int
+    lo: Tuple[int, ...]
+    hi: Tuple[int, ...]
+    horizon: int
 
 
 @dataclass(frozen=True)
@@ -134,20 +138,28 @@ class Chain:
             raise ValueError("upper edge must be positive")
         if not 0 <= self.horizon <= self.upper:
             raise ValueError("horizon must lie in [0, upper]")
-        for b in self.blocks:
-            if block_sup(b) > self.upper:
+        # the view takes the lcm of the denominators; the checks run on it
+        ends = [self.horizon, self.upper] + [x for b in self.blocks for x in (block_inf(b), block_sup(b))]
+        D = lcm(*(x.denominator for x in ends))
+        horizon, upper, *ints = [x.numerator * (D // x.denominator) for x in ends]
+        lo, hi = tuple(ints[::2]), tuple(ints[1::2])
+        for b, l, h in zip(self.blocks, lo, hi):
+            if h > upper:
                 raise ValueError(f"block {b} sticks out above upper={self.upper}")
-            if block_inf(b) < self.horizon:
+            if l < horizon:
                 raise ValueError(f"block {b} dips below horizon={self.horizon}")
-        for higher, lower in zip(self.blocks, self.blocks[1:]):
-            if not _blocks_descend(higher, lower):
-                raise ValueError(f"blocks not strictly descending at {higher} > {lower}")
+        for k in range(1, len(lo)):
+            # open ends may touch, two equal points may not
+            if hi[k] > lo[k - 1] or lo[k] == hi[k] == lo[k - 1] == hi[k - 1]:
+                raise ValueError(f"blocks not strictly descending at {self.blocks[k - 1]} > {self.blocks[k]}")
+        object.__setattr__(self, "_view", _View(D, lo, hi, horizon))
 
 
 # Constructors for values that are valid by construction: they skip the checks
 # and Fraction conversions of __post_init__.  Only internal code whose
-# output is a valid chain by its own arithmetic uses them; every value from
-# outside the program goes through the public constructors.
+# output is a valid chain by its own arithmetic uses them, and hands over the
+# view; every value from outside the program goes through the public
+# constructors.
 
 
 def _point(x: Fraction) -> Point:
@@ -163,58 +175,35 @@ def _interval(lo: Fraction, hi: Fraction) -> Interval:
     return i
 
 
-def _chain(blocks: Tuple[Block, ...], upper: Fraction, horizon: Fraction) -> Chain:
+def _chain(blocks: Tuple[Block, ...], upper: Fraction, horizon: Fraction, view: _View) -> Chain:
     c = object.__new__(Chain)
     object.__setattr__(c, "blocks", blocks)
     object.__setattr__(c, "upper", upper)
     object.__setattr__(c, "horizon", horizon)
+    object.__setattr__(c, "_view", view)
     return c
 
 
-def merge_blocks(blocks) -> Tuple[Block, ...]:
-    """Normalize an arbitrary collection of blocks into a descending chain.
-
-    Intervals overlapping on a set of positive length merge; open intervals
-    sharing only an endpoint stay separate (their union is disconnected).
-    Points interior to an interval are absorbed, duplicate points collapse,
-    points sitting on an open endpoint stay separate.
-    """
-    items = sorted(blocks, key=lambda b: (block_inf(b), block_sup(b)))
-    out: list = []
-    for b in items:
-        if not out:
-            out.append(b)
-            continue
-        cur = out[-1]
-        c_hi = block_sup(cur)
-        b_lo, b_hi = block_inf(b), block_sup(b)
-        if isinstance(cur, Interval) and isinstance(b, Interval):
-            if b_lo < c_hi:
-                if b_hi > c_hi:
-                    out[-1] = Interval(cur.lo, b_hi)
+def merge_blocks(items) -> Tuple[list, list, list]:
+    """Merge (hi, lo, tag, block) items in descending (hi, lo) order, as
+    `heapq.merge` gives them from several chains' views, into a chain's
+    blocks and their lo and hi ints.  Intervals overlapping on a set of
+    positive length merge; a point inside an interval, or equal to the point
+    above, vanishes; open ends that touch, or carry a point, stay apart."""
+    blocks, los, his = [], [], []
+    for hi, lo, _, b in items:
+        if blocks:
+            if type(blocks[-1]) is Interval:
+                if hi > los[-1]:  # inside or overlapping the block above
+                    if type(b) is Interval and lo < los[-1]:
+                        blocks[-1], los[-1] = _interval(b.lo, blocks[-1].hi), lo
+                    continue
+            elif type(b) is Point and hi == los[-1]:
                 continue
-        elif isinstance(cur, Interval) and isinstance(b, Point):
-            if b_lo < c_hi:  # interior point, already covered
-                continue
-        elif isinstance(cur, Point) and isinstance(b, Point):
-            if b.x == cur.x:
-                continue
-        # points never extend an interval and never straddle one from below
-        out.append(b)
-    out.reverse()
-    return tuple(out)
-
-
-def restrict_blocks(blocks, floor: Fraction) -> Tuple[Block, ...]:
-    """Blocks of the set intersected with [floor, upper]: points below the
-    floor drop out, straddling intervals are clipped above it."""
-    kept = []
-    for b in blocks:
-        if block_inf(b) >= floor:
-            kept.append(b)
-        elif isinstance(b, Interval) and b.hi > floor:
-            kept.append(Interval(floor, b.hi))
-    return tuple(kept)
+        blocks.append(b)
+        los.append(lo)
+        his.append(hi)
+    return blocks, los, his
 
 
 def _check_q(q) -> Fraction:
@@ -302,7 +291,8 @@ class _Family:
 
 class _PointFamily(_Family):
     """A family of points given by a closed form, from which it states
-    everything the verdicts need: its points (`_points`), the porosity
+    everything the verdicts need: its points (the first, `x0`, and the
+    ratios between consecutive ones, `_ratios`), the porosity
     index, the blow-up certificate, one rule per class as plain
     (value, certificate, note) data (`sp_rule`, `csp_rule`, and
     `ihat_rule`/`icsp_rule` at a representative blow-up factor q), and
@@ -311,9 +301,22 @@ class _PointFamily(_Family):
     has_zero_accumulation = True
 
     def _expand(self, depth: int) -> Chain:
-        # the points are positive Fractions, strictly descending
-        points = tuple(map(_point, self._points(depth)))
-        return _chain(points, points[0].x, points[-1].x)
+        # x_k = x0 * r_1 ... r_k for coprime ratio pairs (n, d): the points
+        # reduce against each ratio's small terms; the view keeps unreduced
+        # lo_k = x0_n n_1..n_k d_{k+1}..d_m over D = x0_d d_1..d_m
+        top = x = self.x0
+        points, nums, dens = [_point(x)], [x.numerator], [x.denominator]
+        for n, d in self._ratios(depth):
+            x = _scaled(x, n, d)
+            points.append(_point(x))
+            nums.append(nums[-1] * n)
+            dens.append(d)
+        D = 1
+        for k in range(len(nums) - 1, -1, -1):
+            nums[k] *= D
+            D *= dens[k]
+        lo = tuple(nums)
+        return _chain(tuple(points), top, x, _View(D, lo, lo, lo[-1]))
 
     def decomposition_obstruction(self, n: int, q: Fraction):
         """(reason, window bound) when the closed form rules out the
@@ -344,11 +347,8 @@ class GeometricLadder(_Ladder):
     set keeps a fixed fraction of free space below every point and never
     becomes strongly porous."""
 
-    def _points(self, depth):
-        x = self.x0
-        for _ in range(depth):
-            yield x
-            x *= self.rho
+    def _ratios(self, depth):
+        return repeat((self.rho.numerator, self.rho.denominator), depth - 1)
 
     def porosity_index(self):
         return 1 - self.rho
@@ -396,13 +396,10 @@ class SuperGeometricLadder(_Ladder):
     """Points x0 * rho**(n(n+1)/2): consecutive ratios rho**(n+1) shrink to
     zero, so the relative gaps below the points open up completely."""
 
-    def _points(self, depth):
-        x = self.x0
-        step = self.rho
-        for _ in range(depth):
-            yield x
-            x *= step
-            step *= self.rho
+    def _ratios(self, depth):
+        n, d = self.rho.numerator, self.rho.denominator
+        for k in range(1, depth):
+            yield n**k, d**k
 
     def porosity_index(self):
         return Fraction(1)
@@ -447,22 +444,20 @@ class ExampleFamily(_PointFamily):
     """
 
     alpha: Fraction
+    x0 = Fraction(1)  # y(0,1), not a field
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
 
-    def _points(self, depth):
-        y = Fraction(1)
+    def _ratios(self, depth):
+        n, d = self.alpha.numerator, self.alpha.denominator
         for j in range(1, depth + 1):
-            yield y
-            step = self.alpha  # alpha**k for the k-th point of the block
-            for _ in range(j):
-                y *= step
-                yield y
-                step *= self.alpha
-            y *= step  # the joint: alpha**(j+1)
+            if j > 1:
+                yield n**j, d**j  # the joint below block j - 1
+            for k in range(1, j + 1):
+                yield n**k, d**k
 
     def merge_cutoff(self, q: Fraction) -> int:
         """Largest k >= 0 with alpha**k * q**2 > 1: the first k gaps of a
@@ -569,16 +564,13 @@ class PatternLadder(_PointFamily):
         if not 0 < self.decay < 1:
             raise ValueError("decay must lie in (0, 1)")
 
-    def _points(self, depth):
-        x = self.x0
-        joint = self.decay  # decay**(g+1) below group g
-        for _ in range(depth):
-            yield x
-            for r in self.ratios:
-                x *= r
-                yield x
-            x *= joint
-            joint *= self.decay
+    def _ratios(self, depth):
+        n, d = self.decay.numerator, self.decay.denominator
+        group = [(r.numerator, r.denominator) for r in self.ratios]
+        for g in range(depth):
+            if g:
+                yield n**g, d**g  # the joint below group g - 1
+            yield from group
 
     def porosity_index(self):
         return Fraction(1)
@@ -668,11 +660,28 @@ class UnionOf(_Family):
         return any(p.has_zero_accumulation for p in self.parts)
 
     def _expand(self, depth):
+        # the parts' views, lifted onto the lcm of their denominators, merge
+        # in one pass: each part already descends
         chains = [expand(p, depth) for p in self.parts]
+        D = lcm(*(c._view.D for c in chains))
+        runs = []
+        for k, c in enumerate(chains):
+            v, m = c._view, D // c._view.D
+            lo = [x * m for x in v.lo]
+            hi = lo if v.hi is v.lo else [x * m for x in v.hi]
+            runs.append(zip(hi, lo, repeat(k), c.blocks))
         horizon = max(c.horizon for c in chains)
+        floor = horizon.numerator * (D // horizon.denominator)
+        blocks, lo, hi = merge_blocks(merge(*runs, reverse=True))
+        # the union is known only above the highest part horizon: blocks
+        # below it drop out, one straddling interval is clipped
+        while lo and lo[-1] < floor:
+            if hi[-1] > floor and type(blocks[-1]) is Interval:
+                blocks[-1], lo[-1] = _interval(horizon, blocks[-1].hi), floor
+                break
+            del blocks[-1], lo[-1], hi[-1]
         upper = max(c.upper for c in chains)
-        blocks = merge_blocks(b for c in chains for b in c.blocks)
-        return _chain(restrict_blocks(blocks, horizon), upper, horizon)
+        return _chain(tuple(blocks), upper, horizon, _View(D, tuple(lo), tuple(hi), floor))
 
 
 @dataclass(frozen=True)
@@ -835,19 +844,20 @@ def probe_ratios(c: Chain) -> list:
     Equal to lambda_gap at each probe, in one bottom-up pass: the certain
     gaps below the lower end of block k are the tail above the horizon and
     the joints inf(b[j-1]) - sup(b[j]) for j > k, so a running maximum over
-    the blocks already passed gives lambda at every probe.
+    the blocks already passed gives lambda at every probe.  It runs on the
+    chain's view, where D cancels from every ratio.
     """
     blocks = c.blocks
     if not blocks:
         return []
-    best = block_inf(blocks[-1]) - c.horizon
+    _, lo, hi, horizon = c._view
+    best = lo[-1] - horizon
     samples = []
     for k in range(len(blocks) - 1, -1, -1):
-        h = block_inf(blocks[k])
-        if h > c.horizon:
-            samples.append((h, best / h))
-        if k:
-            best = max(best, block_inf(blocks[k - 1]) - block_sup(blocks[k]))
+        if lo[k] > horizon:
+            samples.append((block_inf(blocks[k]), _ratio(best, lo[k])))
+        if k and lo[k - 1] - hi[k] > best:
+            best = lo[k - 1] - hi[k]
     samples.reverse()
     return samples
 
@@ -888,20 +898,12 @@ def blowup_certificate(base: TailFamily, q) -> TailCertificate:
     return base.blowup_certificate(_check_q(q))
 
 
-def _quotient(x: Fraction, y: Fraction) -> Fraction:
-    # x / y for positive x and y, reduced by the same two gcds as
-    # Fraction's own division
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    g, h = gcd(xn, yn), gcd(xd, yd)
-    return _fraction((xn // g) * (yd // h), (xd // h) * (yn // g))
-
-
-def component_ratios(comps) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
-    """Width ratios b_i/a_i and gap ratios a_i/b_{i+1} of a descending
-    tuple of intervals (a_i, b_i)."""
-    betas = tuple(_quotient(c.hi, c.lo) for c in comps)
-    gammas = tuple(_quotient(comps[i].lo, comps[i + 1].hi) for i in range(len(comps) - 1))
-    return betas, gammas
+def component_ratios(c: Chain) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+    """Width ratios b_i/a_i and gap ratios a_i/b_{i+1} of a chain of
+    intervals (a_i, b_i), such as the components `cc1_components` keeps;
+    each is a quotient of two view ints."""
+    _, lo, hi, _ = c._view
+    return tuple(map(_ratio, hi, lo)), tuple(map(_ratio, lo, hi[1:]))
 
 
 # ---------------------------------------------------------------------------

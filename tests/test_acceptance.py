@@ -179,7 +179,7 @@ def test_criterion_5_blowup_property_suite():
                 if img.hi / img.lo < q * q:
                     violations.append(("beta", trial))
         # component count above a: a * q^(2K) <= 1
-        comps = cc1_components(blown)
+        comps = cc1_components(blown).blocks
         for a in (F(1, 100), F(1, 10)):
             k = sum(1 for c in comps if c.lo >= a)
             if k and a * q ** (2 * k) > 1:
@@ -220,9 +220,10 @@ def test_component_ratios_on_random_blown_chains():
     rng = random.Random(23)
     for _ in range(30):
         ladder = expand(GeometricLadder(1, F(rng.randint(1, 9), 10)), 12)
-        blown.append(blow_up_chain(ladder, F(rng.randint(5, 20), 4)).blocks)
-    for comps in blown:
-        betas, gammas = component_ratios(comps)
+        blown.append(blow_up_chain(ladder, F(rng.randint(5, 20), 4)))
+    for chain in blown:
+        comps = chain.blocks
+        betas, gammas = component_ratios(chain)
         assert len(betas) == len(comps)
         assert len(gammas) == max(len(comps) - 1, 0)
         for beta, c in zip(betas, comps):
@@ -322,7 +323,7 @@ def test_criterion_7_decomposition_oracle():
         result = decompose_csp(family, n, F(2), depth=24)
         assert isinstance(result, DecompositionResult), (family, result)
         assert len(result.parts) == 2 * n + 2
-        comps = cc1_components(expand(BlowupOf(family, F(2)), 24))
+        comps = cc1_components(expand(BlowupOf(family, F(2)), 24)).blocks
         gathered = []
         for part in result.parts[:-1]:
             gathered.extend(part.chain.blocks)

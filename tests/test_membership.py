@@ -178,6 +178,19 @@ def test_every_engine_checks_depth_and_q_on_every_path(f):
             i_csp_verdict(f, q_list)
 
 
+@pytest.mark.parametrize("f", ARGUMENT_CHECK_FAMILIES)
+def test_i_csp_checks_M_on_every_path(f):
+    # the window offset M counts from 0, as the CLI's --M does
+    with pytest.raises(ValueError, match="M must be at least 0"):
+        i_csp_verdict(f, QS, -1, 16)
+    assert i_csp_verdict(f, QS, 0, 4).depth in (None, 4)
+
+
+def test_reproduce_example_checks_M():
+    with pytest.raises(ValueError, match="M must be at least 0"):
+        reproduce_example(F(1, 2), 8, (F(2),), M_max=-1)
+
+
 def random_family(rng, wrap=True):
     kind = rng.randrange(4)
     if kind == 0:
@@ -257,7 +270,7 @@ def test_reproduce_example_exact_beta_is_attained():
     rep = reproduce_example(F(1, 2), 14, (F(3),), M_max=2)
     (b,) = rep.bounds
     assert b.beta_limsup_exact == 576
-    comps = cc1_components(expand(BlowupOf(ExampleFamily(F(1, 2)), F(3)), 14))
+    comps = cc1_components(expand(BlowupOf(ExampleFamily(F(1, 2)), F(3)), 14)).blocks
     betas = [c.hi / c.lo for c in comps]
     assert max(betas) == 576
     deep = betas[len(betas) // 2 :]
@@ -274,7 +287,7 @@ def test_reproduce_example_exact_window_liminf_is_attained(M):
     (b,) = rep.bounds
     exact = b.window_liminf_exact[M]
     assert exact == alpha ** -(3 + M + 1) / (q * q)
-    comps = cc1_components(expand(BlowupOf(ExampleFamily(alpha), q), 14))
+    comps = cc1_components(expand(BlowupOf(ExampleFamily(alpha), q), 14)).blocks
     gammas = [comps[i].lo / comps[i + 1].hi for i in range(len(comps) - 1)]
     windows = [max(gammas[i : i + M + 1]) for i in range(len(gammas) - M)]
     deep = windows[len(windows) // 2 :]
@@ -311,7 +324,7 @@ def test_decompose_pattern_structure():
     assert isinstance(r, DecompositionResult)
     assert len(r.parts) == 2 * 2 + 2
     assert isinstance(r.parts[-1], CofiniteTail)
-    comps = cc1_components(expand(BlowupOf(PAT, F(2)), 16))
+    comps = cc1_components(expand(BlowupOf(PAT, F(2)), 16)).blocks
     # separators sit N+1 apart at most 2N+1
     for a, b in zip(r.block_indices, r.block_indices[1:]):
         assert 1 <= b - a <= 2 * 2 + 1

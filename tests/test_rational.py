@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import math
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -11,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porosity_lab
-from porosity_lab.rational import INF, _fraction, _gt, format_rational, is_finite, parse_rational
+from porosity_lab.rational import (
+    INF,
+    _fraction,
+    _ratio,
+    _scaled,
+    format_rational,
+    is_finite,
+    parse_rational,
+)
 
 
 @contextlib.contextmanager
@@ -74,39 +83,53 @@ def test_no_floats_in_the_library():
 
 
 # ---------------------------------------------------------------------------
-# the blow-up kernel's helpers
+# the integer paths' helpers
 
 _positive = st.fractions(min_value=0).filter(lambda x: x > 0) | st.builds(
     F, st.integers(1, 2**300), st.integers(1, 2**300)
 )
+# ints up to 300 bits, and ints of more than 4,300 digits
+_ints = st.integers(1, 2**300) | st.integers(10**4300, 10**4400)
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(_positive, _positive)
-def test_gt_is_fraction_gt(x, y):
-    assert _gt(x.numerator, x.denominator, y.numerator, y.denominator) is (x > y)
+def _formatted(x):
+    # the wire string, or the error that printing it raises
+    try:
+        return format_rational(x)
+    except ValueError as exc:
+        return repr(exc)
 
 
-@pytest.mark.parametrize("gap", [0, 1, 2, 3])
-@pytest.mark.parametrize("bits", [1, 2, 7, 64])
-def test_gt_at_each_bit_length_gap(gap, bits):
-    # an/ad against bn/bd where the bit lengths of the cross products an*bd
-    # and bn*ad sum to s + gap and s; each side takes its smallest and its
-    # largest value for those bit lengths, so the products come as close as
-    # the bit lengths allow
-    def ends(n):
-        return (2 ** (n - 1), 2**n - 1)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.just(0) | _ints, _ints, _positive | _ints.map(F))
+def test_fraction_from_a_reduced_pair_is_fraction(n, d, other):
+    # `_fraction` fills Fraction's two slots directly; on a pair reduced by
+    # its gcd it must be the Fraction that Fraction(n, d) builds
+    g = math.gcd(n, d)
+    built, x = _fraction(n // g, d // g), F(n, d)
+    assert type(built) is F
+    assert built == x and x == built and hash(built) == hash(x)
+    assert (built < other) is (x < other) and (other < built) is (other < x)
+    assert not built < x and not x < built
+    assert _formatted(built) == _formatted(x)
+    with _digit_limit_lifted():
+        assert format_rational(built) == format_rational(x)
 
-    s = 2 * bits
-    for an in ends(bits + gap):
-        for bd in ends(bits):
-            for bn in ends(bits):
-                for ad in ends(bits):
-                    assert an.bit_length() + bd.bit_length() == s + gap
-                    assert bn.bit_length() + ad.bit_length() == s
-                    for left, right in (((an, ad), (bn, bd)), ((bn, bd), (an, ad))):
-                        expect = F(*left) > F(*right)
-                        assert _gt(*left, *right) is expect, (left, right)
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.just(0) | _ints, _ints)
+def test_ratio_is_the_reduced_quotient(n, d):
+    x = _ratio(n, d)
+    assert type(x) is F and x == F(n, d)
+    assert (x.numerator, x.denominator) == (F(n, d).numerator, F(n, d).denominator)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.just(F(0)) | _positive, _positive)
+def test_scaled_is_the_reduced_product(x, r):
+    y = _scaled(x, r.numerator, r.denominator)
+    assert type(y) is F and y == x * r
+    assert (y.numerator, y.denominator) == ((x * r).numerator, (x * r).denominator)
 
 
 @settings(max_examples=200, deadline=None, database=None)

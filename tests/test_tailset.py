@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fraction_oracles import merge_blocks, restrict_blocks
 from test_family_rules import DEPTH, GRID
 
 from porosity_lab.blowup import blow_up_chain
@@ -33,10 +34,8 @@ from porosity_lab.tailset import (
     family_from_json,
     family_to_json,
     lambda_gap,
-    merge_blocks,
     porosity_profile,
     probe_ratios,
-    restrict_blocks,
 )
 
 

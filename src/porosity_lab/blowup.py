@@ -85,7 +85,8 @@ def blow_up_chain(c: Chain, q) -> Chain:
         _interval(_scaled(block_inf(blocks[j]), b, a), _scaled(block_sup(blocks[i]), a, b))
         for _, _, i, j in comps
     )
-    view = _View(v.D * a * b, tuple(x[0] for x in comps), tuple(x[1] for x in comps), v.horizon * bb)
+    lo, hi = tuple(x[0] for x in comps), tuple(x[1] for x in comps)
+    view = _View(v.D * a * b, lo, hi, v.horizon * bb)
     return _chain(blown, _scaled(c.upper, a, b), _scaled(c.horizon, b, a), view)
 
 
@@ -227,8 +228,7 @@ def find_covering_blowup(f: TailFamily, depth: int) -> Optional[Tuple[Fraction, 
         if not blown.blocks:
             return None
         anchor = block_inf(blown.blocks[-1])
-    # the anchor sits near the bottom, and at most one block holds it
-    for b in reversed(blown.blocks):
+    for b in blown.blocks:
         if block_inf(b) <= anchor < block_sup(b):
             t = min(chain.upper, block_sup(b))
             if t > anchor:

@@ -80,10 +80,12 @@ def classify_trend(values) -> str:
     only ever go up, bounded when they hold still or settle downward,
     oscillating otherwise."""
     vals = list(values)[-TREND_WINDOW:]
-    steps = list(zip(vals, vals[1:]))
-    if all(a <= b for a, b in steps) and any(a < b for a, b in steps):
+    if len(vals) < 2:
+        return "bounded"
+    diffs = [b - a for a, b in zip(vals, vals[1:])]
+    if all(d >= 0 for d in diffs) and any(d > 0 for d in diffs):
         return "monotone-increasing"
-    if all(a >= b for a, b in steps):
+    if all(d <= 0 for d in diffs):
         return "bounded"
     return "oscillating"
 
@@ -596,7 +598,9 @@ def decompose_csp(
         chosen = tuple(comps[i - 1] for i in indices)
         upper = chosen[0].hi if chosen else comps[0].hi
         # a subsequence of the blown components, all above their horizon
-        view = _View(D, tuple(lo[i - 1] for i in indices), tuple(hi[i - 1] for i in indices), horizon)
+        view = _View(
+            D, tuple(lo[i - 1] for i in indices), tuple(hi[i - 1] for i in indices), horizon
+        )
         parts.append(ExplicitChain(_chain(chosen, upper, chain.horizon, view)))
     parts.append(CofiniteTail(comps[seps[0] - 1].lo))
 

@@ -45,7 +45,6 @@ __all__ = [
     "PorosityProfile",
     "block_inf",
     "block_sup",
-    "merge_blocks",
     "expand",
     "expand_memo",
     "lambda_gap",
@@ -139,10 +138,13 @@ class Chain:
         if not 0 <= self.horizon <= self.upper:
             raise ValueError("horizon must lie in [0, upper]")
         # the view takes the lcm of the denominators; the checks run on it
-        ends = [self.horizon, self.upper] + [x for b in self.blocks for x in (block_inf(b), block_sup(b))]
+        ends = [self.horizon, self.upper]
+        ends += [x for b in self.blocks for x in (block_inf(b), block_sup(b))]
         D = lcm(*(x.denominator for x in ends))
         horizon, upper, *ints = [x.numerator * (D // x.denominator) for x in ends]
         lo, hi = tuple(ints[::2]), tuple(ints[1::2])
+        if lo == hi:  # points only: one tuple, as a point family has it
+            hi = lo
         for b, l, h in zip(self.blocks, lo, hi):
             if h > upper:
                 raise ValueError(f"block {b} sticks out above upper={self.upper}")
@@ -151,7 +153,9 @@ class Chain:
         for k in range(1, len(lo)):
             # open ends may touch, two equal points may not
             if hi[k] > lo[k - 1] or lo[k] == hi[k] == lo[k - 1] == hi[k - 1]:
-                raise ValueError(f"blocks not strictly descending at {self.blocks[k - 1]} > {self.blocks[k]}")
+                raise ValueError(
+                    f"blocks not strictly descending at {self.blocks[k - 1]} > {self.blocks[k]}"
+                )
         object.__setattr__(self, "_view", _View(D, lo, hi, horizon))
 
 
@@ -185,11 +189,12 @@ def _chain(blocks: Tuple[Block, ...], upper: Fraction, horizon: Fraction, view: 
 
 
 def merge_blocks(items) -> Tuple[list, list, list]:
-    """Merge (hi, lo, tag, block) items in descending (hi, lo) order, as
-    `heapq.merge` gives them from several chains' views, into a chain's
-    blocks and their lo and hi ints.  Intervals overlapping on a set of
-    positive length merge; a point inside an interval, or equal to the point
-    above, vanishes; open ends that touch, or carry a point, stay apart."""
+    """The merge pass of `UnionOf`, internal to it: (hi, lo, tag, block)
+    items in descending (hi, lo) order, as `heapq.merge` gives them from the
+    parts' views, become the union's blocks and their lo and hi ints.
+    Intervals overlapping on a set of positive length merge; a point inside
+    an interval, or equal to the point above, vanishes; open ends that
+    touch, or carry a point, stay apart."""
     blocks, los, his = [], [], []
     for hi, lo, _, b in items:
         if blocks:

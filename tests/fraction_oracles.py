@@ -8,7 +8,7 @@ compare every int path against its oracle.
 from fractions import Fraction
 from math import gcd
 
-from porosity_lab.membership import COVER_Q, HEAD_RATIO_CUT, TREND_WINDOW
+from porosity_lab.membership import COVER_Q, HEAD_RATIO_CUT, classify_trend
 from porosity_lab.tailset import Interval, Point, block_inf, block_sup
 
 
@@ -28,19 +28,6 @@ def probe_ratios(c):
             best = max(best, block_inf(blocks[k - 1]) - block_sup(blocks[k]))
     samples.reverse()
     return samples
-
-
-def classify_trend(values):
-    """The trend of the trailing values, from their differences."""
-    vals = list(values)[-TREND_WINDOW:]
-    if len(vals) < 2:
-        return "bounded"
-    diffs = [b - a for a, b in zip(vals, vals[1:])]
-    if all(d >= 0 for d in diffs) and any(d > 0 for d in diffs):
-        return "monotone-increasing"
-    if all(d <= 0 for d in diffs):
-        return "bounded"
-    return "oscillating"
 
 
 def csp_cover_scan(c):

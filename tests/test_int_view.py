@@ -108,6 +108,14 @@ def test_union_merge_matches_the_sorted_merge(cases):
     _assert_paths_match(merged)
 
 
+def _union_of_blocks(*blocks):
+    # one part per block, so that the merge sees them all side by side
+    parts = tuple(ExplicitChain(Chain((b,), upper=block_sup(b), horizon=0)) for b in blocks)
+    merged = expand(UnionOf(parts), 1)
+    _assert_view_exact(merged)
+    return merged.blocks
+
+
 def test_union_merge_cases():
     # touching intervals, a point on an open end, a duplicate point, a
     # point inside an interval, and an interval straddling the horizon
@@ -143,6 +151,17 @@ def test_union_merge_cases():
     assert merged.blocks == (Point(F(1, 2)), Point(F(1, 4)))
     assert (merged.blocks, merged.upper, merged.horizon) == oracle.union([d.chain, e.chain])
     _assert_view_exact(merged)
+    # the merge rules one by one, each block a part of its own
+    a = Interval(F(1, 4), F(1, 2))
+    b = Interval(F(1, 3), F(3, 4))
+    assert _union_of_blocks(a, b) == (Interval(F(1, 4), F(3, 4)),)
+    # touching endpoints stay separate
+    c = Interval(F(1, 2), 1)
+    assert _union_of_blocks(a, c) == (c, a)
+    # interior point absorbed, endpoint point kept, duplicates collapse
+    assert _union_of_blocks(a, Point(F(1, 3))) == (a,)
+    assert _union_of_blocks(a, Point(F(1, 2))) == (Point(F(1, 2)), a)
+    assert _union_of_blocks(Point(1), Point(1), Point(F(1, 2))) == (Point(1), Point(F(1, 2)))
 
 
 def _bits(c):
@@ -188,12 +207,6 @@ def test_views_of_the_pinned_grid_are_exact(name):
         if isinstance(out, DecompositionResult):
             for part in out.parts[:-1]:
                 _assert_view_exact(part.chain)
-
-
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.lists(st.fractions(max_denominator=50), max_size=16))
-def test_classify_trend_by_comparison_matches_differences(values):
-    assert membership.classify_trend(values) == oracle.classify_trend(values)
 
 
 def test_point_family_views_keep_the_unreduced_denominator():

@@ -12,7 +12,8 @@ equal counts for neither side.
         --pairs 5 --seconds 36 --out BENCH.json
 
 With ``--out`` the table is also written to a JSON file, together with the
-Python version and the number of CPUs.  Entries already in that file stay,
+Python version, the number of CPUs and the base side's commit (its path when
+it is not a git work tree of its own).  Entries already in that file stay,
 except one for the same workload and seed, which is replaced.  Each side
 runs from its own checkout's perfbench/, which is only read.
 """
@@ -38,6 +39,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=checkout, stdout=subprocess.PIPE, text=True, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def describe(checkout: Path) -> str:
+    """The short commit id of a checkout, or its path when it is not the top
+    of a git work tree."""
+    proc = subprocess.run(
+        ["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "--short", "HEAD"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    lines = proc.stdout.split()
+    if proc.returncode == 0 and len(lines) == 2 and Path(lines[0]).resolve() == checkout:
+        return lines[1]
+    return str(checkout)
 
 
 def spread(values: list) -> dict:
@@ -79,7 +93,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=36.0)
-    parser.add_argument("--base-label", default="base", help="name of the base side in the output")
     parser.add_argument("--out", type=Path, help="JSON file to add the table to")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -87,6 +100,7 @@ def main(argv=None) -> int:
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"base": args.base.resolve(), "head": ROOT}
+    base_name = describe(sides["base"])
     runs = {"base": [], "head": []}
     for i in range(args.pairs):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -96,7 +110,7 @@ def main(argv=None) -> int:
 
     table = compare(metrics, runs["base"], runs["head"])
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs; "
-          f"median [q1, q3], base = {args.base_label}")
+          f"median [q1, q3], base = {base_name}")
     for name, row in table.items():
         b, h = row["base"], row["head"]
         print(f"  {name:12s} base {b['median']:10.4f} [{b['q1']:.4f}, {b['q3']:.4f}]"
@@ -118,7 +132,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "pairs": args.pairs,
             "seconds": args.seconds,
-            "base": args.base_label,
+            "base": base_name,
             "correct": correct,
             "failed": failed,
             "metrics": table,

@@ -8,10 +8,10 @@ carries all the membership information the verdict engines consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from ._record import Record
 from .rational import _scaled
 from .tailset import (
     PROBE_WINDOW,
@@ -143,8 +143,7 @@ def blocks_subset(inner, outer) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(Record):
     """Outcome of the blown-inclusion check at a given scale."""
 
     precondition_holds: bool
@@ -152,6 +151,22 @@ class InclusionReport:
     passed: bool
     scale: Fraction
     window: Tuple[Fraction, Fraction]
+
+    def __init__(
+        self,
+        precondition_holds: bool,
+        conclusion_holds: Optional[bool],
+        passed: bool,
+        scale: Fraction,
+        window: Tuple[Fraction, Fraction],
+    ):
+        vars(self).update(
+            precondition_holds=precondition_holds,
+            conclusion_holds=conclusion_holds,
+            passed=passed,
+            scale=scale,
+            window=window,
+        )
 
 
 def check_inclusion_lemma(

@@ -13,9 +13,11 @@ computed, 2 means a hypothesis failure or a counterexample was reported,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import stat
 import sys
-from pathlib import Path
 
 from .blowup import cc1_components
 from .ideal_core import check_prime_iff_maximal, check_theorem_istar_eq_ihat
@@ -53,14 +55,28 @@ class InputError(Exception):
     pass
 
 
+def _is_file(path: str) -> bool:
+    """Whether the path names a regular file.  A path that is missing, runs
+    through a non-directory or a symlink loop, or cannot be encoded names
+    none; any other error reaching the path is raised."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except ValueError:
+        return False
+    except OSError as e:
+        if e.errno in (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP):
+            return False
+        raise
+
+
 def _load_family(text: str) -> TailFamily:
     raw = text.strip()
     if not raw.startswith("{"):
-        path = Path(raw)
         try:
-            if not path.is_file():
+            if not _is_file(raw):
                 raise InputError(f"no such family file: {raw}")
-            raw = path.read_text(encoding="utf-8")
+            with open(raw, encoding="utf-8") as fh:
+                raw = fh.read()
         except (OSError, UnicodeDecodeError) as e:
             raise InputError(f"cannot read family file: {e}") from e
     try:

@@ -33,10 +33,11 @@ Vocabulary used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import Optional
+
+from ._record import Record
 
 __all__ = [
     "MAX_GROUND_SIZE",
@@ -64,33 +65,33 @@ __all__ = [
 MAX_GROUND_SIZE = 4
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Record):
     """Ground set {0, ..., size-1}."""
 
     size: int
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
+    def __init__(self, size: int) -> None:
+        if size < 1:
             raise ValueError("ground set must have at least one point")
+        vars(self).update(size=size)
 
     @property
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
 
-@dataclass(frozen=True)
-class FamilyOfSets:
+class FamilyOfSets(Record):
     """A family of subsets of a universe, each subset a bitmask."""
 
     universe: Universe
     members: frozenset[int]
 
-    def __post_init__(self) -> None:
-        full = self.universe.full_mask
-        for m in self.members:
+    def __init__(self, universe: Universe, members: frozenset[int]) -> None:
+        full = universe.full_mask
+        for m in members:
             if m < 0 or m & ~full:
                 raise ValueError(f"member {m:#b} is not a subset of the universe")
+        vars(self).update(universe=universe, members=members)
 
 
 def _family(universe: Universe, members: frozenset[int]) -> FamilyOfSets:
@@ -285,8 +286,7 @@ def i_star(gamma: FamilyOfSets) -> FamilyOfSets:
     return _family(gamma.universe, _members(star, points))
 
 
-@dataclass(frozen=True)
-class IdealReport:
+class IdealReport(Record):
     """Full maximal-ideal analysis of one down set."""
 
     gamma: FamilyOfSets
@@ -294,6 +294,18 @@ class IdealReport:
     i_hat: FamilyOfSets
     i_star: FamilyOfSets
     equal: bool
+
+    def __init__(
+        self,
+        gamma: FamilyOfSets,
+        maximal_ideals: tuple[FamilyOfSets, ...],
+        i_hat: FamilyOfSets,
+        i_star: FamilyOfSets,
+        equal: bool,
+    ) -> None:
+        vars(self).update(
+            gamma=gamma, maximal_ideals=maximal_ideals, i_hat=i_hat, i_star=i_star, equal=equal
+        )
 
 
 def ideal_report(gamma: FamilyOfSets) -> IdealReport:
@@ -346,8 +358,7 @@ def enumerate_down_families(n: int) -> list[frozenset[int]]:
     return [frozenset(_positions(x)) for x in _down_sets(n)]
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     """Exhaustive check that the star family equals the maximal-ideal
     intersection, plus the two companion statements, over every down set of
     the size-n universe.
@@ -364,6 +375,24 @@ class TheoremReport:
     counterexamples: tuple[dict, ...]
     lemma_counterexamples: tuple[dict, ...]
     corollary_counterexamples: tuple[dict, ...]
+
+    def __init__(
+        self,
+        n: int,
+        scanned: int,
+        checked: int,
+        counterexamples: tuple[dict, ...],
+        lemma_counterexamples: tuple[dict, ...],
+        corollary_counterexamples: tuple[dict, ...],
+    ) -> None:
+        vars(self).update(
+            n=n,
+            scanned=scanned,
+            checked=checked,
+            counterexamples=counterexamples,
+            lemma_counterexamples=lemma_counterexamples,
+            corollary_counterexamples=corollary_counterexamples,
+        )
 
     @property
     def ok(self) -> bool:
@@ -427,8 +456,7 @@ def _theorem_scan(n: int) -> TheoremReport:
     )
 
 
-@dataclass(frozen=True)
-class PrimeMaximalReport:
+class PrimeMaximalReport(Record):
     """Check that prime ideals and maximal ideals coincide over 2**V."""
 
     n: int
@@ -436,6 +464,22 @@ class PrimeMaximalReport:
     prime_count: int
     maximal_count: int
     counterexamples: tuple[dict, ...]
+
+    def __init__(
+        self,
+        n: int,
+        ideal_count: int,
+        prime_count: int,
+        maximal_count: int,
+        counterexamples: tuple[dict, ...],
+    ) -> None:
+        vars(self).update(
+            n=n,
+            ideal_count=ideal_count,
+            prime_count=prime_count,
+            maximal_count=maximal_count,
+            counterexamples=counterexamples,
+        )
 
     @property
     def ok(self) -> bool:

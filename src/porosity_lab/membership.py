@@ -18,10 +18,10 @@ on the parts of a union.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
+from ._record import Record
 from .blowup import cc1_components
 from .rational import INF, RationalLike, _ratio, format_rational
 from .tailset import (
@@ -94,8 +94,7 @@ def classify_trend(values) -> str:
 # verdicts
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of an asymptotic membership test.
 
     kind "definite": value holds for the true infinite set, backed by a
@@ -108,8 +107,21 @@ class Verdict:
     value: bool
     certificate: TailCertificate
     note: str
-    depth: Optional[int] = None
-    trend: Optional[str] = None
+    depth: Optional[int]
+    trend: Optional[str]
+
+    def __init__(
+        self,
+        kind: str,
+        value: bool,
+        certificate: TailCertificate,
+        note: str,
+        depth: Optional[int] = None,
+        trend: Optional[str] = None,
+    ):
+        vars(self).update(
+            kind=kind, value=value, certificate=certificate, note=note, depth=depth, trend=trend
+        )
 
     @staticmethod
     def definite(value: bool, certificate: TailCertificate, note: str) -> "Verdict":
@@ -189,8 +201,7 @@ def _query(depth: int, q_list=None, M_max: int = 0) -> _Query:
     return _Query(q_list, M_max, depth)
 
 
-@dataclass(frozen=True)
-class _ClassRules:
+class _ClassRules(Record):
     """How one class is decided: the point families' rule, the note a
     blow-up puts in front, the rule named when a part sinks a union, whether
     the class is an ideal (closed under finite unions), and the empirical
@@ -201,6 +212,22 @@ class _ClassRules:
     sink_note: str
     ideal: bool
     empirical: Callable
+
+    def __init__(
+        self,
+        closed_form: Callable,
+        blowup_note: str,
+        sink_note: str,
+        ideal: bool,
+        empirical: Callable,
+    ):
+        vars(self).update(
+            closed_form=closed_form,
+            blowup_note=blowup_note,
+            sink_note=sink_note,
+            ideal=ideal,
+            empirical=empirical,
+        )
 
 
 def _peel(c: _ClassRules, f: TailFamily) -> Tuple[str, TailFamily]:
@@ -218,7 +245,7 @@ def _decide(c: _ClassRules, f: TailFamily, query: _Query) -> Verdict:
     # blow-up carries the base's evidence over
     prefix, f = _peel(c, f)
     verdict = _certified(c, f, query) or c.empirical(f, query)
-    return replace(verdict, note=prefix + verdict.note)
+    return verdict._replace(note=prefix + verdict.note) if prefix else verdict
 
 
 def _certified(c: _ClassRules, f: TailFamily, query: _Query) -> Optional[Verdict]:
@@ -230,7 +257,9 @@ def _certified(c: _ClassRules, f: TailFamily, query: _Query) -> Optional[Verdict
         verdict = Verdict.definite(*c.closed_form(f, query))
     else:
         verdict = combinator(c, f, query)
-    return None if verdict is None else replace(verdict, note=prefix + verdict.note)
+    if verdict is None or not prefix:
+        return verdict
+    return verdict._replace(note=prefix + verdict.note)
 
 
 _TRIVIAL_NOTE = "bounded away from 0: the whole tail (0, min E) is one free gap"
@@ -470,16 +499,17 @@ def test_i_csp(
 # the constructive decomposition
 
 
-@dataclass(frozen=True)
-class CofiniteTail:
+class CofiniteTail(Record):
     """The symbolic set {0} union (cut, infinity): everything from the cut
     upward plus the origin.  Trivially coverable, carried as-is."""
 
     cut: Fraction
 
+    def __init__(self, cut: Fraction):
+        vars(self).update(cut=cut)
 
-@dataclass(frozen=True)
-class HypothesisFailure:
+
+class HypothesisFailure(Record):
     """Why the decomposition hypotheses do not hold at this depth; when the
     obstruction is a certified bound on the windowed gap maxima, its value
     is included."""
@@ -488,11 +518,20 @@ class HypothesisFailure:
     n: int
     q: Fraction
     depth: int
-    window_bound: Optional[RationalLike] = None
+    window_bound: Optional[RationalLike]
+
+    def __init__(
+        self,
+        reason: str,
+        n: int,
+        q: Fraction,
+        depth: int,
+        window_bound: Optional[RationalLike] = None,
+    ):
+        vars(self).update(reason=reason, n=n, q=q, depth=depth, window_bound=window_bound)
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record):
     """2N+2 parts: 2N+1 interval subsequences of the component chain plus a
     cofinite tail.  block_indices holds the separating component indices
     (1-based, one per block of N+1 components); the union of all parts
@@ -504,6 +543,24 @@ class DecompositionResult:
     block_indices: Tuple[int, ...]
     cover_verified_to: Fraction
     part_verdicts: Tuple[Verdict, ...]
+
+    def __init__(
+        self,
+        parts: Tuple[object, ...],
+        n: int,
+        q: Fraction,
+        block_indices: Tuple[int, ...],
+        cover_verified_to: Fraction,
+        part_verdicts: Tuple[Verdict, ...],
+    ):
+        vars(self).update(
+            parts=parts,
+            n=n,
+            q=q,
+            block_indices=block_indices,
+            cover_verified_to=cover_verified_to,
+            part_verdicts=part_verdicts,
+        )
 
     def gamma_divergence_indices(self, bound) -> Tuple[Optional[int], ...]:
         """For each interval part, the first position in its gap-ratio
@@ -619,8 +676,7 @@ def decompose_csp(
 # the worked example
 
 
-@dataclass(frozen=True)
-class ExampleQBounds:
+class ExampleQBounds(Record):
     """Certified bounds for one blow-up factor: the width-ratio bound
     sum_{k=0..m} alpha^-k with the smallest m satisfying q < (1/alpha)^m,
     the exact width-ratio limsup, and for each window size M both the
@@ -633,14 +689,41 @@ class ExampleQBounds:
     window_liminf: Tuple[Fraction, ...]
     window_liminf_exact: Tuple[Fraction, ...]
 
+    def __init__(
+        self,
+        q: Fraction,
+        m: int,
+        beta_limsup: Fraction,
+        beta_limsup_exact: Fraction,
+        window_liminf: Tuple[Fraction, ...],
+        window_liminf_exact: Tuple[Fraction, ...],
+    ):
+        vars(self).update(
+            q=q,
+            m=m,
+            beta_limsup=beta_limsup,
+            beta_limsup_exact=beta_limsup_exact,
+            window_liminf=window_liminf,
+            window_liminf_exact=window_liminf_exact,
+        )
 
-@dataclass(frozen=True)
-class ExampleReport:
+
+class ExampleReport(Record):
     alpha: Fraction
     depth: int
     ihat_sp: Verdict
     i_csp: Verdict
     bounds: Tuple[ExampleQBounds, ...]
+
+    def __init__(
+        self,
+        alpha: Fraction,
+        depth: int,
+        ihat_sp: Verdict,
+        i_csp: Verdict,
+        bounds: Tuple[ExampleQBounds, ...],
+    ):
+        vars(self).update(alpha=alpha, depth=depth, ihat_sp=ihat_sp, i_csp=i_csp, bounds=bounds)
 
 
 def reproduce_example(alpha, depth: int, q_list, M_max: int = 8) -> ExampleReport:

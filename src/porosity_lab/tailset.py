@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from heapq import merge
 from itertools import repeat
 from math import lcm
 from typing import NamedTuple, Optional, Tuple, Union, get_args
 
+from ._record import Record
 from .rational import INF, RationalLike, _ratio, _scaled, format_rational, is_finite, parse_rational
 
 __all__ = [
@@ -66,30 +66,29 @@ __all__ = [
 # building blocks and chains
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """Isolated point of the set; strictly positive."""
 
     x: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        if self.x <= 0:
+    def __init__(self, x: Fraction):
+        x = Fraction(x)
+        if x <= 0:
             raise ValueError("point coordinate must be positive")
+        vars(self).update(x=x)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Open interval (lo, hi) with 0 < lo < hi."""
 
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if not 0 < self.lo < self.hi:
-            raise ValueError(f"need 0 < lo < hi, got ({self.lo}, {self.hi})")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if not 0 < lo < hi:
+            raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
+        vars(self).update(lo=lo, hi=hi)
 
 
 Block = Union[Point, Interval]
@@ -116,8 +115,7 @@ class _View(NamedTuple):
     horizon: int
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """Known part of a set: descending disjoint blocks inside (0, upper].
 
     The set is fully described on (horizon, upper] and unspecified below the
@@ -129,38 +127,37 @@ class Chain:
     upper: Fraction
     horizon: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "upper", Fraction(self.upper))
-        object.__setattr__(self, "horizon", Fraction(self.horizon))
-        if self.upper <= 0:
+    def __init__(self, blocks: Tuple[Block, ...], upper: Fraction, horizon: Fraction):
+        blocks, upper, horizon = tuple(blocks), Fraction(upper), Fraction(horizon)
+        if upper <= 0:
             raise ValueError("upper edge must be positive")
-        if not 0 <= self.horizon <= self.upper:
+        if not 0 <= horizon <= upper:
             raise ValueError("horizon must lie in [0, upper]")
         # the view takes the lcm of the denominators; the checks run on it
-        ends = [self.horizon, self.upper]
-        ends += [x for b in self.blocks for x in (block_inf(b), block_sup(b))]
+        ends = [horizon, upper]
+        ends += [x for b in blocks for x in (block_inf(b), block_sup(b))]
         D = lcm(*(x.denominator for x in ends))
-        horizon, upper, *ints = [x.numerator * (D // x.denominator) for x in ends]
+        floor, top, *ints = [x.numerator * (D // x.denominator) for x in ends]
         lo, hi = tuple(ints[::2]), tuple(ints[1::2])
         if lo == hi:  # points only: one tuple, as a point family has it
             hi = lo
-        for b, l, h in zip(self.blocks, lo, hi):
-            if h > upper:
-                raise ValueError(f"block {b} sticks out above upper={self.upper}")
-            if l < horizon:
-                raise ValueError(f"block {b} dips below horizon={self.horizon}")
+        for b, l, h in zip(blocks, lo, hi):
+            if h > top:
+                raise ValueError(f"block {b} sticks out above upper={upper}")
+            if l < floor:
+                raise ValueError(f"block {b} dips below horizon={horizon}")
         for k in range(1, len(lo)):
             # open ends may touch, two equal points may not
             if hi[k] > lo[k - 1] or lo[k] == hi[k] == lo[k - 1] == hi[k - 1]:
                 raise ValueError(
-                    f"blocks not strictly descending at {self.blocks[k - 1]} > {self.blocks[k]}"
+                    f"blocks not strictly descending at {blocks[k - 1]} > {blocks[k]}"
                 )
-        object.__setattr__(self, "_view", _View(D, lo, hi, horizon))
+        view = _View(D, lo, hi, floor)
+        vars(self).update(blocks=blocks, upper=upper, horizon=horizon, _view=view)
 
 
 # Constructors for values that are valid by construction: they skip the checks
-# and Fraction conversions of __post_init__.  Only internal code whose
+# and Fraction conversions of __init__.  Only internal code whose
 # output is a valid chain by its own arithmetic uses them, and hands over the
 # view; every value from outside the program goes through the public
 # constructors.
@@ -223,8 +220,7 @@ def _check_q(q) -> Fraction:
 # tail certificates
 
 
-@dataclass(frozen=True)
-class ExplicitLimit:
+class ExplicitLimit(Record):
     """Closed-form asymptotics of a component chain: the exact limsup of the
     width ratios b/a, and whether the gap ratios a_n/b_{n+1} tend to
     infinity."""
@@ -232,9 +228,11 @@ class ExplicitLimit:
     limsup_beta: RationalLike
     gamma_tends_to_infinity: bool
 
+    def __init__(self, limsup_beta: RationalLike, gamma_tends_to_infinity: bool):
+        vars(self).update(limsup_beta=limsup_beta, gamma_tends_to_infinity=gamma_tends_to_infinity)
 
-@dataclass(frozen=True)
-class EventuallyPeriodic:
+
+class EventuallyPeriodic(Record):
     """Component widths and gap ratios that repeat from some index on;
     an infinity entry in the gamma pattern marks a position whose value
     grows without bound from period to period."""
@@ -242,9 +240,12 @@ class EventuallyPeriodic:
     beta_pattern: Tuple[RationalLike, ...]
     gamma_pattern: Tuple[RationalLike, ...]
 
-    def __post_init__(self):
-        if not self.beta_pattern or not self.gamma_pattern:
+    def __init__(
+        self, beta_pattern: Tuple[RationalLike, ...], gamma_pattern: Tuple[RationalLike, ...]
+    ):
+        if not beta_pattern or not gamma_pattern:
             raise ValueError("patterns must be nonempty")
+        vars(self).update(beta_pattern=beta_pattern, gamma_pattern=gamma_pattern)
 
 
 class _Unknown:
@@ -277,7 +278,7 @@ def certificate_to_json(cert: TailCertificate) -> dict:
 # families
 
 
-class _Family:
+class _Family(Record):
     """What a family knows about itself; the defaults mean no closed form."""
 
     def porosity_index(self) -> Optional[Fraction]:
@@ -330,23 +331,21 @@ class _PointFamily(_Family):
         return None
 
 
-@dataclass(frozen=True)
 class _Ladder(_PointFamily):
     """Points descending from x0 by ratios built from one rho in (0, 1)."""
 
     x0: Fraction
     rho: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", Fraction(self.x0))
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        if self.x0 <= 0:
+    def __init__(self, x0: Fraction, rho: Fraction):
+        x0, rho = Fraction(x0), Fraction(rho)
+        if x0 <= 0:
             raise ValueError("x0 must be positive")
-        if not 0 < self.rho < 1:
+        if not 0 < rho < 1:
             raise ValueError("rho must lie in (0, 1)")
+        vars(self).update(x0=x0, rho=rho)
 
 
-@dataclass(frozen=True)
 class GeometricLadder(_Ladder):
     """Points x0 * rho**n, n = 0, 1, 2, ...  Gap ratios are constant, so the
     set keeps a fixed fraction of free space below every point and never
@@ -396,7 +395,6 @@ class GeometricLadder(_Ladder):
         return "gap ratios are constant", 1 / (q * q * self.rho)
 
 
-@dataclass(frozen=True)
 class SuperGeometricLadder(_Ladder):
     """Points x0 * rho**(n(n+1)/2): consecutive ratios rho**(n+1) shrink to
     zero, so the relative gaps below the points open up completely."""
@@ -438,7 +436,6 @@ class SuperGeometricLadder(_Ladder):
         )
 
 
-@dataclass(frozen=True)
 class ExampleFamily(_PointFamily):
     """Blocks of points whose in-block gap ratios alpha**k tighten more and
     more slowly while the joints between blocks widen without bound.
@@ -451,10 +448,11 @@ class ExampleFamily(_PointFamily):
     alpha: Fraction
     x0 = Fraction(1)  # y(0,1), not a field
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if not 0 < self.alpha < 1:
+    def __init__(self, alpha: Fraction):
+        alpha = Fraction(alpha)
+        if not 0 < alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
+        vars(self).update(alpha=alpha)
 
     def _ratios(self, depth):
         n, d = self.alpha.numerator, self.alpha.denominator
@@ -542,7 +540,6 @@ class ExampleFamily(_PointFamily):
         )
 
 
-@dataclass(frozen=True)
 class PatternLadder(_PointFamily):
     """Points in groups of a fixed multiplicative shape.
 
@@ -557,17 +554,16 @@ class PatternLadder(_PointFamily):
     ratios: Tuple[Fraction, ...]
     decay: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", Fraction(self.x0))
-        object.__setattr__(self, "ratios", tuple(Fraction(r) for r in self.ratios))
-        object.__setattr__(self, "decay", Fraction(self.decay))
-        if self.x0 <= 0:
+    def __init__(self, x0: Fraction, ratios: Tuple[Fraction, ...], decay: Fraction):
+        x0, ratios, decay = Fraction(x0), tuple(Fraction(r) for r in ratios), Fraction(decay)
+        if x0 <= 0:
             raise ValueError("x0 must be positive")
-        for r in self.ratios:
+        for r in ratios:
             if not 0 < r < 1:
                 raise ValueError("every in-group ratio must lie in (0, 1)")
-        if not 0 < self.decay < 1:
+        if not 0 < decay < 1:
             raise ValueError("decay must lie in (0, 1)")
+        vars(self).update(x0=x0, ratios=ratios, decay=decay)
 
     def _ratios(self, depth):
         n, d = self.decay.numerator, self.decay.denominator
@@ -635,7 +631,6 @@ class PatternLadder(_PointFamily):
         )
 
 
-@dataclass(frozen=True)
 class ExplicitChain(_Family):
     """A chain given verbatim; depth is ignored on expansion.  Carries no
     accumulation claim: a finite block list never certifies behaviour at 0."""
@@ -644,21 +639,24 @@ class ExplicitChain(_Family):
 
     has_zero_accumulation = False
 
+    def __init__(self, chain: Chain):
+        vars(self).update(chain=chain)
+
     def _expand(self, depth):
         return self.chain
 
 
-@dataclass(frozen=True)
 class UnionOf(_Family):
     """Union of finitely many families.  The union is known only where every
     part is, so the merged chain keeps the highest of the part horizons."""
 
     parts: Tuple["TailFamily", ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
+    def __init__(self, parts: Tuple["TailFamily", ...]):
+        parts = tuple(parts)
+        if not parts:
             raise ValueError("union needs at least one part")
+        vars(self).update(parts=parts)
 
     @property
     def has_zero_accumulation(self):
@@ -689,7 +687,6 @@ class UnionOf(_Family):
         return _chain(tuple(blocks), upper, horizon, _View(D, tuple(lo), tuple(hi), floor))
 
 
-@dataclass(frozen=True)
 class BlowupOf(_Family):
     """The q-blow-up of another family: every point x thickens to the open
     interval (x/q, q*x) and overlaps merge."""
@@ -697,8 +694,8 @@ class BlowupOf(_Family):
     base: "TailFamily"
     q: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", _check_q(self.q))
+    def __init__(self, base: "TailFamily", q: Fraction):
+        vars(self).update(base=base, q=_check_q(q))
 
     @property
     def has_zero_accumulation(self):
@@ -867,13 +864,15 @@ def probe_ratios(c: Chain) -> list:
     return samples
 
 
-@dataclass(frozen=True)
-class PorosityProfile:
+class PorosityProfile(Record):
     """Gap-to-height ratios along the canonical probe heights, plus the
     certified upper porosity when the family admits a closed form."""
 
     samples: Tuple[Tuple[Fraction, Fraction], ...]
     p_plus: Optional[Fraction]
+
+    def __init__(self, samples: Tuple[Tuple[Fraction, Fraction], ...], p_plus: Optional[Fraction]):
+        vars(self).update(samples=samples, p_plus=p_plus)
 
 
 def certified_porosity_index(f: TailFamily) -> Optional[Fraction]:
@@ -966,8 +965,8 @@ def family_to_json(f: TailFamily) -> dict:
     if _VARIANTS.get(cls.__name__) is not cls:
         raise TypeError(f"not a tail family: {f!r}")
     out = {"variant": cls.__name__}
-    for fld in fields(cls):
-        out[fld.name] = _FIELD_CODECS.get(fld.name, _RATIONAL_CODEC)[0](getattr(f, fld.name))
+    for name in cls._fields:
+        out[name] = _FIELD_CODECS.get(name, _RATIONAL_CODEC)[0](getattr(f, name))
     return out
 
 
@@ -979,6 +978,4 @@ def family_from_json(data: dict) -> TailFamily:
     cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
     if cls is None:
         raise ValueError(f"unknown family variant: {variant!r}")
-    return cls(
-        *(_FIELD_CODECS.get(fld.name, _RATIONAL_CODEC)[1](data[fld.name]) for fld in fields(cls))
-    )
+    return cls(*(_FIELD_CODECS.get(name, _RATIONAL_CODEC)[1](data[name]) for name in cls._fields))

@@ -158,11 +158,19 @@ def test_family_from_file(tmp_path, capsys):
 def test_unreadable_family_files_are_input_errors(tmp_path, capsys):
     latin1 = tmp_path / "fam.json"
     latin1.write_bytes(GEO.replace("1/2", "\u00bd").encode("latin-1"))
-    for family in (str(latin1), "x" * 300, str(tmp_path)):
+    cases = [
+        (str(latin1), "error: cannot read family file: 'utf-8' codec can't decode"),
+        # a name too long to look up is an error of its own, not a missing file
+        ("x" * 300, "error: cannot read family file: [Errno"),
+        (str(tmp_path), f"error: no such family file: {tmp_path}\n"),
+        (str(tmp_path / "none.json"), f"error: no such family file: {tmp_path}/none.json\n"),
+        (str(latin1 / "x"), f"error: no such family file: {latin1}/x\n"),
+    ]
+    for family, message in cases:
         code, out, err = run_cli(capsys, "analyze", "--family", family)
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert err.startswith(message) and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

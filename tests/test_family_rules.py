@@ -9,7 +9,6 @@ forms against the exact component chain of the blown family at depth.
 
 import hashlib
 import json
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -154,7 +153,7 @@ def _eager(c, f, query):
         return c.empirical(f, query)
     if type(f) is BlowupOf:
         inner = _eager(c, f.base, query)
-        return replace(inner, note=c.blowup_note + inner.note)
+        return inner._replace(note=c.blowup_note + inner.note)
     if type(f) is UnionOf:
         verdicts = [_eager(c, p, query) for p in f.parts]
         for i, pv in enumerate(verdicts):
@@ -249,7 +248,7 @@ def test_union_explicit_runs_each_fallback_once(capsys, monkeypatch):
             calls.append((name, f))
             return run(f, query)
 
-        monkeypatch.setattr(membership, name, replace(rules, empirical=counting))
+        monkeypatch.setattr(membership, name, rules._replace(empirical=counting))
     code, out, _ = run_cli(capsys, *UNION_ANALYZE)
     assert code == 0 and out.count("empirical") == 4
     union = family_from_json(json.loads(UNION_EXPLICIT))

@@ -4,7 +4,6 @@ The oracle is the frozenset implementation the bitset kernel replaced: a
 family is a frozenset of bitmasks and every check loops over its members.
 """
 
-import dataclasses
 import random
 from itertools import combinations
 
@@ -450,7 +449,7 @@ def test_exhaustive_scans_at_n5():
 
 @pytest.mark.parametrize("n", range(1, MAX_GROUND_SIZE + 1))
 def test_theorem_report_equals_the_oracle(n):
-    assert dataclasses.astuple(check_theorem_istar_eq_ihat(n)) == _oracle_theorem(n)
+    assert check_theorem_istar_eq_ihat(n)._astuple() == _oracle_theorem(n)
 
 
 def assert_report_matches_oracle(gamma):

@@ -1,0 +1,259 @@
+"""The package's value classes behave as immutable records.
+
+Every class is built here by keyword, so its field names and their order
+are pinned by the repr; equality, hashing, immutability and the defaults are
+checked for each.  A fresh interpreter importing the CLI must not load
+`dataclasses` or `inspect`, whose import alone costs milliseconds on every
+start.
+"""
+
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from porosity_lab.blowup import InclusionReport
+from porosity_lab.ideal_core import (
+    FamilyOfSets,
+    IdealReport,
+    PrimeMaximalReport,
+    TheoremReport,
+    Universe,
+)
+from porosity_lab.membership import (
+    CofiniteTail,
+    DecompositionResult,
+    ExampleQBounds,
+    ExampleReport,
+    HypothesisFailure,
+    Verdict,
+    _ClassRules,
+)
+from porosity_lab.rational import INF
+from porosity_lab.tailset import (
+    UNKNOWN,
+    BlowupOf,
+    Chain,
+    EventuallyPeriodic,
+    ExampleFamily,
+    ExplicitChain,
+    ExplicitLimit,
+    GeometricLadder,
+    Interval,
+    PatternLadder,
+    Point,
+    PorosityProfile,
+    SuperGeometricLadder,
+    UnionOf,
+    _Ladder,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CHAIN = dict(blocks=(Interval(F(1, 2), F(1)), Point(F(1, 4))), upper=F(1), horizon=F(1, 8))
+LADDER = dict(x0=F(1), rho=F(1, 2))
+FAMILY = dict(universe=Universe(2), members=frozenset({0, 1}))
+VERDICT = dict(
+    kind="empirical", value=True, certificate=UNKNOWN, note="n", depth=8, trend="bounded"
+)
+Q_BOUNDS = dict(
+    q=F(2),
+    m=1,
+    beta_limsup=F(3),
+    beta_limsup_exact=F(4),
+    window_liminf=(F(4),),
+    window_liminf_exact=(F(8),),
+)
+
+# (class, keyword arguments in field order): all 27 value classes
+RECORDS = [
+    (Point, dict(x=F(1, 2))),
+    (Interval, dict(lo=F(1, 4), hi=F(1, 2))),
+    (Chain, CHAIN),
+    (ExplicitLimit, dict(limsup_beta=F(4), gamma_tends_to_infinity=True)),
+    (EventuallyPeriodic, dict(beta_pattern=(F(4), F(2)), gamma_pattern=(F(3), INF))),
+    (_Ladder, LADDER),
+    (GeometricLadder, LADDER),
+    (SuperGeometricLadder, LADDER),
+    (ExampleFamily, dict(alpha=F(1, 2))),
+    (PatternLadder, dict(x0=F(1), ratios=(F(1, 2), F(1, 3)), decay=F(1, 4))),
+    (ExplicitChain, dict(chain=Chain(**CHAIN))),
+    (UnionOf, dict(parts=(GeometricLadder(**LADDER), ExampleFamily(F(1, 3))))),
+    (BlowupOf, dict(base=SuperGeometricLadder(**LADDER), q=F(3, 2))),
+    (PorosityProfile, dict(samples=((F(1, 2), F(1, 2)),), p_plus=None)),
+    (
+        InclusionReport,
+        dict(
+            precondition_holds=True,
+            conclusion_holds=None,
+            passed=True,
+            scale=F(1, 2),
+            window=(F(0), F(1)),
+        ),
+    ),
+    (Universe, dict(size=3)),
+    (FamilyOfSets, FAMILY),
+    (
+        IdealReport,
+        dict(
+            gamma=FamilyOfSets(**FAMILY),
+            maximal_ideals=(FamilyOfSets(**FAMILY),),
+            i_hat=FamilyOfSets(**FAMILY),
+            i_star=FamilyOfSets(**FAMILY),
+            equal=True,
+        ),
+    ),
+    (
+        TheoremReport,
+        dict(
+            n=2,
+            scanned=6,
+            checked=4,
+            counterexamples=(),
+            lemma_counterexamples=(),
+            corollary_counterexamples=(),
+        ),
+    ),
+    (
+        PrimeMaximalReport,
+        dict(n=2, ideal_count=3, prime_count=2, maximal_count=2, counterexamples=()),
+    ),
+    (Verdict, VERDICT),
+    (
+        _ClassRules,
+        dict(closed_form=len, blowup_note="b", sink_note="s", ideal=True, empirical=repr),
+    ),
+    (CofiniteTail, dict(cut=F(1, 2))),
+    (HypothesisFailure, dict(reason="r", n=1, q=F(2), depth=8, window_bound=F(3))),
+    (
+        DecompositionResult,
+        dict(
+            parts=(CofiniteTail(F(1, 2)),),
+            n=1,
+            q=F(2),
+            block_indices=(1,),
+            cover_verified_to=F(1, 4),
+            part_verdicts=(Verdict(**VERDICT),),
+        ),
+    ),
+    (ExampleQBounds, Q_BOUNDS),
+    (
+        ExampleReport,
+        dict(
+            alpha=F(1, 2),
+            depth=8,
+            ihat_sp=Verdict(**VERDICT),
+            i_csp=Verdict(**VERDICT),
+            bounds=(ExampleQBounds(**Q_BOUNDS),),
+        ),
+    ),
+]
+IDS = [cls.__name__ for cls, _ in RECORDS]
+
+# a second value for each class's first field, to build an unequal record
+RECORDS_ALT = {
+    Point: F(1, 3),
+    Interval: F(1, 8),
+    Chain: (Point(F(1, 2)),),
+    ExplicitLimit: F(5),
+    EventuallyPeriodic: (F(5),),
+    _Ladder: F(2),
+    GeometricLadder: F(2),
+    SuperGeometricLadder: F(2),
+    ExampleFamily: F(1, 3),
+    PatternLadder: F(2),
+    ExplicitChain: Chain((), upper=F(1), horizon=F(1, 2)),
+    UnionOf: (ExampleFamily(F(1, 3)),),
+    BlowupOf: GeometricLadder(**LADDER),
+    PorosityProfile: (),
+    InclusionReport: False,
+    Universe: 4,
+    FamilyOfSets: Universe(3),
+    IdealReport: FamilyOfSets(Universe(2), frozenset({0})),
+    TheoremReport: 3,
+    PrimeMaximalReport: 3,
+    Verdict: "definite",
+    _ClassRules: abs,
+    CofiniteTail: F(1, 3),
+    HypothesisFailure: "s",
+    DecompositionResult: (),
+    ExampleQBounds: F(3),
+    ExampleReport: F(1, 3),
+}
+
+
+def test_every_value_class_is_listed():
+    assert len({cls for cls, _ in RECORDS}) == 27
+
+
+@pytest.mark.parametrize("cls, kwargs", RECORDS, ids=IDS)
+def test_repr_names_the_fields_in_order(cls, kwargs):
+    shown = ", ".join(f"{name}={value!r}" for name, value in kwargs.items())
+    assert repr(cls(**kwargs)) == f"{cls.__name__}({shown})"
+
+
+def test_repr_keeps_the_dataclass_format():
+    assert repr(Point(x=F(1, 2))) == "Point(x=Fraction(1, 2))"
+    assert (
+        repr(GeometricLadder(1, F(1, 2)))
+        == "GeometricLadder(x0=Fraction(1, 1), rho=Fraction(1, 2))"
+    )
+    assert repr(Verdict(**VERDICT)) == (
+        "Verdict(kind='empirical', value=True, certificate=Unknown, note='n', "
+        "depth=8, trend='bounded')"
+    )
+
+
+@pytest.mark.parametrize("cls, kwargs", RECORDS, ids=IDS)
+def test_equal_records_hash_alike(cls, kwargs):
+    a, b = cls(**kwargs), cls(**kwargs)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    first = next(iter(kwargs))
+    assert a != cls(**{**kwargs, first: RECORDS_ALT[cls]})
+    assert a != tuple(kwargs.values()) and a != object()
+
+
+def test_records_of_different_classes_differ():
+    geo, sup = GeometricLadder(1, F(1, 2)), SuperGeometricLadder(1, F(1, 2))
+    assert geo != sup and sup != geo
+    assert len({geo, sup}) == 2
+
+
+@pytest.mark.parametrize("cls, kwargs", RECORDS, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(cls, kwargs):
+    record = cls(**kwargs)
+    name, value = next(iter(kwargs.items()))
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(record, name, value)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(record, name)
+    assert getattr(record, name) == value
+
+
+def test_defaults_hold():
+    v = Verdict("definite", True, ExplicitLimit(F(4), True), "n")
+    assert v.depth is None and v.trend is None
+    assert HypothesisFailure("r", 1, F(2), 8).window_bound is None
+
+
+def test_chain_errors_embed_the_block_reprs():
+    with pytest.raises(ValueError) as info:
+        Chain((Point(F(1, 2)), Point(F(1))), upper=F(1), horizon=F(0))
+    assert str(info.value) == (
+        "blocks not strictly descending at Point(x=Fraction(1, 2)) > Point(x=Fraction(1, 1))"
+    )
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site-packages hooks out: only the package's own imports count
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import porosity_lab.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == []

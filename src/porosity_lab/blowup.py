@@ -9,7 +9,6 @@ carries all the membership information the verdict engines consume.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple
 
 from ._record import Record
 from .rational import _scaled
@@ -107,7 +106,7 @@ def cc1_components(c: Chain) -> Chain:
 # inclusion under blow-up
 
 
-def blocks_within(blocks, lo: Fraction, hi: Fraction) -> Tuple[Block, ...]:
+def blocks_within(blocks, lo: Fraction, hi: Fraction) -> tuple[Block, ...]:
     """Blocks of the set intersected with the open window (lo, hi)."""
     kept = []
     for b in blocks:
@@ -147,26 +146,10 @@ class InclusionReport(Record):
     """Outcome of the blown-inclusion check at a given scale."""
 
     precondition_holds: bool
-    conclusion_holds: Optional[bool]
+    conclusion_holds: bool | None
     passed: bool
     scale: Fraction
-    window: Tuple[Fraction, Fraction]
-
-    def __init__(
-        self,
-        precondition_holds: bool,
-        conclusion_holds: Optional[bool],
-        passed: bool,
-        scale: Fraction,
-        window: Tuple[Fraction, Fraction],
-    ):
-        vars(self).update(
-            precondition_holds=precondition_holds,
-            conclusion_holds=conclusion_holds,
-            passed=passed,
-            scale=scale,
-            window=window,
-        )
+    window: tuple[Fraction, Fraction]
 
 
 def check_inclusion_lemma(
@@ -212,7 +195,7 @@ def check_inclusion_lemma(
 # covering blow-up for non-porous sets
 
 
-def find_covering_blowup(f: TailFamily, depth: int) -> Optional[Tuple[Fraction, Fraction]]:
+def find_covering_blowup(f: TailFamily, depth: int) -> tuple[Fraction, Fraction] | None:
     """Find (q, t) such that the blown-up chain has no gap between q*horizon
     and t, or None when the evidence points at full porosity instead.
 

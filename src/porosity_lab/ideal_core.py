@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import and_, or_
-from typing import Optional
 
 from ._record import Record
 
@@ -152,7 +151,7 @@ def _powerset(m: int) -> int:
     return x
 
 
-def _common(tops: Optional[int]) -> int:
+def _common(tops: int | None) -> int:
     """The part common to the members of tops, whose power set is Î.  None
     stands for a down set whose support is a member: Î is then {empty set}."""
     return 0 if tops is None else reduce(and_, _positions(tops), -1)
@@ -230,7 +229,7 @@ def is_ideal(f: FamilyOfSets, x: Universe) -> bool:
     return bits == (1 << (1 << len(points))) - 1
 
 
-def _gamma_bits(gamma: FamilyOfSets) -> tuple[int, list[int], tuple, Optional[int]]:
+def _gamma_bits(gamma: FamilyOfSets) -> tuple[int, list[int], tuple, int | None]:
     """The nonempty down set gamma relabeled (see _bits), its HAS masks, and
     the largest members of its maximal ideals: its maximal members, or None
     when its support is a member."""
@@ -294,18 +293,6 @@ class IdealReport(Record):
     i_hat: FamilyOfSets
     i_star: FamilyOfSets
     equal: bool
-
-    def __init__(
-        self,
-        gamma: FamilyOfSets,
-        maximal_ideals: tuple[FamilyOfSets, ...],
-        i_hat: FamilyOfSets,
-        i_star: FamilyOfSets,
-        equal: bool,
-    ) -> None:
-        vars(self).update(
-            gamma=gamma, maximal_ideals=maximal_ideals, i_hat=i_hat, i_star=i_star, equal=equal
-        )
 
 
 def ideal_report(gamma: FamilyOfSets) -> IdealReport:
@@ -375,24 +362,6 @@ class TheoremReport(Record):
     counterexamples: tuple[dict, ...]
     lemma_counterexamples: tuple[dict, ...]
     corollary_counterexamples: tuple[dict, ...]
-
-    def __init__(
-        self,
-        n: int,
-        scanned: int,
-        checked: int,
-        counterexamples: tuple[dict, ...],
-        lemma_counterexamples: tuple[dict, ...],
-        corollary_counterexamples: tuple[dict, ...],
-    ) -> None:
-        vars(self).update(
-            n=n,
-            scanned=scanned,
-            checked=checked,
-            counterexamples=counterexamples,
-            lemma_counterexamples=lemma_counterexamples,
-            corollary_counterexamples=corollary_counterexamples,
-        )
 
     @property
     def ok(self) -> bool:
@@ -464,22 +433,6 @@ class PrimeMaximalReport(Record):
     prime_count: int
     maximal_count: int
     counterexamples: tuple[dict, ...]
-
-    def __init__(
-        self,
-        n: int,
-        ideal_count: int,
-        prime_count: int,
-        maximal_count: int,
-        counterexamples: tuple[dict, ...],
-    ) -> None:
-        vars(self).update(
-            n=n,
-            ideal_count=ideal_count,
-            prime_count=prime_count,
-            maximal_count=maximal_count,
-            counterexamples=counterexamples,
-        )
 
     @property
     def ok(self) -> bool:

@@ -18,8 +18,9 @@ on the parts of a union.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 from ._record import Record
 from .blowup import cc1_components
@@ -107,31 +108,18 @@ class Verdict(Record):
     value: bool
     certificate: TailCertificate
     note: str
-    depth: Optional[int]
-    trend: Optional[str]
-
-    def __init__(
-        self,
-        kind: str,
-        value: bool,
-        certificate: TailCertificate,
-        note: str,
-        depth: Optional[int] = None,
-        trend: Optional[str] = None,
-    ):
-        vars(self).update(
-            kind=kind, value=value, certificate=certificate, note=note, depth=depth, trend=trend
-        )
+    depth: int | None = None
+    trend: str | None = None
 
     @staticmethod
     def definite(value: bool, certificate: TailCertificate, note: str) -> "Verdict":
         if certificate is UNKNOWN:
             raise ValueError("a definite verdict needs a real certificate")
-        return Verdict("definite", value, certificate, note)
+        return Verdict("definite", value, certificate, note, None, None)
 
     @staticmethod
     def empirical(value: bool, depth: int, trend: str, note: str) -> "Verdict":
-        return Verdict("empirical", value, UNKNOWN, note, depth=depth, trend=trend)
+        return Verdict("empirical", value, UNKNOWN, note, depth, trend)
 
     @property
     def is_definite(self) -> bool:
@@ -177,13 +165,9 @@ def _width_record_early(betas) -> bool:
 # form; the combinators' rules below are stated once for every class
 
 
-class _Query(NamedTuple):
-    """What an engine was asked: blow-up factors, largest window offset M
-    and depth (SP and CSP read only the depth)."""
-
-    q_list: Optional[Tuple[Fraction, ...]]
-    M_max: int
-    depth: int
+# what an engine was asked: blow-up factors (a tuple, or None), largest
+# window offset M and depth (SP and CSP read only the depth)
+_Query = namedtuple("_Query", "q_list M_max depth")
 
 
 def _query(depth: int, q_list=None, M_max: int = 0) -> _Query:
@@ -213,24 +197,8 @@ class _ClassRules(Record):
     ideal: bool
     empirical: Callable
 
-    def __init__(
-        self,
-        closed_form: Callable,
-        blowup_note: str,
-        sink_note: str,
-        ideal: bool,
-        empirical: Callable,
-    ):
-        vars(self).update(
-            closed_form=closed_form,
-            blowup_note=blowup_note,
-            sink_note=sink_note,
-            ideal=ideal,
-            empirical=empirical,
-        )
 
-
-def _peel(c: _ClassRules, f: TailFamily) -> Tuple[str, TailFamily]:
+def _peel(c: _ClassRules, f: TailFamily) -> tuple[str, TailFamily]:
     """Every class is invariant under blow-up, so the base of a blow-up
     decides; each layer stripped puts the class's note in front."""
     prefix = ""
@@ -248,7 +216,7 @@ def _decide(c: _ClassRules, f: TailFamily, query: _Query) -> Verdict:
     return verdict._replace(note=prefix + verdict.note) if prefix else verdict
 
 
-def _certified(c: _ClassRules, f: TailFamily, query: _Query) -> Optional[Verdict]:
+def _certified(c: _ClassRules, f: TailFamily, query: _Query) -> Verdict | None:
     """The Definite verdict a closed form or a combinator rule gives, else
     None."""
     prefix, f = _peel(c, f)
@@ -265,7 +233,7 @@ def _certified(c: _ClassRules, f: TailFamily, query: _Query) -> Optional[Verdict
 _TRIVIAL_NOTE = "bounded away from 0: the whole tail (0, min E) is one free gap"
 
 
-def _explicit(c: _ClassRules, f: ExplicitChain, query: _Query) -> Optional[Verdict]:
+def _explicit(c: _ClassRules, f: ExplicitChain, query: _Query) -> Verdict | None:
     # a completely known finite chain keeps clear of 0; such sets belong to
     # every class at once
     if f.chain.horizon == 0:
@@ -273,7 +241,7 @@ def _explicit(c: _ClassRules, f: ExplicitChain, query: _Query) -> Optional[Verdi
     return None
 
 
-def _union(c: _ClassRules, f: UnionOf, query: _Query) -> Optional[Verdict]:
+def _union(c: _ClassRules, f: UnionOf, query: _Query) -> Verdict | None:
     # only certified part verdicts decide anything here, so no part runs its
     # empirical fallback
     verdicts = [_certified(c, p, query) for p in f.parts]
@@ -283,9 +251,11 @@ def _union(c: _ClassRules, f: UnionOf, query: _Query) -> Optional[Verdict]:
         if pv is not None and not pv.value:
             return Verdict.definite(False, pv.certificate, f"{c.sink_note}; part {i}: " + pv.note)
     if c.ideal and None not in verdicts:
+        # a part bounded away from 0 has no tail at 0 to certify
+        tails = [pv.certificate for p, pv in zip(f.parts, verdicts) if p.has_zero_accumulation]
         return Verdict.definite(
             True,
-            verdicts[0].certificate,
+            (tails or [verdicts[0].certificate])[0],
             "an ideal is closed under finite unions and every part belongs: "
             + "; ".join(f"part {i}: {pv.note}" for i, pv in enumerate(verdicts)),
         )
@@ -505,9 +475,6 @@ class CofiniteTail(Record):
 
     cut: Fraction
 
-    def __init__(self, cut: Fraction):
-        vars(self).update(cut=cut)
-
 
 class HypothesisFailure(Record):
     """Why the decomposition hypotheses do not hold at this depth; when the
@@ -518,17 +485,7 @@ class HypothesisFailure(Record):
     n: int
     q: Fraction
     depth: int
-    window_bound: Optional[RationalLike]
-
-    def __init__(
-        self,
-        reason: str,
-        n: int,
-        q: Fraction,
-        depth: int,
-        window_bound: Optional[RationalLike] = None,
-    ):
-        vars(self).update(reason=reason, n=n, q=q, depth=depth, window_bound=window_bound)
+    window_bound: RationalLike | None = None
 
 
 class DecompositionResult(Record):
@@ -537,32 +494,14 @@ class DecompositionResult(Record):
     (1-based, one per block of N+1 components); the union of all parts
     covers the source set exactly above cover_verified_to."""
 
-    parts: Tuple[object, ...]
+    parts: tuple[object, ...]
     n: int
     q: Fraction
-    block_indices: Tuple[int, ...]
+    block_indices: tuple[int, ...]
     cover_verified_to: Fraction
-    part_verdicts: Tuple[Verdict, ...]
+    part_verdicts: tuple[Verdict, ...]
 
-    def __init__(
-        self,
-        parts: Tuple[object, ...],
-        n: int,
-        q: Fraction,
-        block_indices: Tuple[int, ...],
-        cover_verified_to: Fraction,
-        part_verdicts: Tuple[Verdict, ...],
-    ):
-        vars(self).update(
-            parts=parts,
-            n=n,
-            q=q,
-            block_indices=block_indices,
-            cover_verified_to=cover_verified_to,
-            part_verdicts=part_verdicts,
-        )
-
-    def gamma_divergence_indices(self, bound) -> Tuple[Optional[int], ...]:
+    def gamma_divergence_indices(self, bound) -> tuple[int | None, ...]:
         """For each interval part, the first position in its gap-ratio
         sequence from which every later value exceeds `bound` (None when the
         sequence never clears it, 0 when it always does)."""
@@ -579,7 +518,7 @@ class DecompositionResult(Record):
 
 def decompose_csp(
     f: TailFamily, n: int, q, depth: int = 32
-) -> Union[DecompositionResult, HypothesisFailure]:
+) -> DecompositionResult | HypothesisFailure:
     """Split the blown component chain into 2N+2 completely-coverable parts.
 
     Components are grouped into consecutive blocks of N+1; inside each block
@@ -677,35 +616,18 @@ def decompose_csp(
 
 
 class ExampleQBounds(Record):
-    """Certified bounds for one blow-up factor: the width-ratio bound
-    sum_{k=0..m} alpha^-k with the smallest m satisfying q < (1/alpha)^m,
-    the exact width-ratio limsup, and for each window size M both the
-    reported liminf bound (1/alpha)^(m+M+1) and the exact liminf."""
+    """The figures for one blow-up factor: sum_{k=0..m} alpha^-k with the
+    smallest m satisfying q < (1/alpha)^m, reported as the width-ratio bound
+    but no bound (`ExampleFamily.beta_limsup`), the exact width-ratio
+    limsup, and for each window size M the liminf bound (1/alpha)^(m+M+1)
+    and the exact liminf."""
 
     q: Fraction
     m: int
     beta_limsup: Fraction
     beta_limsup_exact: Fraction
-    window_liminf: Tuple[Fraction, ...]
-    window_liminf_exact: Tuple[Fraction, ...]
-
-    def __init__(
-        self,
-        q: Fraction,
-        m: int,
-        beta_limsup: Fraction,
-        beta_limsup_exact: Fraction,
-        window_liminf: Tuple[Fraction, ...],
-        window_liminf_exact: Tuple[Fraction, ...],
-    ):
-        vars(self).update(
-            q=q,
-            m=m,
-            beta_limsup=beta_limsup,
-            beta_limsup_exact=beta_limsup_exact,
-            window_liminf=window_liminf,
-            window_liminf_exact=window_liminf_exact,
-        )
+    window_liminf: tuple[Fraction, ...]
+    window_liminf_exact: tuple[Fraction, ...]
 
 
 class ExampleReport(Record):
@@ -713,17 +635,7 @@ class ExampleReport(Record):
     depth: int
     ihat_sp: Verdict
     i_csp: Verdict
-    bounds: Tuple[ExampleQBounds, ...]
-
-    def __init__(
-        self,
-        alpha: Fraction,
-        depth: int,
-        ihat_sp: Verdict,
-        i_csp: Verdict,
-        bounds: Tuple[ExampleQBounds, ...],
-    ):
-        vars(self).update(alpha=alpha, depth=depth, ihat_sp=ihat_sp, i_csp=i_csp, bounds=bounds)
+    bounds: tuple[ExampleQBounds, ...]
 
 
 def reproduce_example(alpha, depth: int, q_list, M_max: int = 8) -> ExampleReport:

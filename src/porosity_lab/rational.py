@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
 
 __all__ = [
     "INF",
@@ -38,7 +37,7 @@ class _Infinity:
 
 INF = _Infinity()
 
-RationalLike = Union[Fraction, _Infinity]
+RationalLike = (Fraction, _Infinity)
 
 
 def _fraction(n: int, d: int) -> Fraction:

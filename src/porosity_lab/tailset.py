@@ -14,13 +14,13 @@ each chain carries a view of itself as ints over one denominator (`_View`).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from heapq import merge
 from itertools import repeat
 from math import lcm
-from typing import NamedTuple, Optional, Tuple, Union, get_args
 
 from ._record import Record
 from .rational import INF, RationalLike, _ratio, _scaled, format_rational, is_finite, parse_rational
@@ -91,7 +91,7 @@ class Interval(Record):
         vars(self).update(lo=lo, hi=hi)
 
 
-Block = Union[Point, Interval]
+Block = (Point, Interval)
 
 
 def block_inf(b: Block) -> Fraction:
@@ -102,17 +102,12 @@ def block_sup(b: Block) -> Fraction:
     return b.x if isinstance(b, Point) else b.hi
 
 
-class _View(NamedTuple):
-    """A chain's coordinates as ints over one common denominator D: block k
-    spans lo[k]/D to hi[k]/D, the horizon is horizon/D.  Point families emit
-    it, blow-ups and unions transform their inputs' views, and only a chain
-    from outside takes an lcm.  The hot scans run on it and build Fractions
-    only for what they return."""
-
-    D: int
-    lo: Tuple[int, ...]
-    hi: Tuple[int, ...]
-    horizon: int
+# A chain's coordinates as ints over one common denominator D: block k
+# spans lo[k]/D to hi[k]/D, the horizon is horizon/D.  Point families emit
+# it, blow-ups and unions transform their inputs' views, and only a chain
+# from outside takes an lcm.  The hot scans run on it and build Fractions
+# only for what they return.
+_View = namedtuple("_View", "D lo hi horizon")
 
 
 class Chain(Record):
@@ -123,11 +118,11 @@ class Chain(Record):
     its horizon exactly at the smallest emitted coordinate).
     """
 
-    blocks: Tuple[Block, ...]
+    blocks: tuple[Block, ...]
     upper: Fraction
     horizon: Fraction
 
-    def __init__(self, blocks: Tuple[Block, ...], upper: Fraction, horizon: Fraction):
+    def __init__(self, blocks: tuple[Block, ...], upper: Fraction, horizon: Fraction):
         blocks, upper, horizon = tuple(blocks), Fraction(upper), Fraction(horizon)
         if upper <= 0:
             raise ValueError("upper edge must be positive")
@@ -176,7 +171,7 @@ def _interval(lo: Fraction, hi: Fraction) -> Interval:
     return i
 
 
-def _chain(blocks: Tuple[Block, ...], upper: Fraction, horizon: Fraction, view: _View) -> Chain:
+def _chain(blocks: tuple[Block, ...], upper: Fraction, horizon: Fraction, view: _View) -> Chain:
     c = object.__new__(Chain)
     object.__setattr__(c, "blocks", blocks)
     object.__setattr__(c, "upper", upper)
@@ -185,7 +180,7 @@ def _chain(blocks: Tuple[Block, ...], upper: Fraction, horizon: Fraction, view: 
     return c
 
 
-def merge_blocks(items) -> Tuple[list, list, list]:
+def merge_blocks(items) -> tuple[list, list, list]:
     """The merge pass of `UnionOf`, internal to it: (hi, lo, tag, block)
     items in descending (hi, lo) order, as `heapq.merge` gives them from the
     parts' views, become the union's blocks and their lo and hi ints.
@@ -228,20 +223,17 @@ class ExplicitLimit(Record):
     limsup_beta: RationalLike
     gamma_tends_to_infinity: bool
 
-    def __init__(self, limsup_beta: RationalLike, gamma_tends_to_infinity: bool):
-        vars(self).update(limsup_beta=limsup_beta, gamma_tends_to_infinity=gamma_tends_to_infinity)
-
 
 class EventuallyPeriodic(Record):
     """Component widths and gap ratios that repeat from some index on;
     an infinity entry in the gamma pattern marks a position whose value
     grows without bound from period to period."""
 
-    beta_pattern: Tuple[RationalLike, ...]
-    gamma_pattern: Tuple[RationalLike, ...]
+    beta_pattern: tuple[RationalLike, ...]
+    gamma_pattern: tuple[RationalLike, ...]
 
     def __init__(
-        self, beta_pattern: Tuple[RationalLike, ...], gamma_pattern: Tuple[RationalLike, ...]
+        self, beta_pattern: tuple[RationalLike, ...], gamma_pattern: tuple[RationalLike, ...]
     ):
         if not beta_pattern or not gamma_pattern:
             raise ValueError("patterns must be nonempty")
@@ -255,7 +247,7 @@ class _Unknown:
 
 UNKNOWN = _Unknown()
 
-TailCertificate = Union[ExplicitLimit, EventuallyPeriodic, _Unknown]
+TailCertificate = (ExplicitLimit, EventuallyPeriodic, _Unknown)
 
 
 def certificate_to_json(cert: TailCertificate) -> dict:
@@ -281,7 +273,7 @@ def certificate_to_json(cert: TailCertificate) -> dict:
 class _Family(Record):
     """What a family knows about itself; the defaults mean no closed form."""
 
-    def porosity_index(self) -> Optional[Fraction]:
+    def porosity_index(self) -> Fraction | None:
         """Closed-form upper porosity at 0."""
         return None
 
@@ -289,7 +281,7 @@ class _Family(Record):
         """Tail certificate of the component chain of the q-blow-up, q > 1."""
         return UNKNOWN
 
-    def certified_bounds(self, q: Fraction, M: int) -> Optional[Tuple[Fraction, Fraction]]:
+    def certified_bounds(self, q: Fraction, M: int) -> tuple[Fraction, Fraction] | None:
         """At blow-up factor q: bounds on the width-ratio limsup and on the
         liminf of the gap maxima over windows of M+1."""
         return None
@@ -482,7 +474,9 @@ class ExampleFamily(_PointFamily):
         return m
 
     def beta_limsup(self, q: Fraction) -> Fraction:
-        """Bound on the width-ratio limsup: sum of alpha**-j, j = 0..m."""
+        """Sum of alpha**-j, j = 0..m, printed as the width-ratio bound.  It
+        is no bound: it lies below the exact limsup (`blowup_certificate`)
+        at 13 of 15 grid points, such as 7 < 8 at alpha = 1/2, q = 2."""
         return sum((1 / self.alpha) ** j for j in range(self.smallest_exponent(q) + 1))
 
     def window_liminf(self, q: Fraction, M: int) -> Fraction:
@@ -551,10 +545,10 @@ class PatternLadder(_PointFamily):
     """
 
     x0: Fraction
-    ratios: Tuple[Fraction, ...]
+    ratios: tuple[Fraction, ...]
     decay: Fraction
 
-    def __init__(self, x0: Fraction, ratios: Tuple[Fraction, ...], decay: Fraction):
+    def __init__(self, x0: Fraction, ratios: tuple[Fraction, ...], decay: Fraction):
         x0, ratios, decay = Fraction(x0), tuple(Fraction(r) for r in ratios), Fraction(decay)
         if x0 <= 0:
             raise ValueError("x0 must be positive")
@@ -639,9 +633,6 @@ class ExplicitChain(_Family):
 
     has_zero_accumulation = False
 
-    def __init__(self, chain: Chain):
-        vars(self).update(chain=chain)
-
     def _expand(self, depth):
         return self.chain
 
@@ -650,9 +641,9 @@ class UnionOf(_Family):
     """Union of finitely many families.  The union is known only where every
     part is, so the merged chain keeps the highest of the part horizons."""
 
-    parts: Tuple["TailFamily", ...]
+    parts: tuple["TailFamily", ...]
 
-    def __init__(self, parts: Tuple["TailFamily", ...]):
+    def __init__(self, parts: tuple["TailFamily", ...]):
         parts = tuple(parts)
         if not parts:
             raise ValueError("union needs at least one part")
@@ -713,7 +704,7 @@ class BlowupOf(_Family):
         return base if base == 1 else None
 
 
-TailFamily = Union[
+TailFamily = (
     GeometricLadder,
     SuperGeometricLadder,
     ExampleFamily,
@@ -721,11 +712,11 @@ TailFamily = Union[
     ExplicitChain,
     UnionOf,
     BlowupOf,
-]
+)
 
 
 # _memo_key(f, depth) -> (f, chain) inside an expand_memo() scope, else None
-_EXPAND_MEMO: ContextVar[Optional[dict]] = ContextVar("expand_memo", default=None)
+_EXPAND_MEMO: ContextVar[dict | None] = ContextVar("expand_memo", default=None)
 
 
 def _memo_key(f: TailFamily, depth: int) -> tuple:
@@ -785,9 +776,7 @@ def expand(f: TailFamily, depth: int) -> Chain:
 # the gap function
 
 
-class GapMeasurement(NamedTuple):
-    value: Fraction
-    valid: bool
+GapMeasurement = namedtuple("GapMeasurement", "value valid")
 
 
 def _largest_gap(blocks, h: Fraction, floor: Fraction) -> Fraction:
@@ -868,14 +857,11 @@ class PorosityProfile(Record):
     """Gap-to-height ratios along the canonical probe heights, plus the
     certified upper porosity when the family admits a closed form."""
 
-    samples: Tuple[Tuple[Fraction, Fraction], ...]
-    p_plus: Optional[Fraction]
-
-    def __init__(self, samples: Tuple[Tuple[Fraction, Fraction], ...], p_plus: Optional[Fraction]):
-        vars(self).update(samples=samples, p_plus=p_plus)
+    samples: tuple[tuple[Fraction, Fraction], ...]
+    p_plus: Fraction | None
 
 
-def certified_porosity_index(f: TailFamily) -> Optional[Fraction]:
+def certified_porosity_index(f: TailFamily) -> Fraction | None:
     """Closed-form upper porosity at 0, when the family carries one."""
     return f.porosity_index()
 
@@ -902,7 +888,7 @@ def blowup_certificate(base: TailFamily, q) -> TailCertificate:
     return base.blowup_certificate(_check_q(q))
 
 
-def component_ratios(c: Chain) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+def component_ratios(c: Chain) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Width ratios b_i/a_i and gap ratios a_i/b_{i+1} of a chain of
     intervals (a_i, b_i), such as the components `cc1_components` keeps;
     each is a quotient of two view ints."""
@@ -944,7 +930,7 @@ def chain_from_json(data: dict) -> Chain:
 
 # the family variants by name, and the wire format of each field as
 # (to JSON, from JSON) by field name; every other field is one rational
-_VARIANTS = {cls.__name__: cls for cls in get_args(TailFamily)}
+_VARIANTS = {cls.__name__: cls for cls in TailFamily}
 _FIELD_CODECS = {
     "ratios": (
         lambda rs: [format_rational(r) for r in rs],

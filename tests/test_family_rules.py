@@ -162,9 +162,10 @@ def _eager(c, f, query):
                     False, pv.certificate, f"{c.sink_note}; part {i}: " + pv.note
                 )
         if c.ideal and all(pv.is_definite for pv in verdicts):
+            tails = [pv for p, pv in zip(f.parts, verdicts) if p.has_zero_accumulation]
             return Verdict.definite(
                 True,
-                verdicts[0].certificate,
+                (tails + verdicts)[0].certificate,
                 "an ideal is closed under finite unions and every part belongs: "
                 + "; ".join(f"part {i}: {pv.note}" for i, pv in enumerate(verdicts)),
             )
@@ -237,6 +238,38 @@ _EXPLICIT_NEAR = ExplicitChain(Chain((Point(F(1, 2)), Point(F(1, 5))), upper=F(1
 @example(BlowupOf(UnionOf((_EXPLICIT_NEAR, BOUNDED_AWAY)), 3), (F(3, 2),), 3)
 def test_nested_unions_and_blowups_match_eager_ladder(f, qs, depth):
     _assert_engines_match_eager(f, qs, 2, depth)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_NESTED, st.sampled_from(((F(3, 2),), (F(2), F(5, 4)))), st.integers(1, 6))
+@example(UnionOf((UnionOf((BOUNDED_AWAY,)), POINT_FAMILIES["super-geometric-2/3"])), (F(2),), 4)
+def test_definite_verdicts_keep_the_classes_nested(f, qs, depth):
+    # CSP in I(CSP) in Ihat(SP) in SP: no Definite true verdict may sit
+    # inside a class whose wider class is Definite false
+    if not f.has_zero_accumulation:
+        return
+    nested = (
+        csp_verdict(f, depth),
+        i_csp_verdict(f, qs, 2, depth),
+        ihat_sp_verdict(f, qs, depth),
+        is_sp(f, depth),
+    )
+    for i, inner in enumerate(nested):
+        for outer in nested[i + 1 :]:
+            assert not (
+                inner.is_definite and inner.value and outer.is_definite and not outer.value
+            ), (inner, outer)
+    icsp, ihat = nested[1], nested[2]
+    if ihat.is_definite and ihat.value:
+        cert = ihat.certificate
+        betas = cert.beta_pattern if isinstance(cert, EventuallyPeriodic) else (cert.limsup_beta,)
+        assert all(b != INF for b in betas), ihat
+    if icsp.is_definite and icsp.value:
+        cert = icsp.certificate
+        if isinstance(cert, EventuallyPeriodic):
+            assert INF in cert.gamma_pattern, icsp
+        else:
+            assert cert.gamma_tends_to_infinity, icsp
 
 
 def test_union_explicit_runs_each_fallback_once(capsys, monkeypatch):

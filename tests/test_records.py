@@ -1,10 +1,10 @@
 """The package's value classes behave as immutable records.
 
 Every class is built here by keyword, so its field names and their order
-are pinned by the repr; equality, hashing, immutability and the defaults are
-checked for each.  A fresh interpreter importing the CLI must not load
-`dataclasses` or `inspect`, whose import alone costs milliseconds on every
-start.
+are pinned by the repr; equality, hashing, immutability, the defaults and
+argument binding are checked for each.  A fresh interpreter importing the
+CLI must not load `dataclasses`, `inspect` or `typing`, whose import alone
+costs milliseconds on every start.
 """
 
 import subprocess
@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from porosity_lab._record import Record
 from porosity_lab.blowup import InclusionReport
 from porosity_lab.ideal_core import (
     FamilyOfSets,
@@ -48,6 +49,7 @@ from porosity_lab.tailset import (
     SuperGeometricLadder,
     UnionOf,
     _Ladder,
+    _PointFamily,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -216,6 +218,52 @@ def test_equal_records_hash_alike(cls, kwargs):
     assert a != tuple(kwargs.values()) and a != object()
 
 
+@pytest.mark.parametrize("cls, kwargs", RECORDS, ids=IDS)
+def test_arguments_bind_as_in_a_call(cls, kwargs):
+    record = cls(**kwargs)
+    (first, value), *rest = kwargs.items()
+    assert cls(*kwargs.values()) == record
+    assert cls(value, **dict(rest)) == record
+    assert cls(**dict(reversed(kwargs.items()))) == record
+    with pytest.raises(TypeError):
+        cls(**dict(rest))  # missing
+    with pytest.raises(TypeError):
+        cls(**kwargs, bogus=1)  # unknown
+    with pytest.raises(TypeError):
+        cls(value, **kwargs)  # repeated
+    with pytest.raises(TypeError):
+        cls(*kwargs.values(), value)  # too many positional
+
+
+@pytest.mark.parametrize("cls, kwargs", RECORDS, ids=IDS)
+def test_replace_goes_through_init(cls, kwargs):
+    record = cls(**kwargs)
+    changed = {next(iter(kwargs)): RECORDS_ALT[cls]}
+    assert record._replace() == record and record._replace() is not record
+    assert record._replace(**changed) == cls(**{**kwargs, **changed})
+    with pytest.raises(TypeError, match="bogus"):
+        record._replace(bogus=1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Point(0),
+        lambda: Point(F(1))._replace(x=0),
+        lambda: Interval(F(1, 2), F(1, 4)),
+        lambda: Chain(**CHAIN)._replace(horizon=F(2)),
+        lambda: GeometricLadder(1, 2),
+        lambda: EventuallyPeriodic((), (F(1),)),
+        lambda: UnionOf(()),
+        lambda: BlowupOf(GeometricLadder(**LADDER), 1),
+        lambda: Universe(0),
+    ],
+)
+def test_checking_classes_still_reject_bad_input(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_records_of_different_classes_differ():
     geo, sup = GeometricLadder(1, F(1, 2)), SuperGeometricLadder(1, F(1, 2))
     assert geo != sup and sup != geo
@@ -236,7 +284,33 @@ def test_fields_cannot_be_assigned_or_deleted(cls, kwargs):
 def test_defaults_hold():
     v = Verdict("definite", True, ExplicitLimit(F(4), True), "n")
     assert v.depth is None and v.trend is None
+    assert Verdict("empirical", True, UNKNOWN, "n", trend="bounded").depth is None
     assert HypothesisFailure("r", 1, F(2), 8).window_bound is None
+
+
+def test_defaults_do_not_leak_between_classes():
+    assert Verdict._defaults == {"depth": None, "trend": None}
+    assert HypothesisFailure._defaults == {"window_bound": None}
+    with pytest.raises(TypeError, match="depth"):
+        HypothesisFailure("r", 1, F(2))
+    with pytest.raises(TypeError, match="note"):
+        Verdict("definite", True, UNKNOWN)
+
+    class Base(Record):
+        a: int = 1
+
+    class Child(Base):
+        b: int = 2
+
+    class Other(Record):
+        a: int
+
+    assert (Child()._astuple(), Child(b=3).a) == ((1, 2), 1)
+    assert Base._defaults == {"a": 1} and Record._defaults == {}
+    with pytest.raises(TypeError, match="missing required arguments: a$"):
+        Other()
+    # class attributes without an annotation are no fields
+    assert ExampleFamily._fields == ("alpha",) and _PointFamily._fields == ()
 
 
 def test_chain_errors_embed_the_block_reprs():
@@ -251,7 +325,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # -S keeps site-packages hooks out: only the package's own imports count
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import porosity_lab.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True

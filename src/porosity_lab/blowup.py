@@ -210,12 +210,12 @@ def find_covering_blowup(f: TailFamily, depth: int) -> tuple[Fraction, Fraction]
     if certified is not None:
         s = (1 + certified) / 2
     else:
-        samples = probe_ratios(chain)
+        samples = probe_ratios(chain, PROBE_WINDOW)
         if not samples:
             # no internal gaps observed at all: any modest q will do
             s = Fraction(1, 2)
         else:
-            worst = max(r for _, r in samples[-PROBE_WINDOW:])
+            worst = max(r for _, r in samples)
             if worst >= SP_EVIDENCE_RATIO:
                 return None
             s = (1 + worst) / 2

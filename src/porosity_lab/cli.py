@@ -18,6 +18,7 @@ import json
 import os
 import stat
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .blowup import cc1_components
 from .ideal_core import check_prime_iff_maximal, check_theorem_istar_eq_ihat
@@ -98,9 +99,38 @@ def _common_json(args) -> dict:
     }
 
 
+def _dumps(value, pad: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for a report: dicts with
+    str keys, lists, tuples, str, int, bool and None, at the indentation
+    `pad` (a newline and the blanks of the current level).  json.dumps with
+    an indent runs its pure-Python encoder before Python 3.14; this writer
+    leaves only the string quoting to json's C function."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if type(value) is list or type(value) is tuple:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + pad + "]"
+    raise TypeError(f"not a report value: {value!r}")
+
+
 def _emit(args, report: dict, text_lines) -> None:
     if args.fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report))
     else:
         for line in text_lines:
             print(line)
@@ -221,20 +251,18 @@ def _cmd_decompose(args) -> int:
         suffix = "" if bound is None else f" (window value {bound})"
         _emit(args, report, [f"hypothesis failure: {result.reason}{suffix}"])
         return 2
-    report.update(
-        {
-            "block_indices": list(result.block_indices),
-            "cover_verified_to": format_rational(result.cover_verified_to),
-            "parts": [_part_to_json(p) for p in result.parts],
-            "part_verdicts": [verdict_to_json(v) for v in result.part_verdicts],
-        }
-    )
+    report["block_indices"] = list(result.block_indices)
+    report["cover_verified_to"] = format_rational(result.cover_verified_to)
+    if args.fmt == "json":
+        # the text lines print no part's components
+        report["parts"] = [_part_to_json(p) for p in result.parts]
+        report["part_verdicts"] = [verdict_to_json(v) for v in result.part_verdicts]
     lines = []
     for i, part in enumerate(result.parts[:-1]):
         count = len(part.chain.blocks)
         lines.append(f"part {i + 1}: {count} component{'s' if count != 1 else ''}")
     lines.append(
-        f"part {len(result.parts)}: {{0}} u ({report['parts'][-1]['cut']}, inf)"
+        f"part {len(result.parts)}: {{0}} u ({format_rational(result.parts[-1].cut)}, inf)"
     )
     lines.append(f"cover verified above {report['cover_verified_to']}")
     _emit(args, report, lines)

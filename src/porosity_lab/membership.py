@@ -40,8 +40,9 @@ from .tailset import (
     _View,
     _chain,
     _check_q,
+    _gap_ratios,
+    _width_ratios,
     certificate_to_json,
-    component_ratios,
     expand,
     probe_ratios,
 )
@@ -79,14 +80,12 @@ HEAD_RATIO_CUT = Fraction(1, 16)
 def classify_trend(values) -> str:
     """Coarse trend of the trailing values: monotone-increasing when they
     only ever go up, bounded when they hold still or settle downward,
-    oscillating otherwise."""
+    oscillating otherwise.  Neighbours are compared, never subtracted."""
     vals = list(values)[-TREND_WINDOW:]
-    if len(vals) < 2:
-        return "bounded"
-    diffs = [b - a for a, b in zip(vals, vals[1:])]
-    if all(d >= 0 for d in diffs) and any(d > 0 for d in diffs):
+    pairs = list(zip(vals, vals[1:]))
+    if all(a <= b for a, b in pairs) and any(a < b for a, b in pairs):
         return "monotone-increasing"
-    if all(d <= 0 for d in diffs):
+    if all(a >= b for a, b in pairs):
         return "bounded"
     return "oscillating"
 
@@ -277,9 +276,13 @@ _COMBINATORS = {ExplicitChain: _explicit, UnionOf: _union}
 # SP
 
 
+# the empirical SP verdict reads no probe above these
+_SP_PROBES = max(TREND_WINDOW, PROBE_WINDOW)
+
+
 def _empirical_sp(f: TailFamily, query: _Query) -> Verdict:
     depth = query.depth
-    ratios = [r for _, r in probe_ratios(expand(f, depth))]
+    ratios = [r for _, r in probe_ratios(expand(f, depth), _SP_PROBES)]
     if not ratios:
         return Verdict.empirical(False, depth, "bounded", "no probes above the horizon")
     deepest = ratios[-PROBE_WINDOW:]
@@ -322,7 +325,7 @@ def _empirical_ihat(f: TailFamily, query: _Query) -> Verdict:
         comps = cc1_components(expand(BlowupOf(f, q), depth))
         shallow = cc1_components(expand(BlowupOf(f, q), max(1, depth // 2)))
         growing = len(comps.blocks) > len(shallow.blocks)
-        betas, _ = component_ratios(comps)
+        betas = _width_ratios(comps)
         stable = _width_record_early(betas)
         value = value and growing and stable
         trend = classify_trend(betas)
@@ -422,7 +425,7 @@ def _empirical_icsp(f: TailFamily, query: _Query) -> Verdict:
     notes = []
     trend = "bounded"
     for q in q_list:
-        _, gammas = component_ratios(cc1_components(expand(BlowupOf(f, q), depth)))
+        gammas = _gap_ratios(cc1_components(expand(BlowupOf(f, q), depth)))
         found = None
         for m_try in range(M_max + 1):
             if len(gammas) <= m_try + 3:
@@ -507,7 +510,7 @@ class DecompositionResult(Record):
         sequence never clears it, 0 when it always does)."""
         out = []
         for part in self.parts[:-1]:
-            _, gammas = component_ratios(part.chain)
+            gammas = _gap_ratios(part.chain)
             pos = 0
             for i, g in enumerate(gammas):
                 if g <= bound:
@@ -541,17 +544,17 @@ def decompose_csp(
     obstruction = f.decomposition_obstruction(n, q) if closed_form else None
     if obstruction is not None:
         reason, bound = obstruction
-        return HypothesisFailure(reason, n, q, depth, window_bound=bound)
+        return HypothesisFailure(reason, n, q, depth, bound)
 
     chain = cc1_components(expand(BlowupOf(f, q), depth))
     comps = chain.blocks
     t = len(comps)
     if t < 3 * (n + 1):
         return HypothesisFailure(
-            f"only {t} components at this depth; need {3 * (n + 1)}", n, q, depth
+            f"only {t} components at this depth; need {3 * (n + 1)}", n, q, depth, None
         )
 
-    betas, gammas = component_ratios(chain)  # gammas[i - 1] follows component i
+    gammas = _gap_ratios(chain)  # gammas[i - 1] follows component i
     if not closed_form:
         # check the windowed maxima empirically at depth
         maxima = _windowed_maxima(gammas, n)
@@ -561,10 +564,10 @@ def decompose_csp(
                 n,
                 q,
                 depth,
-                window_bound=min(maxima[-TREND_WINDOW:]),
+                min(maxima[-TREND_WINDOW:]),
             )
-        if not _width_record_early(betas):
-            return HypothesisFailure("width ratios keep setting records", n, q, depth)
+        if not _width_record_early(_width_ratios(chain)):
+            return HypothesisFailure("width ratios keep setting records", n, q, depth, None)
 
     blocks = (t - 1) // (n + 1)
     seps = []

@@ -55,7 +55,7 @@ def _fraction(n: int, d: int) -> Fraction:
 
 
 def _ratio(n: int, d: int) -> Fraction:
-    """The Fraction n/d, for ints n >= 0 and d > 0."""
+    """The Fraction n/d, for ints n and d > 0."""
     g = gcd(n, d)
     return _fraction(n // g, d // g)
 
@@ -96,6 +96,11 @@ def parse_rational(text: str) -> Fraction:
     Accepts "p" and "p/q".  Raises ValueError on anything else, including
     floats in decimal notation, "inf", and values that are not strings at
     all (a JSON number): exactness is the point.
+
+    The wire's own forms, "p", "-p", "p/q" and "-p/q" in ASCII digits, are
+    read with int() and one gcd; every other string (a "+" sign, blanks
+    around "/", "_" separators, other scripts' digits) is Fraction's to
+    accept or refuse.
     """
     if not isinstance(text, str):
         raise ValueError(
@@ -106,6 +111,13 @@ def parse_rational(text: str) -> Fraction:
     if "." in text or "e" in text or "E" in text:
         raise ValueError(f"not an exact rational: {text!r}")
     try:
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit():
+            if not slash:
+                return _fraction(int(num), 1)
+            if den.isascii() and den.isdigit() and den.strip("0"):
+                return _ratio(int(num), int(den))
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational: {text!r}") from exc

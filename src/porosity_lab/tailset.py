@@ -66,13 +66,19 @@ __all__ = [
 # building blocks and chains
 
 
+def _exact(x) -> Fraction:
+    # a Fraction passes as it is: the parsed wire values and every value
+    # the package computes are Fractions already
+    return x if type(x) is Fraction else Fraction(x)
+
+
 class Point(Record):
     """Isolated point of the set; strictly positive."""
 
     x: Fraction
 
     def __init__(self, x: Fraction):
-        x = Fraction(x)
+        x = _exact(x)
         if x <= 0:
             raise ValueError("point coordinate must be positive")
         vars(self).update(x=x)
@@ -85,7 +91,7 @@ class Interval(Record):
     hi: Fraction
 
     def __init__(self, lo: Fraction, hi: Fraction):
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = _exact(lo), _exact(hi)
         if not 0 < lo < hi:
             raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
         vars(self).update(lo=lo, hi=hi)
@@ -123,19 +129,26 @@ class Chain(Record):
     horizon: Fraction
 
     def __init__(self, blocks: tuple[Block, ...], upper: Fraction, horizon: Fraction):
-        blocks, upper, horizon = tuple(blocks), Fraction(upper), Fraction(horizon)
+        blocks, upper, horizon = tuple(blocks), _exact(upper), _exact(horizon)
         if upper <= 0:
             raise ValueError("upper edge must be positive")
         if not 0 <= horizon <= upper:
             raise ValueError("horizon must lie in [0, upper]")
-        # the view takes the lcm of the denominators; the checks run on it
+        # the view takes the lcm of the denominators, each block end scaled
+        # once (a point is one end); the checks run on it
         ends = [horizon, upper]
-        ends += [x for b in blocks for x in (block_inf(b), block_sup(b))]
+        for b in blocks:
+            ends += (b.x,) if isinstance(b, Point) else (b.lo, b.hi)
         D = lcm(*(x.denominator for x in ends))
         floor, top, *ints = [x.numerator * (D // x.denominator) for x in ends]
-        lo, hi = tuple(ints[::2]), tuple(ints[1::2])
-        if lo == hi:  # points only: one tuple, as a point family has it
-            hi = lo
+        if len(ints) == len(blocks):  # points only: one tuple, as a point family has it
+            lo = hi = tuple(ints)
+        else:
+            lo, hi, it = [], [], iter(ints)
+            for b in blocks:
+                lo.append(next(it))
+                hi.append(lo[-1] if isinstance(b, Point) else next(it))
+            lo, hi = tuple(lo), tuple(hi)
         for b, l, h in zip(blocks, lo, hi):
             if h > top:
                 raise ValueError(f"block {b} sticks out above upper={upper}")
@@ -205,7 +218,7 @@ def merge_blocks(items) -> tuple[list, list, list]:
 
 def _check_q(q) -> Fraction:
     """The blow-up factor q as a Fraction; every q must exceed 1."""
-    q = Fraction(q)
+    q = _exact(q)
     if q <= 1:
         raise ValueError("q must exceed 1")
     return q
@@ -330,7 +343,7 @@ class _Ladder(_PointFamily):
     rho: Fraction
 
     def __init__(self, x0: Fraction, rho: Fraction):
-        x0, rho = Fraction(x0), Fraction(rho)
+        x0, rho = _exact(x0), _exact(rho)
         if x0 <= 0:
             raise ValueError("x0 must be positive")
         if not 0 < rho < 1:
@@ -441,7 +454,7 @@ class ExampleFamily(_PointFamily):
     x0 = Fraction(1)  # y(0,1), not a field
 
     def __init__(self, alpha: Fraction):
-        alpha = Fraction(alpha)
+        alpha = _exact(alpha)
         if not 0 < alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
         vars(self).update(alpha=alpha)
@@ -549,7 +562,7 @@ class PatternLadder(_PointFamily):
     decay: Fraction
 
     def __init__(self, x0: Fraction, ratios: tuple[Fraction, ...], decay: Fraction):
-        x0, ratios, decay = Fraction(x0), tuple(Fraction(r) for r in ratios), Fraction(decay)
+        x0, ratios, decay = _exact(x0), tuple(map(_exact, ratios)), _exact(decay)
         if x0 <= 0:
             raise ValueError("x0 must be positive")
         for r in ratios:
@@ -828,15 +841,16 @@ SP_EVIDENCE_RATIO = Fraction(99, 100)
 PROBE_WINDOW = 10
 
 
-def probe_ratios(c: Chain) -> list:
+def probe_ratios(c: Chain, deepest: int | None = None) -> list:
     """(h, lambda(h)/h) at every block lower end h above the horizon,
-    deepest last.
+    deepest last; with `deepest`, at only that many of the deepest probes.
 
     Equal to lambda_gap at each probe, in one bottom-up pass: the certain
     gaps below the lower end of block k are the tail above the horizon and
     the joints inf(b[j-1]) - sup(b[j]) for j > k, so a running maximum over
-    the blocks already passed gives lambda at every probe.  It runs on the
-    chain's view, where D cancels from every ratio.
+    the blocks already passed gives lambda at every probe, and the pass
+    stops once it has the probes asked for.  It runs on the chain's view,
+    where D cancels from every ratio.
     """
     blocks = c.blocks
     if not blocks:
@@ -847,6 +861,8 @@ def probe_ratios(c: Chain) -> list:
     for k in range(len(blocks) - 1, -1, -1):
         if lo[k] > horizon:
             samples.append((block_inf(blocks[k]), _ratio(best, lo[k])))
+            if len(samples) == deepest:
+                break
         if k and lo[k - 1] - hi[k] > best:
             best = lo[k - 1] - hi[k]
     samples.reverse()
@@ -892,8 +908,21 @@ def component_ratios(c: Chain) -> tuple[tuple[Fraction, ...], tuple[Fraction, ..
     """Width ratios b_i/a_i and gap ratios a_i/b_{i+1} of a chain of
     intervals (a_i, b_i), such as the components `cc1_components` keeps;
     each is a quotient of two view ints."""
+    return _width_ratios(c), _gap_ratios(c)
+
+
+# the two halves of component_ratios, for the engines that read only one:
+# each ratio costs a gcd of two view ints
+
+
+def _width_ratios(c: Chain) -> tuple[Fraction, ...]:
     _, lo, hi, _ = c._view
-    return tuple(map(_ratio, hi, lo)), tuple(map(_ratio, lo, hi[1:]))
+    return tuple(map(_ratio, hi, lo))
+
+
+def _gap_ratios(c: Chain) -> tuple[Fraction, ...]:
+    _, lo, hi, _ = c._view
+    return tuple(map(_ratio, lo, hi[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,37 @@
 """The Fraction forms of the paths that now run on a chain's integer view.
 
 Each function here is the library's code as it stood before the view: it
-reads the Fraction coordinates of the blocks and nothing else.  The tests
-compare every int path against its oracle.
+reads the Fraction coordinates of the blocks and nothing else, and takes
+differences where the library compares.  The tests compare every int path
+against its oracle.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from porosity_lab.membership import COVER_Q, HEAD_RATIO_CUT, classify_trend
-from porosity_lab.tailset import Interval, Point, block_inf, block_sup
+from porosity_lab.membership import COVER_Q, HEAD_RATIO_CUT, TREND_WINDOW
+from porosity_lab.tailset import (
+    PROBE_WINDOW,
+    SP_EVIDENCE_RATIO,
+    Interval,
+    Point,
+    block_inf,
+    block_sup,
+)
+
+
+def classify_trend(values):
+    """The trend of the trailing TREND_WINDOW values, from the signs of
+    their differences."""
+    vals = list(values)[-TREND_WINDOW:]
+    if len(vals) < 2:
+        return "bounded"
+    diffs = [b - a for a, b in zip(vals, vals[1:])]
+    if all(d >= 0 for d in diffs) and any(d > 0 for d in diffs):
+        return "monotone-increasing"
+    if all(d <= 0 for d in diffs):
+        return "bounded"
+    return "oscillating"
 
 
 def probe_ratios(c):
@@ -28,6 +50,16 @@ def probe_ratios(c):
             best = max(best, block_inf(blocks[k - 1]) - block_sup(blocks[k]))
     samples.reverse()
     return samples
+
+
+def sp_evidence(c):
+    """(value, trend, peak) of the empirical SP verdict on a chain, read
+    from every probe ratio; None when no probe lies above the horizon."""
+    ratios = [r for _, r in probe_ratios(c)]
+    if not ratios:
+        return None
+    peak = max(ratios[-PROBE_WINDOW:])
+    return peak >= SP_EVIDENCE_RATIO, classify_trend(ratios), peak
 
 
 def csp_cover_scan(c):

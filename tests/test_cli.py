@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from porosity_lab import tailset
+from porosity_lab import cli, tailset
 from porosity_lab.cli import main
 
 GEO = '{"variant":"GeometricLadder","x0":"1","rho":"1/2"}'
@@ -408,6 +408,49 @@ def test_reports_are_byte_stable(capsys):
     _, second, _ = run_cli(capsys, *args)
     assert first == second
     assert json.loads(first)["seed"] == 11
+
+
+# report-shaped values: str keys; strings with non-ASCII letters, control
+# characters, quotes, backslashes and line breaks; ints past 64 bits
+_report_scalars = st.none() | st.booleans() | st.integers(-(2**200), 2**200) | st.text()
+_report_values = st.recursive(
+    _report_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_report_values)
+@example({})
+@example([])
+@example(())
+@example({"b": [], "a": {}, "c": (), "": [[]]})
+@example({"s\u00e9\n\x00\x1f\u2028\"\\": ["\U0001f600", "\ud83d", "\x7f", "\u00ff", 0, -1, True, None]})
+@example([(1, (2, ())), {"k": ({"x": False},)}])
+def test_report_writer_is_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_decompose_text_reads_the_json_report(capsys):
+    # the text lines, which no longer come from the report's parts, say
+    # what the JSON report says
+    args = ("decompose", "--family", PAT, "--q", "2", "--n", "2", "--depth", "16")
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    code, text, _ = run_cli(capsys, *args)
+    assert code == 0
+    parts = report["parts"]
+    lines = []
+    for i, part in enumerate(parts[:-1]):
+        count = len(part["chain"]["blocks"])
+        lines.append(f"part {i + 1}: {count} component{'s' if count != 1 else ''}")
+    lines.append(f"part {len(parts)}: {{0}} u ({parts[-1]['cut']}, inf)")
+    lines.append(f"cover verified above {report['cover_verified_to']}")
+    assert text.splitlines() == lines
 
 
 def test_analyze_without_accumulation_is_input_error(capsys):

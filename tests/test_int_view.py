@@ -13,6 +13,7 @@ from test_tailset import _chains, _families, _fractions
 from porosity_lab import membership
 from porosity_lab.blowup import blow_up_block, blow_up_chain, cc1_components
 from porosity_lab.membership import DecompositionResult, decompose_csp
+from porosity_lab.rational import format_rational
 from porosity_lab.tailset import (
     BlowupOf,
     Chain,
@@ -215,3 +216,55 @@ def test_point_family_views_keep_the_unreduced_denominator():
     assert c._view.D == 4 * 3**3
     assert c._view.lo == (3 * 27, 3 * 2 * 9, 3 * 4 * 3, 3 * 8)
     assert c._view.lo is c._view.hi
+
+
+# ---------------------------------------------------------------------------
+# what the empirical engines read: the deepest probes, neighbours compared
+
+
+@st.composite
+def _long_point_chains(draw):
+    # more probes than any empirical cutoff reads
+    coords = sorted(set(draw(st.lists(_fractions(0, 2), min_size=14, max_size=40))), reverse=True)
+    horizon = draw(st.sampled_from((F(0), coords[-1], coords[-1] / 2)))
+    return Chain(tuple(map(Point, coords)), upper=coords[0], horizon=horizon)
+
+
+_probed_chains = (
+    _chains()
+    | _long_point_chains()
+    | st.tuples(_families, st.integers(1, 16)).map(lambda case: expand(*case))
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_probed_chains)
+def test_sp_verdict_from_the_deepest_probes_is_the_full_scan_verdict(c):
+    v = membership._empirical_sp(ExplicitChain(c), membership._query(1))
+    evidence = oracle.sp_evidence(c)
+    if evidence is None:
+        assert (v.value, v.trend, v.note) == (False, "bounded", "no probes above the horizon")
+    else:
+        value, trend, peak = evidence
+        assert (v.value, v.trend) == (value, trend)
+        assert v.note.endswith(f"deepest window peaks at {format_rational(peak)}")
+    full = probe_ratios(c)
+    for k in range(1, len(full) + 2):
+        assert probe_ratios(c, k) == full[-k:]
+
+
+_trend_values = st.lists(
+    st.sampled_from((F(0), F(1, 3), F(1, 2), F(1), F(10**30, 7))) | st.fractions(), max_size=20
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_trend_values)
+@example([])
+@example([F(1)])
+@example([F(1), F(1)])
+@example([F(1), F(2), F(2)])
+@example([F(2), F(1), F(1)])
+@example([F(1), F(2), F(1)])
+def test_classify_trend_is_the_subtraction_form(values):
+    assert membership.classify_trend(values) == oracle.classify_trend(values)

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import porosity_lab
@@ -52,6 +52,63 @@ _huge = st.builds(
 def test_wire_strings_round_trip(x):
     with _digit_limit_lifted():
         assert parse_rational(format_rational(x)) == x
+
+
+# strings near the wire forms: signs, blanks, "_" separators, a digit of
+# another script and a superscript digit; no ".", "e" or "E", which
+# parse_rational refuses while Fraction reads them as decimals
+_WIRE_ALPHABET = "0123456789" * 3 + "-+/ \t\n_\u0663\u00b2\u2003"
+_near_wire = st.text(_WIRE_ALPHABET, max_size=14)
+_wire_forms = st.builds(
+    lambda sign, n, d: f"{sign}{n}" if d is None else f"{sign}{n}/{d}",
+    st.sampled_from(("", "-", "+")),
+    st.integers(0, 10**40),
+    st.none() | st.integers(0, 10**40),
+)
+# digit runs past the interpreter's 4,300-digit limit for int(str)
+_over_limit = st.builds(
+    lambda sign, n, tail: f"{sign}{'7' * n}{tail}",
+    st.sampled_from(("", "-")),
+    st.integers(4301, 4400),
+    st.sampled_from(("", "/3", "/0")),
+)
+
+
+def _fraction_of(text):
+    # Fraction's reading of the text, or None when it refuses it
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_near_wire | _wire_forms | _over_limit)
+@example("-0")
+@example("0/7")
+@example("-12/18")
+@example("3/0")
+@example("3/00")
+@example("\u0663/4")
+@example("\u00b2")
+@example("1_000/2")
+@example(" -5/10 ")
+@example("5/-10")
+@example("-")
+@example("/2")
+@example("1" * 4301)
+@example("2/" + "1" * 4301)
+def test_parse_rational_reads_what_fraction_reads(text):
+    # the int() fast path for the wire forms must agree with Fraction on
+    # every string: the same reduced value, or both refuse it
+    want = _fraction_of(text)
+    if want is None:
+        with pytest.raises(ValueError, match="^not an exact rational: "):
+            parse_rational(text)
+        return
+    got = parse_rational(text)
+    assert type(got) is F
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 def test_format_rational_values():
@@ -117,7 +174,7 @@ def test_fraction_from_a_reduced_pair_is_fraction(n, d, other):
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(st.just(0) | _ints, _ints)
+@given(st.just(0) | _ints | _ints.map(lambda n: -n), _ints)
 def test_ratio_is_the_reduced_quotient(n, d):
     x = _ratio(n, d)
     assert type(x) is F and x == F(n, d)

@@ -90,6 +90,11 @@ def classify_trend(values) -> str:
     return "oscillating"
 
 
+def _diverges(maxima) -> bool:
+    """Windowed gap maxima that rise monotonically and clear GAMMA_GROWTH_CUT."""
+    return classify_trend(maxima) == "monotone-increasing" and maxima[-1] >= GAMMA_GROWTH_CUT
+
+
 # ---------------------------------------------------------------------------
 # verdicts
 
@@ -430,13 +435,9 @@ def _empirical_icsp(f: TailFamily, query: _Query) -> Verdict:
         for m_try in range(M_max + 1):
             if len(gammas) <= m_try + 3:
                 break
-            window = _windowed_maxima(gammas, m_try)
-            if (
-                classify_trend(window) == "monotone-increasing"
-                and window[-1] >= GAMMA_GROWTH_CUT
-            ):
+            if _diverges(_windowed_maxima(gammas, m_try)):
                 found = m_try
-                trend = classify_trend(window)
+                trend = "monotone-increasing"
                 break
         if found is None:
             value = False
@@ -558,7 +559,7 @@ def decompose_csp(
     if not closed_form:
         # check the windowed maxima empirically at depth
         maxima = _windowed_maxima(gammas, n)
-        if classify_trend(maxima) != "monotone-increasing" or maxima[-1] < GAMMA_GROWTH_CUT:
+        if not _diverges(maxima):
             return HypothesisFailure(
                 "windowed gap maxima show no divergence at this depth",
                 n,

@@ -25,7 +25,6 @@ __all__ = [
     "INF",
     "RationalLike",
     "format_rational",
-    "is_finite",
     "parse_rational",
 ]
 
@@ -66,11 +65,6 @@ def _scaled(x: Fraction, a: int, b: int) -> Fraction:
     n, d = x.numerator, x.denominator
     g, h = gcd(n, b), gcd(d, a)
     return _fraction((n // g) * (a // h), (d // h) * (b // g))
-
-
-def is_finite(x: RationalLike) -> bool:
-    """True for Fraction values, False for the infinity marker."""
-    return x is not INF
 
 
 def format_rational(x: RationalLike) -> str:

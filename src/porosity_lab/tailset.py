@@ -23,7 +23,7 @@ from itertools import repeat
 from math import lcm
 
 from ._record import Record
-from .rational import INF, RationalLike, _ratio, _scaled, format_rational, is_finite, parse_rational
+from .rational import INF, RationalLike, _ratio, _scaled, format_rational, parse_rational
 
 __all__ = [
     "Point",
@@ -303,11 +303,13 @@ class _Family(Record):
 class _PointFamily(_Family):
     """A family of points given by a closed form, from which it states
     everything the verdicts need: its points (the first, `x0`, and the
-    ratios between consecutive ones, `_ratios`), the porosity
-    index, the blow-up certificate, one rule per class as plain
-    (value, certificate, note) data (`sp_rule`, `csp_rule`, and
-    `ihat_rule`/`icsp_rule` at a representative blow-up factor q), and
-    what keeps the 2N+2-part decomposition from existing."""
+    ratios between consecutive ones as coprime int pairs, `_ratios`), the
+    porosity index, one late block of those ratios (`_late_block`, with
+    (0, 1) for a joint whose ratio tends to 0), and one rule per class as
+    plain (value, certificate, note) data (`sp_rule`, `csp_rule`, and
+    `ihat_rule`/`icsp_rule` at a representative blow-up factor q).  The
+    blow-up certificate and what keeps the 2N+2-part decomposition from
+    existing are derived from the late block."""
 
     has_zero_accumulation = True
 
@@ -329,11 +331,47 @@ class _PointFamily(_Family):
         lo = tuple(nums)
         return _chain(tuple(points), top, x, _View(D, lo, lo, lo[-1]))
 
+    def _late_components(self, q: Fraction) -> tuple[list, list]:
+        """Width ratios and the gap ratio after each component of the
+        q-blow-up of one late block, scanned on ints.  The blown points x and
+        r*x merge exactly when r*q^2 > 1: a merging ratio divides the running
+        width q^2, an open gap ends a component with gap ratio 1/(r*q^2), and
+        a joint (ratio 0) ends one with a gap that grows without bound."""
+        a, b = q.numerator**2, q.denominator**2  # q**2
+        betas, gammas = [], []
+        wn, wd = a, b  # the running width
+        for n, d in self._late_block(q):
+            if n * a > d * b:
+                wn, wd = wn * d, wd * n
+            else:
+                betas.append(_ratio(wn, wd))
+                gammas.append(_ratio(d * b, n * a) if n else INF)
+                wn, wd = a, b
+        return betas, gammas
+
+    def blowup_certificate(self, q):
+        betas, gammas = self._late_components(q)
+        if not betas:
+            return UNKNOWN  # everything merges into one interval, no tail
+        return ExplicitLimit(max(betas), all(g is INF for g in gammas))
+
     def decomposition_obstruction(self, n: int, q: Fraction):
         """(reason, window bound) when the closed form rules out the
         decomposition with part-count parameter n at every depth, else
         None."""
-        return None
+        betas, gammas = self._late_components(q)
+        if not betas:
+            return "all points fuse into one component", None
+        finite = [g for g in gammas if g is not INF]
+        if len(finite) == len(gammas):  # no joint: one ratio, one gap over and over
+            return "gap ratios are constant", max(finite)
+        if n >= len(finite):
+            return None
+        return (
+            f"each group carries {len(finite)} bounded gap ratios in a row; windows "
+            f"of size {n + 1} miss the diverging joint infinitely often",
+            max(finite),
+        )
 
 
 class _Ladder(_PointFamily):
@@ -362,10 +400,8 @@ class GeometricLadder(_Ladder):
     def porosity_index(self):
         return 1 - self.rho
 
-    def blowup_certificate(self, q):
-        if q * q * self.rho > 1:
-            return UNKNOWN  # everything merges into one interval, no tail
-        return ExplicitLimit(q * q, False)
+    def _late_block(self, q):
+        return (self.rho.as_integer_ratio(),)
 
     def sp_rule(self):
         return False, ExplicitLimit(1 / self.rho, False), (
@@ -394,11 +430,6 @@ class GeometricLadder(_Ladder):
             "ratios are even constant at 1/(q^2 rho)"
         )
 
-    def decomposition_obstruction(self, n, q):
-        if q * q * self.rho > 1:
-            return "all points fuse into one component", None
-        return "gap ratios are constant", 1 / (q * q * self.rho)
-
 
 class SuperGeometricLadder(_Ladder):
     """Points x0 * rho**(n(n+1)/2): consecutive ratios rho**(n+1) shrink to
@@ -412,10 +443,8 @@ class SuperGeometricLadder(_Ladder):
     def porosity_index(self):
         return Fraction(1)
 
-    def blowup_certificate(self, q):
-        # ratios shrink below 1/q**2 eventually: isolated components of
-        # width ratio exactly q**2 and gap ratios rho**-(n+1)/q**2 -> inf
-        return ExplicitLimit(q * q, True)
+    def _late_block(self, q):
+        return ((0, 1),)  # every late ratio rho**(n+1) lies below 1/q**2
 
     def sp_rule(self):
         return True, ExplicitLimit(INF, True), (
@@ -467,15 +496,16 @@ class ExampleFamily(_PointFamily):
             for k in range(1, j + 1):
                 yield n**k, d**k
 
-    def merge_cutoff(self, q: Fraction) -> int:
-        """Largest k >= 0 with alpha**k * q**2 > 1: the first k gaps of a
-        late block merge under the q-blow-up."""
-        k = 0
-        value = q * q
-        while value * self.alpha > 1:
-            value *= self.alpha
+    def _late_block(self, q):
+        # alpha, alpha**2, ... through the first gap that stays open, then
+        # the joint: the gaps after it in a late block only widen, so the
+        # cut keeps every limsup and liminf
+        a, b = q.numerator**2, q.denominator**2  # q**2
+        n, d = self.alpha.as_integer_ratio()
+        k = 1
+        while n**k * a > d**k * b:  # alpha**k * q**2 > 1: the gap merges
             k += 1
-        return k
+        return (*((n**j, d**j) for j in range(1, k + 1)), (0, 1))
 
     def smallest_exponent(self, q: Fraction) -> int:
         """Smallest positive m with q < (1/alpha)**m."""
@@ -498,21 +528,15 @@ class ExampleFamily(_PointFamily):
         return (1 / self.alpha) ** (self.smallest_exponent(q) + M + 1)
 
     def window_liminf_exact(self, q: Fraction, M: int) -> Fraction:
-        """Exact liminf of the windowed gap maxima: the flattest windows sit
-        deep inside a block, right after the cluster."""
-        return self.alpha ** (-(self.merge_cutoff(q) + M + 1)) / (q * q)
+        """Exact liminf of the windowed gap maxima: the flattest windows start
+        at the first open gap of a late block, right after its cluster."""
+        return self.alpha ** (1 - len(self._late_block(q)) - M) / (q * q)
 
     def certified_bounds(self, q, M):
         return self.beta_limsup(q), self.window_liminf(q, M)
 
     def porosity_index(self):
         return Fraction(1)
-
-    def blowup_certificate(self, q):
-        # within a late block the first k* gaps merge into one cluster and
-        # the rest stay isolated; the cluster width dominates the limsup
-        k = self.merge_cutoff(q)
-        return ExplicitLimit(q * q * self.alpha ** Fraction(-k * (k + 1), 2), False)
 
     def sp_rule(self):
         return True, ExplicitLimit(INF, True), (
@@ -583,20 +607,11 @@ class PatternLadder(_PointFamily):
     def porosity_index(self):
         return Fraction(1)
 
+    def _late_block(self, q):
+        return (*(r.as_integer_ratio() for r in self.ratios), (0, 1))
+
     def blowup_certificate(self, q):
-        qq = q * q
-        betas, gammas = [], []
-        width = qq
-        for r in self.ratios:
-            if r * qq > 1:
-                width /= r
-            else:
-                betas.append(width)
-                gammas.append(1 / (r * qq))
-                width = qq
-        betas.append(width)
-        gammas.append(INF)  # the joint after each group outgrows every bound
-        return EventuallyPeriodic(tuple(betas), tuple(gammas))
+        return EventuallyPeriodic(*map(tuple, self._late_components(q)))
 
     def sp_rule(self):
         return True, ExplicitLimit(INF, True), (
@@ -624,17 +639,6 @@ class PatternLadder(_PointFamily):
             f"M = {len(self.ratios)} works for every q > 1: each group contributes at "
             "most M bounded gap ratios before the diverging joint, so every "
             "window of size M+1 catches a joint (q0 = 1)"
-        )
-
-    def decomposition_obstruction(self, n, q):
-        cert = self.blowup_certificate(q)
-        needed = len(cert.beta_pattern) - 1
-        if n >= needed:
-            return None
-        return (
-            f"each group carries {needed} bounded gap ratios in a row; windows "
-            f"of size {n + 1} miss the diverging joint infinitely often",
-            max(g for g in cert.gamma_pattern if is_finite(g)),
         )
 
 

@@ -31,6 +31,7 @@ from porosity_lab.membership import test_i_csp as i_csp_verdict
 from porosity_lab.membership import test_ihat_sp as ihat_sp_verdict
 from porosity_lab.rational import INF, format_rational
 from porosity_lab.tailset import (
+    UNKNOWN,
     BlowupOf,
     Chain,
     EventuallyPeriodic,
@@ -315,6 +316,47 @@ def test_closed_form_families_are_always_definite(f, qs):
     assert all(v.is_definite for v in verdicts)
 
 
+# the decomposition theorem on point families: I(CSP) holds exactly when
+# some N splits the blown set into 2N+2 completely porous parts.  N runs
+# to 5, so no group holds more than five gaps, and depth 24 leaves every
+# family enough components for N = 5.
+DECOMPOSITION_FAMILIES = (
+    [
+        GeometricLadder(1, rho)
+        for rho in (F(1, 16), F(1, 9), F(1, 4), F(1, 3), F(4, 9), F(1, 2), F(2, 3), F(4, 5))
+    ]
+    + [SuperGeometricLadder(F(3, 4), rho) for rho in (F(1, 9), F(1, 3), F(1, 2), F(2, 3), F(4, 5))]
+    + [
+        ExampleFamily(alpha)
+        for alpha in (F(1, 9), F(1, 3), F(1, 2), F(3, 5), F(2, 3), F(4, 5), F(9, 10))
+    ]
+    + [
+        PatternLadder(1, ratios, decay)
+        for ratios, decay in (
+            ((), F(1, 2)),
+            ((F(1, 2),), F(1, 2)),
+            ((F(2, 3),), F(3, 5)),
+            ((F(4, 25),), F(1, 2)),
+            ((F(1, 2), F(1, 4)), F(1, 2)),
+            ((F(9, 10), F(4, 5)), F(1, 2)),
+            ((F(1, 4), F(1, 2), F(3, 4)), F(2, 3)),
+            ((F(1, 9), F(4, 9), F(1, 16), F(9, 16)), F(1, 3)),
+            ((F(1, 10), F(1, 11), F(1, 12), F(1, 13), F(1, 14)), F(1, 2)),
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize("q", QS, ids=repr)
+@pytest.mark.parametrize("f", DECOMPOSITION_FAMILIES, ids=repr)
+def test_definite_icsp_iff_some_decomposition_succeeds(f, q):
+    verdict = i_csp_verdict(f, (q,), M_MAX, 24)
+    assert verdict.is_definite
+    outcomes = [decompose_csp(f, n, q, 24) for n in range(1, 6)]
+    succeeds = any(isinstance(out, DecompositionResult) for out in outcomes)
+    assert verdict.value == succeeds, outcomes
+
+
 def test_family_to_json_rejects_non_families():
     with pytest.raises(TypeError):
         family_to_json(CofiniteTail(F(1, 2)))
@@ -332,6 +374,130 @@ def _blown_ratios(f, q, depth):
     return component_ratios(cc1_components(expand(BlowupOf(f, q), depth)))
 
 
+# ---------------------------------------------------------------------------
+# the closed forms as each family once wrote them out by hand: the oracles
+# for what `_PointFamily` derives from one late block of ratios
+
+
+def _merge_cutoff(alpha, q):
+    """Largest k >= 0 with alpha**k * q**2 > 1: the first k gaps of a late
+    ExampleFamily block merge under the q-blow-up."""
+    k = 0
+    value = q * q
+    while value * alpha > 1:
+        value *= alpha
+        k += 1
+    return k
+
+
+def _oracle_certificate(f, q):
+    if type(f) is GeometricLadder:
+        if q * q * f.rho > 1:
+            return UNKNOWN
+        return ExplicitLimit(q * q, False)
+    if type(f) is SuperGeometricLadder:
+        return ExplicitLimit(q * q, True)
+    if type(f) is ExampleFamily:
+        k = _merge_cutoff(f.alpha, q)
+        return ExplicitLimit(q * q * f.alpha ** F(-k * (k + 1), 2), False)
+    qq = q * q
+    betas, gammas = [], []
+    width = qq
+    for r in f.ratios:
+        if r * qq > 1:
+            width /= r
+        else:
+            betas.append(width)
+            gammas.append(1 / (r * qq))
+            width = qq
+    betas.append(width)
+    gammas.append(INF)
+    return EventuallyPeriodic(tuple(betas), tuple(gammas))
+
+
+def _oracle_obstruction(f, n, q):
+    if type(f) is GeometricLadder:
+        if q * q * f.rho > 1:
+            return "all points fuse into one component", None
+        return "gap ratios are constant", 1 / (q * q * f.rho)
+    if type(f) is SuperGeometricLadder:
+        return None
+    if type(f) is ExampleFamily:
+        return (
+            "windowed gap maxima stay bounded: windows of size N+1 land inside "
+            "a block infinitely often",
+            f.window_liminf(q, n),
+        )
+    cert = _oracle_certificate(f, q)
+    needed = len(cert.beta_pattern) - 1
+    if n >= needed:
+        return None
+    return (
+        f"each group carries {needed} bounded gap ratios in a row; windows "
+        f"of size {n + 1} miss the diverging joint infinitely often",
+        max(g for g in cert.gamma_pattern if g is not INF),
+    )
+
+
+def _oracle_window_liminf_exact(f, q, M):
+    return f.alpha ** (-(_merge_cutoff(f.alpha, q) + M + 1)) / (q * q)
+
+
+ORACLE_QS = AUDIT_QS + (F(4, 3), F(4))
+# each q^2 r = 1 below touches at one q of ORACLE_QS: 1/4 at 2, 1/9 at 3,
+# 4/9 at 3/2, 9/16 at 4/3, 4/25 at 5/2, 1/16 at 4
+ORACLE_FAMILIES = (
+    [
+        GeometricLadder(F(3, 4), rho)
+        for rho in (F(1, 16), F(1, 9), F(4, 25), F(1, 4), F(4, 9), F(9, 16), F(4, 5))
+    ]
+    + [SuperGeometricLadder(1, rho) for rho in (F(1, 9), F(1, 2), F(5, 6))]
+    # alpha = 1/16 and 1/9 keep every gap open (alpha q^2 <= 1) at small q
+    + [
+        ExampleFamily(alpha)
+        for alpha in (F(1, 16), F(1, 9), F(1, 3), F(1, 2), F(3, 5), F(4, 5), F(9, 10))
+    ]
+    + [
+        PatternLadder(1, ratios, decay)
+        for ratios, decay in (
+            ((), F(1, 2)),
+            ((F(1, 2), F(1, 4)), F(1, 2)),
+            ((F(9, 10), F(4, 5)), F(1, 2)),  # every in-group ratio merges for q >= 3/2
+            ((F(1, 4), F(1, 2), F(3, 4)), F(2, 3)),
+            ((F(1, 9), F(4, 9), F(1, 16), F(9, 16)), F(1, 3)),
+            ((F(4, 25), F(1, 20), F(1, 30), F(1, 40), F(1, 50)), F(1, 2)),
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS, ids=repr)
+@pytest.mark.parametrize("f", ORACLE_FAMILIES, ids=repr)
+def test_late_block_derivation_matches_hand_written_forms(f, q):
+    cert = blowup_certificate(f, q)
+    assert cert == _oracle_certificate(f, q)
+    assert certificate_to_json(cert) == certificate_to_json(_oracle_certificate(f, q))
+    for n in range(1, 5):
+        assert f.decomposition_obstruction(n, q) == _oracle_obstruction(f, n, q)
+    if type(f) is ExampleFamily:
+        for M in range(5):
+            assert f.window_liminf_exact(q, M) == _oracle_window_liminf_exact(f, q, M)
+
+
+def test_oracle_grid_reaches_the_edge_cases():
+    cases = [(f, q) for f in ORACLE_FAMILIES for q in ORACLE_QS]
+    ladders = [(f, q) for f, q in cases if type(f) is GeometricLadder]
+    assert any(q * q * f.rho > 1 for f, q in ladders)
+    assert any(q * q * f.rho == 1 for f, q in ladders)
+    examples = [(f, q) for f, q in cases if type(f) is ExampleFamily]
+    assert any(_merge_cutoff(f.alpha, q) == 0 for f, q in examples)
+    assert any(q * q * f.alpha == 1 for f, q in examples)
+    patterns = [(f, q) for f, q in cases if type(f) is PatternLadder]
+    assert any(f.ratios and all(q * q * r > 1 for r in f.ratios) for f, q in patterns)
+    assert any(f.ratios == () for f, q in patterns)
+    assert any(q * q * r == 1 for f, q in patterns for r in f.ratios)
+
+
 def _limit_cases():
     # (family, q, depth, how many of the deepest components are late)
     for rho in (F(1, 3), F(1, 2), F(2, 3), F(5, 6)):
@@ -344,10 +510,9 @@ def _limit_cases():
     for alpha in (F(1, 3), F(1, 2), F(2, 3), F(4, 5)):
         for q in AUDIT_QS:
             # blocks past the merge cutoff k hold a cluster plus j - k
-            # isolated components; the last two blocks are late
-            f = ExampleFamily(alpha)
-            late_block = f.merge_cutoff(q) + 4
-            yield f, q, late_block, 2 * (late_block - f.merge_cutoff(q)) + 1
+            # isolated components; at depth j = k + 4 the last two blocks,
+            # 5 + 4 components, are late
+            yield ExampleFamily(alpha), q, _merge_cutoff(alpha, q) + 4, 9
 
 
 @pytest.mark.parametrize("f, q, depth, late", list(_limit_cases()), ids=repr)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import Record
 from .rational import _scaled
 from .tailset import (
     PROBE_WINDOW,
@@ -35,10 +34,6 @@ __all__ = [
     "blow_up_block",
     "blow_up_chain",
     "cc1_components",
-    "blocks_within",
-    "blocks_subset",
-    "InclusionReport",
-    "check_inclusion_lemma",
     "find_covering_blowup",
 ]
 
@@ -100,95 +95,6 @@ def cc1_components(c: Chain) -> Chain:
     i = next((k for k, h in enumerate(hi) if h <= D), len(hi))
     view = _View(D, lo[i:], hi[i:], min(horizon, D))
     return _chain(c.blocks[i:], Fraction(1), min(c.horizon, Fraction(1)), view)
-
-
-# ---------------------------------------------------------------------------
-# inclusion under blow-up
-
-
-def blocks_within(blocks, lo: Fraction, hi: Fraction) -> tuple[Block, ...]:
-    """Blocks of the set intersected with the open window (lo, hi)."""
-    kept = []
-    for b in blocks:
-        if isinstance(b, Point):
-            if lo < b.x < hi:
-                kept.append(b)
-        else:
-            a, c = max(b.lo, lo), min(b.hi, hi)
-            if a < c:
-                kept.append(Interval(a, c))
-    return tuple(kept)
-
-
-def blocks_subset(inner, outer) -> bool:
-    """True iff the set described by `inner` sits inside the set described
-    by `outer` (both descending block tuples)."""
-    for b in inner:
-        if isinstance(b, Point):
-            ok = any(
-                (isinstance(o, Point) and o.x == b.x)
-                or (isinstance(o, Interval) and o.lo < b.x < o.hi)
-                for o in outer
-            )
-        else:
-            # an open interval is connected, so a single component of the
-            # outer set must swallow it whole
-            ok = any(
-                isinstance(o, Interval) and o.lo <= b.lo and b.hi <= o.hi
-                for o in outer
-            )
-        if not ok:
-            return False
-    return True
-
-
-class InclusionReport(Record):
-    """Outcome of the blown-inclusion check at a given scale."""
-
-    precondition_holds: bool
-    conclusion_holds: bool | None
-    passed: bool
-    scale: Fraction
-    window: tuple[Fraction, Fraction]
-
-
-def check_inclusion_lemma(
-    a_desc: TailFamily,
-    b_desc: TailFamily,
-    t,
-    q,
-    depth: int,
-    scale=None,
-) -> InclusionReport:
-    """Check: if B is inside A below t, then B(q) is inside A(q) below
-    scale*t (default scale 1/q, where the implication provably holds).
-
-    Both sides are compared above the higher of the two horizons, and the
-    blown comparison starts above q times that floor: below it, unknown
-    points could reach into the window.  A failed precondition is reported,
-    not raised.
-    """
-    t = Fraction(t)
-    q = _check_q(q)
-    scale = Fraction(1, 1) / q if scale is None else Fraction(scale)
-    ca, cb = expand(a_desc, depth), expand(b_desc, depth)
-    floor = max(ca.horizon, cb.horizon)
-    pre = blocks_subset(
-        blocks_within(cb.blocks, floor, t), blocks_within(ca.blocks, floor, t)
-    )
-    window = (q * floor, scale * t)
-    if not pre:
-        return InclusionReport(False, None, False, scale, window)
-    # blow up the full sets (above the matched floor): mass at or above t
-    # is exactly what makes scales beyond 1/q fail
-    lid = max(ca.upper, cb.upper) + 1
-    ba = blow_up_chain(Chain(blocks_within(ca.blocks, floor, lid), ca.upper, floor), q)
-    bb = blow_up_chain(Chain(blocks_within(cb.blocks, floor, lid), cb.upper, floor), q)
-    conclusion = blocks_subset(
-        blocks_within(bb.blocks, window[0], window[1]),
-        blocks_within(ba.blocks, window[0], window[1]),
-    )
-    return InclusionReport(True, conclusion, conclusion, scale, window)
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,28 @@ byte-stable for a given argument vector: rationals print as "p/q" strings,
 keys are sorted, nothing timestamps.  Exit status 0 means verdicts were
 computed, 2 means a hypothesis failure or a counterexample was reported,
 1 means the input was unusable.
+
+`main` reads a plain argument vector itself: the command first, then exact
+long option names, each followed by a value that does not start with "-";
+--q any number of times; --depth, --M, --n and --seed in ASCII digits; and
+--format json or text.  Every other vector (-h, --name=value forms,
+abbreviations, negative numbers, unknown tokens, a missing value) goes to
+argparse, which is imported and set up only then, so its usage and error
+lines, exit codes and help text are what the user sees.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import os
 import stat
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .blowup import cc1_components
-from .ideal_core import check_prime_iff_maximal, check_theorem_istar_eq_ihat
 from .membership import (
     CofiniteTail,
     DecompositionResult,
@@ -155,31 +163,36 @@ def _cmd_analyze(args) -> int:
     # the analyze report carries only the certified porosity index; the
     # probe tables live under the blowup command where they are printed
     p_plus = certified_porosity_index(f)
-    certs = [
-        {"q": format_rational(q), "certificate": certificate_to_json(blowup_certificate(f, q))}
-        for q in args.q_list
-    ]
+    p_plus = None if p_plus is None else format_rational(p_plus)
     bounds = None
     certified = f.certified_bounds(min(args.q_list), args.m_max)
     if certified is not None:
         beta, window = map(format_rational, certified)
         bounds = {"beta_limsup": beta, "window_liminf": window}
     report = _common_json(args)
-    report.update(
-        {
-            "family": family_to_json(f),
-            "q_list": [format_rational(q) for q in args.q_list],
-            "p_plus": None if p_plus is None else format_rational(p_plus),
-            "verdicts": {
-                "SP": verdict_to_json(v_sp),
-                "CSP": verdict_to_json(v_csp),
-                "I_CSP": verdict_to_json(v_icsp),
-                "Ihat_SP": verdict_to_json(v_ihat),
-            },
-            "certificates": certs,
-            "bounds": bounds,
-        }
-    )
+    if args.fmt == "json":
+        # the text lines print no family, verdict table or certificate
+        report.update(
+            {
+                "family": family_to_json(f),
+                "q_list": [format_rational(q) for q in args.q_list],
+                "p_plus": p_plus,
+                "verdicts": {
+                    "SP": verdict_to_json(v_sp),
+                    "CSP": verdict_to_json(v_csp),
+                    "I_CSP": verdict_to_json(v_icsp),
+                    "Ihat_SP": verdict_to_json(v_ihat),
+                },
+                "certificates": [
+                    {
+                        "q": format_rational(q),
+                        "certificate": certificate_to_json(blowup_certificate(f, q)),
+                    }
+                    for q in args.q_list
+                ],
+                "bounds": bounds,
+            }
+        )
     lines = [
         _verdict_text("SP", v_sp),
         _verdict_text("CSP", v_csp),
@@ -187,7 +200,7 @@ def _cmd_analyze(args) -> int:
         _verdict_text("Ihat(SP)", v_ihat),
     ]
     if p_plus is not None:
-        lines.append(f"p+: {report['p_plus']}")
+        lines.append(f"p+: {p_plus}")
     if bounds is not None:
         lines.append(
             f"beta limsup bound: {bounds['beta_limsup']}; "
@@ -270,9 +283,14 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify_foundations(args) -> int:
+    # only this command reads ideal_core, so only it pays for the import;
+    # the checks are looked up on the module, where a wrapper set from
+    # outside sees them
+    from . import ideal_core
+
     n = 3 if args.n is None else args.n
-    theorem = check_theorem_istar_eq_ihat(n)
-    primes = check_prime_iff_maximal(n)
+    theorem = ideal_core.check_theorem_istar_eq_ihat(n)
+    primes = ideal_core.check_prime_iff_maximal(n)
     bad = (
         len(theorem.counterexamples)
         + len(theorem.lemma_counterexamples)
@@ -358,36 +376,80 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; the contract reserves 2 for
-    # hypothesis failures, so turn parse errors into input errors instead
-    def error(self, message):
-        raise InputError(message)
+# every option: the namespace field it sets, its default, and the rest of
+# its argparse declaration.  `_read_argv` reads the same table: a "type" is
+# int, and an "action" is --q's append
+_OPTIONS = {
+    "--family": ("family", None, {"help": "family descriptor: JSON file path or inline JSON"}),
+    "--q": (
+        "q_list", None, {"metavar": "Q", "action": "append", "help": "blow-up factor, repeatable"}
+    ),
+    "--depth": ("depth", 32, {"type": int}),
+    "--M": ("m_max", 8, {"type": int, "help": "largest window size offset"}),
+    "--n": ("n", None, {"type": int, "help": "universe size / part-count parameter"}),
+    "--alpha": ("alpha", "1/2", {"help": "block family parameter in (0, 1)"}),
+    "--format": ("fmt", "text", {"choices": ["json", "text"]}),
+    "--seed": ("seed", None, {"type": int, "help": "echoed into reports for fixtures"}),
+}
+_DEFAULTS = {field: default for field, default, _ in _OPTIONS.values()}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="porosity-lab", description=__doc__, add_help=True)
+def _read_argv(argv: list) -> SimpleNamespace | None:
+    """The namespace argparse gives for a plain argument vector (see the
+    module docstring), or None for any other vector, which argparse then
+    reads."""
+    if len(argv) % 2 == 0 or type(argv[0]) is not str or argv[0] not in _COMMANDS:
+        return None
+    fields = dict(_DEFAULTS, command=argv[0])
+    q_list = []
+    for i in range(1, len(argv), 2):
+        name, value = argv[i], argv[i + 1]
+        option = _OPTIONS.get(name) if type(name) is str else None
+        if option is None or type(value) is not str or value[:1] == "-":
+            return None
+        field, _, declared = option
+        if "action" in declared:
+            q_list.append(value)
+            continue
+        if "type" in declared:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            value = int(value)
+        elif "choices" in declared and value not in declared["choices"]:
+            return None
+        fields[field] = value
+    if q_list:
+        fields["q_list"] = q_list
+    return SimpleNamespace(**fields)
+
+
+@cache
+def _parser():
+    """The argparse parser for every argument vector `_read_argv` leaves,
+    built on first use; parse_args keeps no state between calls, so one
+    serves every main."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad flags; the contract reserves 2
+        # for hypothesis failures, so turn parse errors into input errors
+        def error(self, message):
+            raise InputError(message)
+
+    # the help text describes the commands and reports, not how main reads
+    # its argv: the docstring up to that paragraph
+    description = __doc__.partition("\n`main` reads")[0]
+    parser = _Parser(prog="porosity-lab", description=description, add_help=True)
     parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--family", help="family descriptor: JSON file path or inline JSON")
-    parser.add_argument(
-        "--q", dest="q_list", metavar="Q", action="append", help="blow-up factor, repeatable"
-    )
-    parser.add_argument("--depth", type=int, default=32)
-    parser.add_argument("--M", dest="m_max", type=int, default=8, help="largest window size offset")
-    parser.add_argument("--n", type=int, default=None, help="universe size / part-count parameter")
-    parser.add_argument("--alpha", default="1/2", help="block family parameter in (0, 1)")
-    parser.add_argument("--format", dest="fmt", choices=["json", "text"], default="text")
-    parser.add_argument("--seed", type=int, default=None, help="echoed into reports for fixtures")
+    for name, (field, default, declared) in _OPTIONS.items():
+        parser.add_argument(name, dest=field, default=default, **declared)
     return parser
 
 
-# parse_args keeps no state between calls, so one parser serves every main
-_PARSER = _build_parser()
-
-
-def _config_from_args(args) -> argparse.Namespace:
+def _config_from_args(args):
     """Read the q list, alpha and family into the namespace, then check
-    depth, M and q in that order; argparse has already checked the rest."""
+    depth, M and q in that order; `_read_argv` or argparse has already
+    checked the rest."""
     args.q_list = tuple(parse_rational(q) for q in (args.q_list or ["2"]))
     args.alpha = parse_rational(args.alpha)
     args.family = None if args.family is None else _load_family(args.family)
@@ -413,7 +475,8 @@ def main(argv=None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        args = _config_from_args(_PARSER.parse_args(argv))
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _config_from_args(_read_argv(argv) or _parser().parse_args(argv))
         # the engines of one command look at the same chains many times over;
         # each is built once, and the memo ends with the command
         with expand_memo():

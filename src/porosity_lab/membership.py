@@ -651,16 +651,23 @@ def reproduce_example(alpha, depth: int, q_list, M_max: int = 8) -> ExampleRepor
     icsp = test_i_csp(f, q_list, M_max, depth)
     if not (ihat.is_definite and ihat.value and icsp.is_definite and not icsp.value):
         raise RuntimeError("the separating example lost its certificates")
-    windows = range(M_max + 1)
-    bounds = tuple(
-        ExampleQBounds(
-            q=q,
-            m=f.smallest_exponent(q),
-            beta_limsup=f.beta_limsup(q),
-            beta_limsup_exact=f.blowup_certificate(q).limsup_beta,
-            window_liminf=tuple(f.window_liminf(q, M) for M in windows),
-            window_liminf_exact=tuple(f.window_liminf_exact(q, M) for M in windows),
+    # both window bounds grow by 1/alpha from each M to the next, so only
+    # M = 0 reads the family's per-q values
+    inv = 1 / f.alpha
+    bounds = []
+    for q in map(Fraction, q_list):
+        window, exact = [f.window_liminf(q, 0)], [f.window_liminf_exact(q, 0)]
+        for _ in range(M_max):
+            window.append(window[-1] * inv)
+            exact.append(exact[-1] * inv)
+        bounds.append(
+            ExampleQBounds(
+                q=q,
+                m=f.smallest_exponent(q),
+                beta_limsup=f.beta_limsup(q),
+                beta_limsup_exact=f.blowup_certificate(q).limsup_beta,
+                window_liminf=tuple(window),
+                window_liminf_exact=tuple(exact),
+            )
         )
-        for q in map(Fraction, q_list)
-    )
-    return ExampleReport(f.alpha, depth, ihat, icsp, bounds)
+    return ExampleReport(f.alpha, depth, ihat, icsp, tuple(bounds))

@@ -18,6 +18,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from functools import wraps
 from heapq import merge
 from itertools import repeat
 from math import lcm
@@ -283,6 +284,31 @@ def certificate_to_json(cert: TailCertificate) -> dict:
 # families
 
 
+# inside an expand_memo() scope, _memo_key(f, depth) -> (f, chain) and
+# (method, id(f), q's numerator and denominator) -> (f, value); else None
+_EXPAND_MEMO: ContextVar[dict | None] = ContextVar("expand_memo", default=None)
+
+
+def _once_per_q(method):
+    """A family's method of q, computed once per (family, q) inside an
+    `expand_memo()` scope: the engines and the report of one command ask a
+    family the same question at the same q several times.  The memo holds
+    the family, as expand's does; outside a scope every call computes."""
+
+    @wraps(method)
+    def once(self, q: Fraction):
+        memo = _EXPAND_MEMO.get()
+        if memo is None:
+            return method(self, q)
+        key = method, id(self), q.numerator, q.denominator
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (self, method(self, q))
+        return hit[1]
+
+    return once
+
+
 class _Family(Record):
     """What a family knows about itself; the defaults mean no closed form."""
 
@@ -331,7 +357,8 @@ class _PointFamily(_Family):
         lo = tuple(nums)
         return _chain(tuple(points), top, x, _View(D, lo, lo, lo[-1]))
 
-    def _late_components(self, q: Fraction) -> tuple[list, list]:
+    @_once_per_q
+    def _late_components(self, q: Fraction) -> tuple[tuple, tuple]:
         """Width ratios and the gap ratio after each component of the
         q-blow-up of one late block, scanned on ints.  The blown points x and
         r*x merge exactly when r*q^2 > 1: a merging ratio divides the running
@@ -347,7 +374,7 @@ class _PointFamily(_Family):
                 betas.append(_ratio(wn, wd))
                 gammas.append(_ratio(d * b, n * a) if n else INF)
                 wn, wd = a, b
-        return betas, gammas
+        return tuple(betas), tuple(gammas)
 
     def blowup_certificate(self, q):
         betas, gammas = self._late_components(q)
@@ -496,6 +523,7 @@ class ExampleFamily(_PointFamily):
             for k in range(1, j + 1):
                 yield n**k, d**k
 
+    @_once_per_q
     def _late_block(self, q):
         # alpha, alpha**2, ... through the first gap that stays open, then
         # the joint: the gaps after it in a late block only widen, so the
@@ -507,6 +535,7 @@ class ExampleFamily(_PointFamily):
             k += 1
         return (*((n**j, d**j) for j in range(1, k + 1)), (0, 1))
 
+    @_once_per_q
     def smallest_exponent(self, q: Fraction) -> int:
         """Smallest positive m with q < (1/alpha)**m."""
         m = 1
@@ -611,7 +640,7 @@ class PatternLadder(_PointFamily):
         return (*(r.as_integer_ratio() for r in self.ratios), (0, 1))
 
     def blowup_certificate(self, q):
-        return EventuallyPeriodic(*map(tuple, self._late_components(q)))
+        return EventuallyPeriodic(*self._late_components(q))
 
     def sp_rule(self):
         return True, ExplicitLimit(INF, True), (
@@ -732,10 +761,6 @@ TailFamily = (
 )
 
 
-# _memo_key(f, depth) -> (f, chain) inside an expand_memo() scope, else None
-_EXPAND_MEMO: ContextVar[dict | None] = ContextVar("expand_memo", default=None)
-
-
 def _memo_key(f: TailFamily, depth: int) -> tuple:
     if isinstance(f, BlowupOf):
         # callers build a BlowupOf afresh for every look at a blown chain,
@@ -751,7 +776,8 @@ def expand_memo():
     """Within the block, expand builds each (family, depth) chain once.
 
     The memo lives as long as the block: `cli.main` runs each command
-    inside one scope, and nothing survives it.
+    inside one scope, and nothing survives it.  The per-q results of the
+    point families (`_once_per_q`) share it.
     """
     token = _EXPAND_MEMO.set({})
     try:

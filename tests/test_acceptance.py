@@ -10,15 +10,9 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from transfer_lemma import blocks_subset, check_inclusion_lemma
 
-from porosity_lab.blowup import (
-    blocks_subset,
-    blocks_within,
-    blow_up_block,
-    blow_up_chain,
-    cc1_components,
-    check_inclusion_lemma,
-)
+from porosity_lab.blowup import blow_up_block, blow_up_chain, cc1_components
 from porosity_lab.ideal_core import check_prime_iff_maximal, check_theorem_istar_eq_ihat
 from porosity_lab.membership import (
     DecompositionResult,

@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from fraction_oracles import merge_blocks
 from test_tailset import _chains, _fractions
+from transfer_lemma import blocks_subset, blocks_within, check_inclusion_lemma
 
 from porosity_lab import blowup
 from porosity_lab.blowup import (
-    blocks_subset,
-    blocks_within,
     blow_up_block,
     blow_up_chain,
     cc1_components,
-    check_inclusion_lemma,
     find_covering_blowup,
 )
 from porosity_lab.tailset import (

@@ -6,6 +6,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -470,18 +471,130 @@ def test_analyze_without_accumulation_is_input_error(capsys):
 
 
 def test_parser_keeps_no_state_between_calls(capsys):
-    # the parser is built once at import; a call that fails halfway through
-    # parsing must leave nothing behind for the next one
-    code, _, err = run_cli(capsys, "analyze", "--family", SUP, "--q", "5", "--q", "7", "--depth", "deep")
+    # argparse's parser is built on first use and kept; a call that fails
+    # halfway through parsing must leave nothing behind for the next one.
+    # The "=" forms keep every call here on argparse's path
+    failing = ("analyze", "--family", SUP, "--q=5", "--q", "7", "--depth", "deep")
+    passing = ("analyze", "--family", SUP, "--q=2", "--q", "3/2", "--format=json")
+    assert cli._read_argv(list(failing)) is None and cli._read_argv(list(passing)) is None
+    code, _, err = run_cli(capsys, *failing)
     assert code == 1 and err.startswith("error:")
     for _ in range(2):
-        code, out, _ = run_cli(
-            capsys, "analyze", "--family", SUP, "--q", "2", "--q", "3/2", "--format", "json"
-        )
+        code, out, _ = run_cli(capsys, *passing)
         assert code == 0
         report = json.loads(out)
         assert report["q_list"] == ["2", "3/2"]
         assert report["depth"] == 32
+
+
+# the argv reader: every token it meets in a plain argv, and the spellings it
+# leaves to argparse
+_ARGV_COMMANDS = sorted(cli._COMMANDS) + ["scan", "-h"]
+_ARGV_NAMES = list(cli._OPTIONS)
+_ARGV_ODD = [
+    "-h", "--help", "--", "--dep", "--fam", "--for", "--se", "--q=2", "--q=-3",
+    "--depth=4", "--M=2", "--format=json", "--family=" + GEO, "--speed", "--Q", "-q",
+]
+_ARGV_VALUES = [
+    GEO, PAT, "2", "3/2", "5/2", "4", "1", "0", "07", "8", "json", "text", "yaml",
+    "1/3", "", "-1", "-3", "-1/2", " 4", "+4", "1_0", "\u0663", "\uff14", "\u00b2", "analyze",
+]
+
+# values each option takes, so that plain argv are drawn often
+_ARGV_FITTING = {
+    "--family": [GEO, PAT],
+    "--q": ["2", "3/2", "5/2"],
+    "--alpha": ["1/3", "2/5"],
+    "--format": ["json", "text"],
+    **{name: ["0", "1", "2", "4", "07"] for name in ("--depth", "--M", "--n", "--seed")},
+}
+
+
+@st.composite
+def _argvs(draw):
+    argv = [draw(st.sampled_from(_ARGV_COMMANDS))] if draw(st.integers(0, 7)) else []
+    pair = st.sampled_from(_ARGV_NAMES).flatmap(
+        lambda name: st.tuples(
+            st.just(name), st.sampled_from(_ARGV_FITTING[name]) | st.sampled_from(_ARGV_VALUES)
+        )
+    ).map(list)
+    single = st.sampled_from(_ARGV_ODD + _ARGV_NAMES + _ARGV_VALUES).map(lambda token: [token])
+    for chunk in draw(st.lists(st.one_of(pair, pair, pair, pair, pair, single), max_size=5)):
+        argv += chunk
+    if not draw(st.integers(0, 7)):
+        argv.append(draw(st.sampled_from(_ARGV_NAMES)))  # a missing trailing value
+    return argv
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:  # argparse's -h
+            code = ("exit", e.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_argvs())
+@example(["analyze", "--family", GEO, "--q", "2", "--q", "3/2", "--depth", "8", "--format", "json"])
+@example(["reproduce-example", "--alpha", "1/3", "--M", "2", "--depth", "4", "--seed", "07"])
+@example(["verify-foundations", "--n", "2", "--n", "1", "--format", "text", "--format", "json"])
+@example(["analyze", "--dep", "4", "--q=2", "--family", GEO])
+@example(["-h"])
+@example(["blowup", "--family", GEO, "-h"])
+@example(["analyze", "--family", GEO, "--depth", "-2"])
+@example(["analyze", "--family", GEO, "--depth", "\u0663"])
+@example(["analyze", "--family", GEO, "--depth", "\u00b2"])
+@example(["analyze", "--family", GEO, "--q"])
+@example(["analyze", "--family", "-h"])
+@example(["analyze", "--family", "", "--format", "yaml"])
+@example([])
+def test_the_argv_reader_agrees_with_argparse(argv):
+    # the reader takes a namespace only where argparse gives the same one,
+    # and main answers every argv as the argparse-only path does
+    read = cli._read_argv(list(argv))
+    if read is not None:
+        assert vars(read) == vars(cli._parser().parse_args(list(argv)))
+    with mock.patch.object(cli, "_read_argv", lambda argv: None):
+        via_argparse = _outcome(argv)
+    assert _outcome(argv) == via_argparse
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--family", GEO],
+        ["blowup", "--family", PAT, "--q", "2", "--q", "5/2", "--depth", "12", "--format", "text"],
+        ["decompose", "--family", PAT, "--n", "2", "--q", "3/2", "--seed", "0"],
+        ["reproduce-example", "--alpha", "2/5", "--M", "6", "--q", "3", "--format", "json"],
+        ["verify-foundations", "--n", "4"],
+    ],
+)
+def test_plain_argv_skips_argparse(argv):
+    assert vars(cli._read_argv(argv)) == vars(cli._parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["analyze", "--help"],
+        ["analyze", "--family=" + GEO],
+        ["analyze", "--fam", GEO],
+        ["analyze", "--family", GEO, "--q", "-3"],
+        ["analyze", "--family", GEO, "--depth", "+8"],
+        ["analyze", "--family", GEO, "--depth", "\u0668"],
+        ["analyze", "--family", GEO, "--format", "yaml"],
+        ["analyze", "--family"],
+        ["analyze", "--family", GEO, "extra"],
+        ["--family", GEO, "analyze"],
+        ["scan", "--family", GEO],
+    ],
+)
+def test_other_argv_goes_to_argparse(argv):
+    assert cli._read_argv(argv) is None
 
 
 # no closed form, so all four engines fall back to their empirical paths
@@ -553,3 +666,45 @@ def test_memo_ends_with_a_failing_command(capsys, builds):
     code, _, err = run_cli(capsys, "analyze", "--family", json.dumps(no_accumulation))
     assert code == 1 and "accumulation" in err
     assert tailset._EXPAND_MEMO.get() is None
+
+
+@pytest.fixture
+def per_q_calls(monkeypatch):
+    """How often each per-q method of a point family computes, by (method,
+    q)."""
+    counts = collections.Counter()
+    for cls, name in (
+        (tailset._PointFamily, "_late_components"),
+        (tailset.ExampleFamily, "_late_block"),
+        (tailset.ExampleFamily, "smallest_exponent"),
+    ):
+        def counting(self, q, compute=getattr(cls, name).__wrapped__, name=name):
+            counts[name, q] += 1
+            return compute(self, q)
+
+        monkeypatch.setattr(cls, name, tailset._once_per_q(counting))
+    return counts
+
+
+def test_one_command_does_its_per_q_work_once(capsys, per_q_calls):
+    qs = (2, Fraction(3, 2))
+    argv = ("analyze", "--family", EXA, "--q", "2", "--q", "3/2", "--format", "json")
+    assert run_cli(capsys, *argv)[0] == 0
+    # every q's certificate, and the smallest q's rules and bounds
+    assert per_q_calls == {
+        **{("_late_components", q): 1 for q in qs},
+        **{("_late_block", q): 1 for q in qs},
+        ("smallest_exponent", Fraction(3, 2)): 1,
+    }
+    per_q_calls.clear()
+    argv = ("reproduce-example", "--q", "2", "--q", "3/2", "--M", "8")
+    assert run_cli(capsys, *argv)[0] == 0
+    names = ("_late_components", "_late_block", "smallest_exponent")
+    assert per_q_calls == {(name, q): 1 for q in qs for name in names}
+
+
+def test_per_q_work_outside_a_command_is_not_memoized(per_q_calls):
+    f = tailset.ExampleFamily(Fraction(1, 2))
+    f.window_liminf(Fraction(2), 1)
+    f.window_liminf(Fraction(2), 2)
+    assert per_q_calls == {("smallest_exponent", 2): 2}

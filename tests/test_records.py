@@ -1,10 +1,12 @@
-"""The package's value classes behave as immutable records.
+"""The package's value classes, and the tests' transfer-lemma report,
+behave as immutable records.
 
 Every class is built here by keyword, so its field names and their order
 are pinned by the repr; equality, hashing, immutability, the defaults and
 argument binding are checked for each.  A fresh interpreter importing the
 CLI must not load `dataclasses`, `inspect` or `typing`, whose import alone
-costs milliseconds on every start.
+costs milliseconds on every start, and a plain `analyze` must load neither
+`argparse` nor `ideal_core`.
 """
 
 import subprocess
@@ -13,9 +15,9 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from transfer_lemma import InclusionReport
 
 from porosity_lab._record import Record
-from porosity_lab.blowup import InclusionReport
 from porosity_lab.ideal_core import (
     FamilyOfSets,
     IdealReport,
@@ -331,3 +333,41 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == []
+
+
+# runs one command in a fresh interpreter and prints its exit status and the
+# modules of interest that are loaded after it
+_AFTER_ONE_COMMAND = """
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+import porosity_lab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = porosity_lab.cli.main({argv!r})
+print(code, *sorted({{'argparse', 'porosity_lab.ideal_core'}} & set(sys.modules)))
+"""
+
+
+def _after_one_command(argv) -> list:
+    code = _AFTER_ONE_COMMAND.format(src=str(SRC), argv=argv)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    return out.split()
+
+
+def test_analyze_loads_neither_argparse_nor_ideal_core():
+    family = '{"variant": "GeometricLadder", "x0": "1", "rho": "1/2"}'
+    argv = ["analyze", "--family", family, "--q", "2", "--format", "json"]
+    assert _after_one_command(argv) == ["0"]
+
+
+def test_only_verify_foundations_loads_ideal_core():
+    assert _after_one_command(["verify-foundations", "--n", "2"]) == ["0", "porosity_lab.ideal_core"]
+
+
+def test_argv_the_reader_leaves_loads_argparse():
+    assert _after_one_command(["verify-foundations", "--n=2"]) == [
+        "0",
+        "argparse",
+        "porosity_lab.ideal_core",
+    ]

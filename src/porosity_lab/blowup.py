@@ -62,6 +62,11 @@ def blow_up_chain(c: Chain, q) -> Chain:
     blown view has denominator D*a*b, where x/q and q*x are lo*b^2 and
     hi*a^2, so each merge is one int comparison.  Only the two ends of each
     finished component become Fractions, reduced against q's small terms.
+
+    This is the blow-up of every chain but a point family's: `BlowupOf`
+    scans a point family on its ratio pairs instead
+    (`_PointFamily._blown_chain`), and the tests hold that scan to this
+    function's chain.
     """
     q = _check_q(q)
     a, b = q.numerator, q.denominator
@@ -94,7 +99,10 @@ def cc1_components(c: Chain) -> Chain:
         raise ValueError("chain has isolated points; blow up first")
     i = next((k for k, h in enumerate(hi) if h <= D), len(hi))
     view = _View(D, lo[i:], hi[i:], min(horizon, D))
-    return _chain(c.blocks[i:], Fraction(1), min(c.horizon, Fraction(1)), view)
+    ratios = c._component_ratios
+    if ratios is not None:  # the ratios of the components kept
+        ratios = ratios[0][i:], ratios[1][i:]
+    return _chain(c.blocks[i:], Fraction(1), min(c.horizon, Fraction(1)), view, ratios)
 
 
 # ---------------------------------------------------------------------------

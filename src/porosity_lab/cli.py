@@ -253,10 +253,11 @@ def _cmd_decompose(args) -> int:
     f = _require_family(args)
     if args.n is None:
         raise InputError("decompose needs --n (the part-count parameter)")
-    result = decompose_csp(f, args.n, args.q_list[0], args.depth)
+    (q,) = args.q_list
+    result = decompose_csp(f, args.n, q, args.depth)
     report = _common_json(args)
     report["family"] = family_to_json(f)
-    report["q"] = format_rational(args.q_list[0])
+    report["q"] = format_rational(q)
     report["n"] = args.n
     if not isinstance(result, DecompositionResult):
         bound = None if result.window_bound is None else format_rational(result.window_bound)
@@ -446,10 +447,19 @@ def _parser():
     return parser
 
 
+# the commands that read no family, which refuse one rather than ignore it
+_NO_FAMILY = ("verify-foundations", "reproduce-example")
+
+
 def _config_from_args(args):
-    """Read the q list, alpha and family into the namespace, then check
-    depth, M and q in that order; `_read_argv` or argparse has already
-    checked the rest."""
+    """Refuse a --family the command does not read and a second --q to
+    decompose, read the q list, alpha and family into the namespace, then
+    check depth, M and q in that order; `_read_argv` or argparse has
+    already checked the rest."""
+    if args.family is not None and args.command in _NO_FAMILY:
+        raise InputError(f"{args.command} takes no --family")
+    if args.command == "decompose" and args.q_list is not None and len(args.q_list) > 1:
+        raise InputError("decompose takes one --q")
     args.q_list = tuple(parse_rational(q) for q in (args.q_list or ["2"]))
     args.alpha = parse_rational(args.alpha)
     args.family = None if args.family is None else _load_family(args.family)

@@ -48,13 +48,9 @@ __all__ = [
     "check_prime_iff_maximal",
     "check_theorem_istar_eq_ihat",
     "enumerate_down_families",
-    "gamma_maximal_ideals",
     "i_hat",
     "i_star",
     "ideal_report",
-    "is_down_set",
-    "is_ideal",
-    "union_support",
 ]
 
 # The scans run past n = 4: _theorem_scan(5) covers 7,581 down sets in
@@ -196,39 +192,6 @@ def _members(x: int, points: list[int]) -> frozenset[int]:
     return frozenset(sum(1 << points[i] for i in _positions(s)) for s in subsets)
 
 
-def union_support(f: FamilyOfSets) -> int:
-    """Bitmask of the union of all members (the family's support)."""
-    return reduce(or_, f.members, 0)
-
-
-def is_down_set(f: FamilyOfSets) -> bool:
-    """True iff every subset of every member is a member.
-
-    >>> u = Universe(2)
-    >>> is_down_set(FamilyOfSets(u, frozenset({0b00, 0b01})))
-    True
-    >>> is_down_set(FamilyOfSets(u, frozenset({0b11})))
-    False
-    """
-    x, points = _bits(f.members)
-    return _is_down(x, _has(len(points)))
-
-
-def is_ideal(f: FamilyOfSets, x: Universe) -> bool:
-    """True iff f is an ideal on the ground set of x.
-
-    The empty family is rejected: an ideal is a nonempty down set (hence
-    contains the empty set), closed under pairwise union, with the full
-    ground set not a member.
-    """
-    ground = x.full_mask
-    if ground in f.members or any(m & ~ground for m in f.members):
-        return False
-    # the nonempty, union-closed down sets are the power sets of their support
-    bits, points = _bits(f.members)
-    return bits == (1 << (1 << len(points))) - 1
-
-
 def _gamma_bits(gamma: FamilyOfSets) -> tuple[int, list[int], tuple, int | None]:
     """The nonempty down set gamma relabeled (see _bits), its HAS masks, and
     the largest members of its maximal ideals: its maximal members, or None
@@ -248,23 +211,6 @@ def _ideals(universe: Universe, tops: int, points: list[int]) -> list[FamilyOfSe
     compare as M's points do: the least point in one M only decides both."""
     ordered = sorted(_positions(tops), key=lambda m: (m.bit_count(), _positions(m)))
     return [_family(universe, _members(_powerset(m), points)) for m in ordered]
-
-
-def gamma_maximal_ideals(gamma: FamilyOfSets) -> list[FamilyOfSets]:
-    """All maximal ideals inside gamma, for gamma a nonempty down set whose
-    support is not itself a member.
-
-    Returned deterministically ordered (by size, then members).
-
-    >>> u = Universe(2)
-    >>> g = FamilyOfSets(u, frozenset({0b00, 0b01, 0b10}))
-    >>> [sorted(i.members) for i in gamma_maximal_ideals(g)]
-    [[0, 1], [0, 2]]
-    """
-    _, points, _, tops = _gamma_bits(gamma)
-    if tops is None:
-        raise ValueError("the support of gamma must not be a member")
-    return _ideals(gamma.universe, tops, points)
 
 
 def i_hat(gamma: FamilyOfSets) -> FamilyOfSets:

@@ -164,6 +164,11 @@ class Chain(Record):
         view = _View(D, lo, hi, floor)
         vars(self).update(blocks=blocks, upper=upper, horizon=horizon, _view=view)
 
+    # the (width, gap) ratios of a blown point family's components, as the
+    # scan that built the chain found them; every other chain reads its
+    # ratios off the view
+    _component_ratios = None
+
 
 # Constructors for values that are valid by construction: they skip the checks
 # and Fraction conversions of __init__.  Only internal code whose
@@ -185,12 +190,16 @@ def _interval(lo: Fraction, hi: Fraction) -> Interval:
     return i
 
 
-def _chain(blocks: tuple[Block, ...], upper: Fraction, horizon: Fraction, view: _View) -> Chain:
+def _chain(
+    blocks: tuple[Block, ...], upper: Fraction, horizon: Fraction, view: _View, ratios=None
+) -> Chain:
     c = object.__new__(Chain)
     object.__setattr__(c, "blocks", blocks)
     object.__setattr__(c, "upper", upper)
     object.__setattr__(c, "horizon", horizon)
     object.__setattr__(c, "_view", view)
+    if ratios is not None:
+        object.__setattr__(c, "_component_ratios", ratios)
     return c
 
 
@@ -326,6 +335,26 @@ class _Family(Record):
         return None
 
 
+def _merge_scan(ratios, aa: int, bb: int) -> tuple[list, int, int]:
+    """The components of the q-blow-up of points spaced by `ratios`, coprime
+    int pairs (n, d) from the top down, for q**2 = aa/bb.  The blown points
+    x and r*x merge exactly when r*q^2 > 1, strictly: ends that only touch
+    stay apart.  Returns (mn, md, n, d) for each component a gap closes, top
+    down, where mn/md is the product of the ratios merged into it and n/d
+    the ratio across the gap below it; then mn and md of the last
+    component, which no gap closes."""
+    closed = []
+    mn = md = 1
+    for n, d in ratios:
+        if n * aa > d * bb:
+            mn *= n
+            md *= d
+        else:
+            closed.append((mn, md, n, d))
+            mn = md = 1
+    return closed, mn, md
+
+
 class _PointFamily(_Family):
     """A family of points given by a closed form, from which it states
     everything the verdicts need: its points (the first, `x0`, and the
@@ -335,7 +364,11 @@ class _PointFamily(_Family):
     plain (value, certificate, note) data (`sp_rule`, `csp_rule`, and
     `ihat_rule`/`icsp_rule` at a representative blow-up factor q).  The
     blow-up certificate and what keeps the 2N+2-part decomposition from
-    existing are derived from the late block."""
+    existing are derived from the late block.
+
+    A blow-up of the family is scanned on its ratio pairs (`_blown_chain`,
+    which `BlowupOf` calls), so the points of its chain never become
+    Fractions on the way; the one `_merge_scan` also reads the late block."""
 
     has_zero_accumulation = True
 
@@ -357,24 +390,63 @@ class _PointFamily(_Family):
         lo = tuple(nums)
         return _chain(tuple(points), top, x, _View(D, lo, lo, lo[-1]))
 
+    def _blown_chain(self, depth: int, q: Fraction) -> Chain:
+        """`blow_up_chain(self._expand(depth), q)`, from one `_merge_scan` of
+        the ratios.
+
+        A component spans x_j/q to q*x_i over its top and bottom points x_i
+        and x_j.  Its width ratio is q^2 over its merged product and the gap
+        below it is 1/(r*q^2), both on small ints.  Its hi is the lo above
+        over that gap ratio and its lo is hi over the width ratio: two
+        `_scaled` per component and none per point.  The view ints are the
+        base view's (see `_expand`) at the component ends, lo*b^2 and hi*a^2
+        over D*a*b for q = a/b: prefix products of the numerators times
+        suffix products of the denominators, each taken per component."""
+        a, b = q.numerator, q.denominator
+        aa, bb = a * a, b * b
+        comps, mn, md = _merge_scan(self._ratios(depth), aa, bb)
+        comps.append((mn, md, 0, 1))  # the last component: no gap below it
+        hi = _scaled(self.x0, a, b)
+        top = self.x0.numerator  # x_i's view int before its suffix product
+        blocks, betas, gammas, tops = [], [], [], []
+        for mn, md, n, d in comps:
+            beta = _ratio(aa * md, bb * mn)
+            lo = _scaled(hi, beta.denominator, beta.numerator)
+            blocks.append(_interval(lo, hi))
+            betas.append(beta)
+            tops.append(top)
+            if n:
+                gamma = _ratio(d * bb, n * aa)
+                gammas.append(gamma)
+                hi = _scaled(lo, gamma.denominator, gamma.numerator)
+                top *= mn * n
+        # bottom up, S is the product of the denominators below a component's
+        # bottom point, and the view ints of its two ends share top * S
+        lo, hi, S = [], [], 1
+        for (mn, md, _, d), top in zip(reversed(comps), reversed(tops)):
+            S *= d
+            end = top * S
+            lo.append(end * (mn * bb))
+            hi.append(end * (md * aa))
+            S *= md
+        lo.reverse()
+        hi.reverse()
+        view = _View(self.x0.denominator * S * a * b, tuple(lo), tuple(hi), lo[-1])
+        ratios = tuple(betas), tuple(gammas)
+        return _chain(tuple(blocks), blocks[0].hi, blocks[-1].lo, view, ratios)
+
     @_once_per_q
     def _late_components(self, q: Fraction) -> tuple[tuple, tuple]:
         """Width ratios and the gap ratio after each component of the
-        q-blow-up of one late block, scanned on ints.  The blown points x and
-        r*x merge exactly when r*q^2 > 1: a merging ratio divides the running
-        width q^2, an open gap ends a component with gap ratio 1/(r*q^2), and
-        a joint (ratio 0) ends one with a gap that grows without bound."""
-        a, b = q.numerator**2, q.denominator**2  # q**2
-        betas, gammas = [], []
-        wn, wd = a, b  # the running width
-        for n, d in self._late_block(q):
-            if n * a > d * b:
-                wn, wd = wn * d, wd * n
-            else:
-                betas.append(_ratio(wn, wd))
-                gammas.append(_ratio(d * b, n * a) if n else INF)
-                wn, wd = a, b
-        return tuple(betas), tuple(gammas)
+        q-blow-up of one late block, from `_merge_scan`: q^2 over the merged
+        product, and 1/(r*q^2) across an open gap, where a joint (ratio 0)
+        gives a gap that grows without bound."""
+        aa, bb = q.numerator**2, q.denominator**2
+        comps, _, _ = _merge_scan(self._late_block(q), aa, bb)
+        return (
+            tuple(_ratio(aa * md, bb * mn) for mn, md, _, _ in comps),
+            tuple(_ratio(d * bb, n * aa) if n else INF for _, _, n, d in comps),
+        )
 
     def blowup_certificate(self, q):
         betas, gammas = self._late_components(q)
@@ -726,7 +798,9 @@ class UnionOf(_Family):
 
 class BlowupOf(_Family):
     """The q-blow-up of another family: every point x thickens to the open
-    interval (x/q, q*x) and overlaps merge."""
+    interval (x/q, q*x) and overlaps merge.  A point family's blow-up is
+    scanned on its ratio pairs (`_PointFamily._blown_chain`); every other
+    base is expanded and blown up by `blow_up_chain`."""
 
     base: "TailFamily"
     q: Fraction
@@ -739,6 +813,8 @@ class BlowupOf(_Family):
         return self.base.has_zero_accumulation
 
     def _expand(self, depth):
+        if isinstance(self.base, _PointFamily):
+            return self.base._blown_chain(depth, self.q)
         from . import blowup
 
         return blowup.blow_up_chain(expand(self.base, depth), self.q)
@@ -937,20 +1013,25 @@ def blowup_certificate(base: TailFamily, q) -> TailCertificate:
 def component_ratios(c: Chain) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Width ratios b_i/a_i and gap ratios a_i/b_{i+1} of a chain of
     intervals (a_i, b_i), such as the components `cc1_components` keeps;
-    each is a quotient of two view ints."""
+    a blown point family's chain carries them from its scan, and on any
+    other chain each is a quotient of two view ints."""
     return _width_ratios(c), _gap_ratios(c)
 
 
 # the two halves of component_ratios, for the engines that read only one:
-# each ratio costs a gcd of two view ints
+# off the view, each ratio costs a gcd of two view ints
 
 
 def _width_ratios(c: Chain) -> tuple[Fraction, ...]:
+    if c._component_ratios is not None:
+        return c._component_ratios[0]
     _, lo, hi, _ = c._view
     return tuple(map(_ratio, hi, lo))
 
 
 def _gap_ratios(c: Chain) -> tuple[Fraction, ...]:
+    if c._component_ratios is not None:
+        return c._component_ratios[1]
     _, lo, hi, _ = c._view
     return tuple(map(_ratio, lo, hi[1:]))
 

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from fraction_oracles import merge_blocks
-from test_tailset import _chains, _fractions
+from test_tailset import _chains, _fractions, _point_families
 from transfer_lemma import blocks_subset, blocks_within, check_inclusion_lemma
 
-from porosity_lab import blowup
+from porosity_lab import blowup, cli, tailset
 from porosity_lab.blowup import (
     blow_up_block,
     blow_up_chain,
@@ -28,6 +28,9 @@ from porosity_lab.tailset import (
     PatternLadder,
     Point,
     SuperGeometricLadder,
+    _gap_ratios,
+    _PointFamily,
+    _width_ratios,
     block_inf,
     block_sup,
     component_ratios,
@@ -209,6 +212,124 @@ def test_cc1_components_filter_and_order():
     assert cc1_components(at_1).blocks == (Interval(F(1, 4), 1),)
     with pytest.raises(ValueError):
         cc1_components(Chain((Point(1),), upper=1, horizon=0))
+
+
+# ---------------------------------------------------------------------------
+# a point family's blow-up, scanned on its ratio pairs, against blow_up_chain
+
+
+def _assert_scan_is_blow_up_chain(f, q, depth):
+    """The scan's chain is the generic blow-up of the expanded points, in
+    blocks, upper, horizon and view, and the ratios it carries are the ones
+    the view gives, before and after cc1_components.  Returns the two
+    chains."""
+    scanned = expand(BlowupOf(f, q), depth)
+    generic = blow_up_chain(f._expand(depth), q)
+    assert scanned._component_ratios is not None
+    assert generic._component_ratios is None
+    for c, o in ((scanned, generic), (cc1_components(scanned), cc1_components(generic))):
+        assert (c.blocks, c.upper, c.horizon, c._view) == (o.blocks, o.upper, o.horizon, o._view)
+        assert c._component_ratios == (_width_ratios(o), _gap_ratios(o))
+        assert component_ratios(c) == component_ratios(o)
+    return scanned, generic
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    _point_families.filter(lambda f: isinstance(f, _PointFamily)),
+    _fractions(1, 4),
+    st.integers(1, 8),
+)
+def test_point_family_scan_is_blow_up_chain(f, q, depth):
+    _assert_scan_is_blow_up_chain(f, q, depth)
+
+
+def test_point_family_scan_keeps_touching_ends_apart():
+    # r * q^2 = 1 exactly: the blown points only touch and stay apart, with
+    # gap ratio 1 (the pattern's joints below 1/4 open wider)
+    for f in (GeometricLadder(1, F(1, 4)), PatternLadder(1, (F(1, 4),), F(1, 4))):
+        scanned, _ = _assert_scan_is_blow_up_chain(f, F(2), 6)
+        assert len(scanned.blocks) == len(f._expand(6).blocks)
+        assert _gap_ratios(scanned).count(F(1)) >= 5
+
+
+def test_point_family_scan_merges_everything_into_one_component():
+    scanned, _ = _assert_scan_is_blow_up_chain(GeometricLadder(1, F(4, 5)), F(2), 12)
+    assert len(scanned.blocks) == 1
+    assert component_ratios(scanned) == ((F(4) / F(4, 5) ** 11,), ())
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        GeometricLadder(F(3, 4), F(1, 2)),
+        SuperGeometricLadder(F(5, 2), F(2, 3)),
+        ExampleFamily(F(1, 3)),
+        PatternLadder(1, (), F(1, 2)),
+        PatternLadder(F(7, 3), (F(1, 2), F(9, 10)), F(1, 3)),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("q", [F(5, 4), F(2), F(7, 3)], ids=str)
+def test_point_family_scan_at_depth_1(f, q):
+    _assert_scan_is_blow_up_chain(f, q, 1)
+
+
+def test_point_family_scan_drops_components_above_1_in_step():
+    # the leading blown components reach above 1, and cc1 drops them with
+    # their width and gap ratios
+    for f in (GeometricLadder(9, F(1, 9)), SuperGeometricLadder(6, F(1, 2))):
+        scanned, _ = _assert_scan_is_blow_up_chain(f, F(3, 2), 8)
+        kept = cc1_components(scanned)
+        dropped = len(scanned.blocks) - len(kept.blocks)
+        assert dropped >= 2
+        assert kept._component_ratios == tuple(r[dropped:] for r in scanned._component_ratios)
+
+
+def test_point_family_scan_on_growing_ratio_powers():
+    # rho**k: the first ratios merge, then every gap stays open
+    f = SuperGeometricLadder(1, F(5, 6))
+    scanned, _ = _assert_scan_is_blow_up_chain(f, F(3, 2), 16)
+    assert 1 < len(scanned.blocks) < 16
+
+
+def test_blow_up_of_a_blow_up_stays_generic():
+    inner = BlowupOf(ExampleFamily(F(1, 2)), F(3, 2))
+    outer = expand(BlowupOf(inner, F(2)), 6)
+    generic = blow_up_chain(expand(inner, 6), F(2))
+    assert outer._component_ratios is None
+    assert (outer, outer._view) == (generic, generic._view)
+    _assert_scan_is_blow_up_chain(inner.base, inner.q, 6)
+
+
+_POINT_DESCRIPTORS = [
+    '{"variant":"GeometricLadder","x0":"3","rho":"1/5"}',
+    '{"variant":"GeometricLadder","x0":"1","rho":"4/5"}',
+    '{"variant":"SuperGeometricLadder","x0":"1","rho":"1/2"}',
+    '{"variant":"ExampleFamily","alpha":"1/2"}',
+    '{"variant":"PatternLadder","x0":"1","ratios":["1/2","1/8"],"decay":"1/4"}',
+]
+
+
+@pytest.mark.parametrize("family", _POINT_DESCRIPTORS)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("blowup", "--q", "2", "--q", "3/2"),
+        ("decompose", "--n", "1", "--q", "3"),
+        ("decompose", "--n", "2", "--q", "2"),
+    ],
+    ids=" ".join,
+)
+def test_blowup_and_decompose_never_expand_the_point_family(capsys, monkeypatch, family, command):
+    argv = [command[0], "--family", family, "--depth", "12", "--format", "json", *command[1:]]
+    want = cli.main(argv), capsys.readouterr()
+
+    def refuse(self, depth):
+        raise AssertionError("expanded a point family")
+
+    monkeypatch.setattr(tailset._PointFamily, "_expand", refuse)
+    assert (cli.main(argv), capsys.readouterr()) == want
 
 
 def test_blocks_within_open_window():

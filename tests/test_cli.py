@@ -231,8 +231,38 @@ def test_input_errors_exit_one(capsys, argv):
     assert err.startswith("error:")
 
 
-# the checks run in one order: the q list, alpha and family are read first,
-# then depth, M and every q > 1 are checked, so the first bad input names it
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ("verify-foundations", "--n", "2", "--family", GEO),
+            "error: verify-foundations takes no --family",
+        ),
+        (
+            ("verify-foundations", "--family", '{"variant":"NoSuchFamily"}'),
+            "error: verify-foundations takes no --family",
+        ),
+        (
+            ("reproduce-example", "--alpha", "1/3", "--family", EXA),
+            "error: reproduce-example takes no --family",
+        ),
+        (("reproduce-example", "--family=" + PAT), "error: reproduce-example takes no --family"),
+        (
+            ("decompose", "--family", PAT, "--n", "2", "--q", "2", "--q", "3"),
+            "error: decompose takes one --q",
+        ),
+        (("decompose", "--family", PAT, "--n", "2", "--q=2", "--q=2"), "error: decompose takes one --q"),
+    ],
+)
+def test_options_a_command_would_not_read_are_refused(capsys, argv, line):
+    # a family these commands never load, or a q decompose would never use,
+    # is one error line rather than silently ignored
+    assert run_cli(capsys, *argv) == (1, "", line + "\n")
+
+
+# the checks run in one order: an option the command refuses comes first,
+# the q list, alpha and family are read next, then depth, M and every q > 1
+# are checked, so the first bad input names it
 @pytest.mark.parametrize(
     "argv, line",
     [

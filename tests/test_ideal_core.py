@@ -4,12 +4,15 @@ The oracle is the frozenset implementation the bitset kernel replaced: a
 family is a frozenset of bitmasks and every check loops over its members.
 """
 
+import doctest
 import random
 from itertools import combinations
 
+import ideal_oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ideal_oracles import gamma_maximal_ideals, is_down_set, is_ideal, union_support
 
 from porosity_lab.ideal_core import (
     MAX_GROUND_SIZE,
@@ -20,13 +23,9 @@ from porosity_lab.ideal_core import (
     check_prime_iff_maximal,
     check_theorem_istar_eq_ihat,
     enumerate_down_families,
-    gamma_maximal_ideals,
     i_hat,
     i_star,
     ideal_report,
-    is_down_set,
-    is_ideal,
-    union_support,
 )
 
 
@@ -254,6 +253,12 @@ def test_down_family_generator_reaches_the_dedekind_number_at_n5():
     families = [frozenset(i for i in range(32) if x >> i & 1) for x in _down_sets(5)]
     assert len(families) == len(set(families)) == DOWN_FAMILY_COUNT_5
     assert families == sorted(_down_families(5), key=family_order)
+
+
+def test_the_oracle_module_doctests_pass():
+    # the examples in the docstrings of ideal_oracles, run as doctests
+    result = doctest.testmod(ideal_oracles)
+    assert (result.attempted, result.failed) == (6, 0)
 
 
 def test_is_down_set_against_oracle_exhaustively_n2():

@@ -6,7 +6,16 @@ the machine over time hits both sides alike.  Each run's last line is its
 JSON result.  For every end-to-end metric in BENCHMARK.json the tool prints
 the median [q1, q3] of each side, the ratio of the medians (this checkout
 over base) and how many pairs each side won; a pair whose two values are
-equal counts for neither side.
+equal counts for neither side.  It also prints two verdicts per metric:
+
+- gain: this checkout won at least nine tenths of the pairs, and its median
+  is better than base's by more than the distance between base's
+  quartiles; otherwise "no gain".
+- bound: "within" when this checkout's median is worse than base's by no
+  more than the metric's `bound` in BENCHMARK.json (a fraction of base's
+  median), "beyond" when it is worse by more, and "unresolved" when base's
+  own spread (quartile distance over median) exceeds the bound, unless
+  every run of this checkout reads better than every run of base.
 
     python3 tools/bench_pairs.py --base ../base --workload deep-scan --seed 1 \\
         --pairs 5 --seconds 36 --out BENCH.json
@@ -62,6 +71,26 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def gain_verdict(base: list, head: list, sign: int, head_wins: int) -> str:
+    """"gain" when head won at least 9 of every 10 pairs and the medians
+    differ, head's way, by more than base's quartile distance."""
+    b, h = spread(base), spread(head)
+    ahead = sign * (h["median"] - b["median"])
+    return "gain" if 10 * head_wins >= 9 * len(base) and ahead > b["q3"] - b["q1"] else "no gain"
+
+
+def bound_verdict(base: list, head: list, sign: int, bound: float) -> str:
+    """"within" or "beyond" the bound on head's worsening, as a fraction of
+    base's median; "unresolved" when base's own spread exceeds the bound
+    and not every head run beats every base run."""
+    b, h = spread(base), spread(head)
+    if (b["q3"] - b["q1"]) / b["median"] > bound:
+        if min(sign * x for x in head) <= max(sign * x for x in base):
+            return "unresolved"
+    worse = sign * (b["median"] - h["median"]) / b["median"]
+    return "beyond" if worse > bound else "within"
+
+
 def compare(metrics: list, base_runs: list, head_runs: list) -> dict:
     table = {}
     for m in metrics:
@@ -75,11 +104,14 @@ def compare(metrics: list, base_runs: list, head_runs: list) -> dict:
         table[name] = {
             "unit": m["unit"],
             "better": better,
+            "bound": m["bound"],
             "base": b,
             "head": h,
             "ratio": h["median"] / b["median"],
             "head_wins": head_wins,
             "base_wins": base_wins,
+            "gain": gain_verdict(base, head, sign, head_wins),
+            "bound_check": bound_verdict(base, head, sign, m["bound"]),
             "base_values": base,
             "head_values": head,
         }
@@ -116,7 +148,8 @@ def main(argv=None) -> int:
         print(f"  {name:12s} base {b['median']:10.4f} [{b['q1']:.4f}, {b['q3']:.4f}]"
               f"  head {h['median']:10.4f} [{h['q1']:.4f}, {h['q3']:.4f}]"
               f"  ratio {row['ratio']:.3f}  won: head {row['head_wins']}, base {row['base_wins']}"
-              f"  ({row['better']} is better)")
+              f"  ({row['better']} is better)  {row['gain']}, bound {row['bound']:g}:"
+              f" {row['bound_check']}")
     correct = {side: all(r["correct"] for r in rs) for side, rs in runs.items()}
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     print(f"  correct: {correct}, failed ops: {failed}")

@@ -14,10 +14,7 @@ from .rational import _scaled
 from .tailset import (
     PROBE_WINDOW,
     SP_EVIDENCE_RATIO,
-    Block,
     Chain,
-    Interval,
-    Point,
     TailFamily,
     _View,
     _chain,
@@ -25,25 +22,15 @@ from .tailset import (
     _interval,
     block_inf,
     block_sup,
-    certified_porosity_index,
     expand,
     probe_ratios,
 )
 
 __all__ = [
-    "blow_up_block",
     "blow_up_chain",
     "cc1_components",
     "find_covering_blowup",
 ]
-
-
-def blow_up_block(b: Block, q) -> Interval:
-    """Point x -> (x/q, q*x); interval (a, b) -> (a/q, q*b)."""
-    q = _check_q(q)
-    if isinstance(b, Point):
-        return Interval(b.x / q, q * b.x)
-    return Interval(b.lo / q, q * b.hi)
 
 
 def blow_up_chain(c: Chain, q) -> Chain:
@@ -117,7 +104,7 @@ def find_covering_blowup(f: TailFamily, depth: int) -> tuple[Fraction, Fraction]
     family has one, otherwise from the deepest probe ratios; q = 1/(1-s)
     then closes every relative gap of size at most s.
     """
-    certified = certified_porosity_index(f)
+    certified = f.porosity_index()
     if certified == 1:
         return None
     chain = expand(f, depth)

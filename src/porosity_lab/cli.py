@@ -47,7 +47,6 @@ from .tailset import (
     TailFamily,
     blowup_certificate,
     certificate_to_json,
-    certified_porosity_index,
     component_ratios,
     expand,
     expand_memo,
@@ -162,7 +161,7 @@ def _cmd_analyze(args) -> int:
 
     # the analyze report carries only the certified porosity index; the
     # probe tables live under the blowup command where they are printed
-    p_plus = certified_porosity_index(f)
+    p_plus = f.porosity_index()
     p_plus = None if p_plus is None else format_rational(p_plus)
     bounds = None
     certified = f.certified_bounds(min(args.q_list), args.m_max)

@@ -18,10 +18,10 @@ from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import wraps
+from functools import cached_property, wraps
 from heapq import merge
 from itertools import repeat
-from math import lcm
+from math import lcm, prod
 
 from ._record import Record
 from .rational import INF, RationalLike, _ratio, _scaled, format_rational, parse_rational
@@ -52,7 +52,6 @@ __all__ = [
     "SP_EVIDENCE_RATIO",
     "PROBE_WINDOW",
     "probe_ratios",
-    "certified_porosity_index",
     "porosity_profile",
     "blowup_certificate",
     "component_ratios",
@@ -356,21 +355,19 @@ def _merge_scan(ratios, aa: int, bb: int) -> tuple[list, int, int]:
 
 
 class _PointFamily(_Family):
-    """A family of points given by a closed form, from which it states
-    everything the verdicts need: its points (the first, `x0`, and the
-    ratios between consecutive ones as coprime int pairs, `_ratios`), the
-    porosity index, one late block of those ratios (`_late_block`, with
-    (0, 1) for a joint whose ratio tends to 0), and one rule per class as
-    plain (value, certificate, note) data (`sp_rule`, `csp_rule`, and
-    `ihat_rule`/`icsp_rule` at a representative blow-up factor q).  The
-    blow-up certificate and what keeps the 2N+2-part decomposition from
-    existing are derived from the late block.
-
-    A blow-up of the family is scanned on its ratio pairs (`_blown_chain`,
-    which `BlowupOf` calls), so the points of its chain never become
-    Fractions on the way; the one `_merge_scan` also reads the late block."""
+    """A family of points given by a closed form.  It states its points (the
+    first, `x0`, and the ratios between consecutive ones as coprime int
+    pairs, `_ratios`), one late block of those ratios (`_late_block`, with
+    (0, 1) for a joint whose ratio tends to 0), whether its groups stay
+    bounded (`_bounded_groups`) and one note per class (`_notes`).  The rest
+    comes from the late block: the porosity index, 1 - (least ratio); the
+    class rules, where SP and Î(SP) hold exactly when it has a joint and CSP
+    and I(CSP) when the groups also stay bounded; the blow-up certificate
+    and the decomposition's obstruction, from one `_merge_scan`, the scan
+    that also blows the family up on its ratio pairs (`_blown_chain`)."""
 
     has_zero_accumulation = True
+    _bounded_groups = True
 
     def _expand(self, depth: int) -> Chain:
         # x_k = x0 * r_1 ... r_k for coprime ratio pairs (n, d): the points
@@ -435,6 +432,43 @@ class _PointFamily(_Family):
         ratios = tuple(betas), tuple(gammas)
         return _chain(tuple(blocks), blocks[0].hi, blocks[-1].lo, view, ratios)
 
+    @cached_property
+    def _late_range(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The least and the largest late ratio as int pairs, a joint as (0, 1);
+        free of q: ExampleFamily's cut moves only powers of alpha between them."""
+        block = self._late_block(Fraction(2))
+        least = largest = block[0]
+        for r in block:  # cross-multiplied: no Fraction is built
+            least = r if r[0] * least[1] < least[0] * r[1] else least
+            largest = r if r[0] * largest[1] > largest[0] * r[1] else largest
+        return least, largest
+
+    def porosity_index(self):
+        return 1 - _ratio(*self._late_range[0])
+
+    def sp_rule(self):
+        n, d = self._late_range[0]
+        cert = ExplicitLimit(_ratio(d, n), False) if n else ExplicitLimit(INF, True)
+        return not n, cert, self._notes["SP"](self)
+
+    def csp_rule(self):
+        (n, _), (ln, ld) = self._late_range
+        value = not n and self._bounded_groups
+        cert = ExplicitLimit(INF, True) if value else ExplicitLimit(_ratio(ld, ln), False)
+        return value, cert, self._notes["CSP"](self)
+
+    def ihat_rule(self, q):
+        return self._blown_rule(True, q, "Ihat_SP")
+
+    def icsp_rule(self, q):
+        return self._blown_rule(self._bounded_groups, q, "I_CSP")
+
+    def _blown_rule(self, with_joint: bool, q: Fraction, name: str):
+        # no joint: the set is not strongly porous, so neither Î(SP) nor I(CSP)
+        if self._late_range[0][0]:
+            return False, ExplicitLimit(INF, False), self._notes[name](self)
+        return with_joint, self.blowup_certificate(q), self._notes[name](self)
+
     @_once_per_q
     def _late_components(self, q: Fraction) -> tuple[tuple, tuple]:
         """Width ratios and the gap ratio after each component of the
@@ -496,38 +530,30 @@ class GeometricLadder(_Ladder):
     def _ratios(self, depth):
         return repeat((self.rho.numerator, self.rho.denominator), depth - 1)
 
-    def porosity_index(self):
-        return 1 - self.rho
-
     def _late_block(self, q):
         return (self.rho.as_integer_ratio(),)
 
-    def sp_rule(self):
-        return False, ExplicitLimit(1 / self.rho, False), (
+    _notes = {
+        "SP": lambda f: (
             "free gaps (x_{n+1}, x_n) all have width ratio 1/rho; "
-            f"the porosity index is pinned at 1 - rho = {format_rational(1 - self.rho)} < 1"
-        )
-
-    def csp_rule(self):
-        return False, ExplicitLimit(1 / self.rho, False), (
+            f"the porosity index is pinned at 1 - rho = {format_rational(1 - f.rho)} < 1"
+        ),
+        "CSP": lambda f: (
             "consecutive points keep the fixed ratio rho, so any cover interval "
             "holds boundedly many of them and successive cover centers cannot "
             "shrink to ratio 0"
-        )
-
-    def ihat_rule(self, q):
-        return False, ExplicitLimit(INF, False), (
+        ),
+        "Ihat_SP": lambda f: (
             "any q with q^2 * rho > 1 fuses all points into a single component, "
             "so the component chain is finite (the set is not even porous: "
-            f"index {format_rational(1 - self.rho)})"
-        )
-
-    def icsp_rule(self, q):
-        return False, ExplicitLimit(INF, False), (
+            f"index {format_rational(1 - f.rho)})"
+        ),
+        "I_CSP": lambda f: (
             "below the class of porous sets nothing qualifies: the set is not "
-            f"porous (index {format_rational(1 - self.rho)}); for small q the gap "
+            f"porous (index {format_rational(1 - f.rho)}); for small q the gap "
             "ratios are even constant at 1/(q^2 rho)"
-        )
+        ),
+    }
 
 
 class SuperGeometricLadder(_Ladder):
@@ -539,34 +565,24 @@ class SuperGeometricLadder(_Ladder):
         for k in range(1, depth):
             yield n**k, d**k
 
-    def porosity_index(self):
-        return Fraction(1)
-
     def _late_block(self, q):
         return ((0, 1),)  # every late ratio rho**(n+1) lies below 1/q**2
 
-    def sp_rule(self):
-        return True, ExplicitLimit(INF, True), (
-            "gap ratio x_{n+1}/x_n = rho^(n+1) -> 0: relative gaps open completely"
-        )
-
-    def csp_rule(self):
-        return True, ExplicitLimit(INF, True), (
+    _notes = {
+        "SP": lambda f: "gap ratio x_{n+1}/x_n = rho^(n+1) -> 0: relative gaps open completely",
+        "CSP": lambda f: (
             "the points are their own cover ladder: x_{n+1}/x_n = rho^(n+1) -> 0 "
             "and any q > 1 makes (x/q, qx) swallow x"
-        )
-
-    def ihat_rule(self, q):
-        return True, self.blowup_certificate(q), (
+        ),
+        "Ihat_SP": lambda f: (
             "for every q > 1 the blown points eventually separate: the chain is "
             "infinite and every width ratio settles at q^2 (q0 = 1)"
-        )
-
-    def icsp_rule(self, q):
-        return True, self.blowup_certificate(q), (
+        ),
+        "I_CSP": lambda f: (
             "M = 0 works for every q > 1: the gap ratios rho^-(n+1)/q^2 diverge "
             "on their own (q0 = 1)"
-        )
+        ),
+    }
 
 
 class ExampleFamily(_PointFamily):
@@ -580,6 +596,7 @@ class ExampleFamily(_PointFamily):
 
     alpha: Fraction
     x0 = Fraction(1)  # y(0,1), not a field
+    _bounded_groups = False  # block j holds j + 1 points
 
     def __init__(self, alpha: Fraction):
         alpha = _exact(alpha)
@@ -636,33 +653,23 @@ class ExampleFamily(_PointFamily):
     def certified_bounds(self, q, M):
         return self.beta_limsup(q), self.window_liminf(q, M)
 
-    def porosity_index(self):
-        return Fraction(1)
-
-    def sp_rule(self):
-        return True, ExplicitLimit(INF, True), (
-            "the joint below block j has gap ratio alpha^(j+1) -> 0"
-        )
-
-    def csp_rule(self):
-        return False, ExplicitLimit(1 / self.alpha, False), (
+    _notes = {
+        "SP": lambda f: "the joint below block j has gap ratio alpha^(j+1) -> 0",
+        "CSP": lambda f: (
             "block heads repeat the gap ratio alpha: ever longer stretches force "
             "cover centers with ratio at least alpha infinitely often"
-        )
-
-    def ihat_rule(self, q):
-        return True, self.blowup_certificate(q), (
+        ),
+        "Ihat_SP": lambda f: (
             "for every q > 1 each late block contributes one cluster plus isolated "
             "components; width ratios stay below a bound depending only on alpha "
             "and q (q0 = 1)"
-        )
-
-    def icsp_rule(self, q):
-        return False, self.blowup_certificate(q), (
+        ),
+        "I_CSP": lambda f: (
             "no (q, M) works: windows of any size M+1 land entirely inside a "
             "block infinitely often, where the gap maxima stay at "
             "alpha^-(k*+M+1)/q^2 < infinity"
-        )
+        ),
+    }
 
     def decomposition_obstruction(self, n, q):
         return (
@@ -705,42 +712,29 @@ class PatternLadder(_PointFamily):
                 yield n**g, d**g  # the joint below group g - 1
             yield from group
 
-    def porosity_index(self):
-        return Fraction(1)
-
     def _late_block(self, q):
         return (*(r.as_integer_ratio() for r in self.ratios), (0, 1))
 
     def blowup_certificate(self, q):
         return EventuallyPeriodic(*self._late_components(q))
 
-    def sp_rule(self):
-        return True, ExplicitLimit(INF, True), (
-            "the joint below group g has gap ratio prod(ratios) * decay^(g+1) -> 0"
-        )
-
-    def csp_rule(self):
-        span = Fraction(1)
-        for r in self.ratios:
-            span *= r
-        return True, ExplicitLimit(INF, True), (
+    _notes = {
+        "SP": lambda f: "the joint below group g has gap ratio prod(ratios) * decay^(g+1) -> 0",
+        "CSP": lambda f: (
             "cover ladder at the group heads with q = 2/prod(ratios) = "
-            f"{format_rational(2 / span)}: each interval swallows its whole group "
-            "and successive heads shrink by decay^(g+1) -> 0"
-        )
-
-    def ihat_rule(self, q):
-        return True, self.blowup_certificate(q), (
+            f"{format_rational(2 / prod(f.ratios, start=Fraction(1)))}: each interval "
+            "swallows its whole group and successive heads shrink by decay^(g+1) -> 0"
+        ),
+        "Ihat_SP": lambda f: (
             "for every q > 1 the blown groups repeat an identical finite pattern: "
             "infinitely many components with periodic width ratios (q0 = 1)"
-        )
-
-    def icsp_rule(self, q):
-        return True, self.blowup_certificate(q), (
-            f"M = {len(self.ratios)} works for every q > 1: each group contributes at "
+        ),
+        "I_CSP": lambda f: (
+            f"M = {len(f.ratios)} works for every q > 1: each group contributes at "
             "most M bounded gap ratios before the diverging joint, so every "
             "window of size M+1 catches a joint (q0 = 1)"
-        )
+        ),
+    }
 
 
 class ExplicitChain(_Family):
@@ -983,11 +977,6 @@ class PorosityProfile(Record):
     p_plus: Fraction | None
 
 
-def certified_porosity_index(f: TailFamily) -> Fraction | None:
-    """Closed-form upper porosity at 0, when the family carries one."""
-    return f.porosity_index()
-
-
 def porosity_profile(f: TailFamily, depth: int) -> PorosityProfile:
     """Evaluate the gap ratio along probe heights h = lower endpoints of the
     chain's blocks (each sits just above a gap, where the ratio is locally
@@ -997,7 +986,7 @@ def porosity_profile(f: TailFamily, depth: int) -> PorosityProfile:
     if not f.has_zero_accumulation:
         raise ValueError("family does not accumulate at 0; no porosity to probe")
     samples = probe_ratios(expand(f, depth))
-    return PorosityProfile(tuple(samples), certified_porosity_index(f))
+    return PorosityProfile(tuple(samples), f.porosity_index())
 
 
 # ---------------------------------------------------------------------------

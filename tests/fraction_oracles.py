@@ -15,6 +15,7 @@ from porosity_lab.tailset import (
     SP_EVIDENCE_RATIO,
     Interval,
     Point,
+    _check_q,
     block_inf,
     block_sup,
 )
@@ -102,6 +103,14 @@ def component_ratios(comps):
     betas = tuple(_quotient(c.hi, c.lo) for c in comps)
     gammas = tuple(_quotient(comps[i].lo, comps[i + 1].hi) for i in range(len(comps) - 1))
     return betas, gammas
+
+
+def blow_up_block(b, q):
+    """Point x -> (x/q, q*x); interval (a, b) -> (a/q, q*b)."""
+    q = _check_q(q)
+    if isinstance(b, Point):
+        return Interval(b.x / q, q * b.x)
+    return Interval(b.lo / q, q * b.hi)
 
 
 def merge_blocks(blocks):

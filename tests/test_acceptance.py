@@ -10,9 +10,10 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from fraction_oracles import blow_up_block
 from transfer_lemma import blocks_subset, check_inclusion_lemma
 
-from porosity_lab.blowup import blow_up_block, blow_up_chain, cc1_components
+from porosity_lab.blowup import blow_up_chain, cc1_components
 from porosity_lab.ideal_core import check_prime_iff_maximal, check_theorem_istar_eq_ihat
 from porosity_lab.membership import (
     DecompositionResult,
@@ -35,7 +36,6 @@ from porosity_lab.tailset import (
     SuperGeometricLadder,
     UnionOf,
     block_inf,
-    certified_porosity_index,
     component_ratios,
     expand,
     lambda_gap,
@@ -354,7 +354,7 @@ def test_criterion_8_porosity_oracle():
     for rho in (F(1, 2), F(9, 10), F(99, 100)):
         for x0 in (F(1), F(2, 3)):
             f = GeometricLadder(x0, rho)
-            certified = certified_porosity_index(f)
+            certified = f.porosity_index()
             assert certified == 1 - rho
             profile = porosity_profile(f, 30)
             assert profile.p_plus == certified

@@ -7,13 +7,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from fraction_oracles import merge_blocks
+from fraction_oracles import blow_up_block, merge_blocks
 from test_tailset import _chains, _fractions, _point_families
 from transfer_lemma import blocks_subset, blocks_within, check_inclusion_lemma
 
 from porosity_lab import blowup, cli, tailset
 from porosity_lab.blowup import (
-    blow_up_block,
     blow_up_chain,
     cc1_components,
     find_covering_blowup,

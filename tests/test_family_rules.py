@@ -44,9 +44,9 @@ from porosity_lab.tailset import (
     Point,
     SuperGeometricLadder,
     UnionOf,
+    _PointFamily,
     blowup_certificate,
     certificate_to_json,
-    certified_porosity_index,
     component_ratios,
     expand,
     family_from_json,
@@ -119,7 +119,7 @@ def _decomposition(f, n):
 
 
 def _rules_record(f) -> dict:
-    p_plus = certified_porosity_index(f)
+    p_plus = f.porosity_index()
     return {
         "SP": verdict_to_json(is_sp(f, DEPTH)),
         "CSP": verdict_to_json(csp_verdict(f, DEPTH)),
@@ -443,6 +443,20 @@ def _oracle_window_liminf_exact(f, q, M):
     return f.alpha ** (-(_merge_cutoff(f.alpha, q) + M + 1)) / (q * q)
 
 
+def _oracle_rules(f, q):
+    """The porosity index, then (value, certificate) for SP, CSP, Î(SP) and
+    I(CSP) at q."""
+    blown = blowup_certificate(f, q)
+    if type(f) is GeometricLadder:
+        flat, finite = ExplicitLimit(1 / f.rho, False), ExplicitLimit(INF, False)
+        return 1 - f.rho, (False, flat), (False, flat), (False, finite), (False, finite)
+    full = ExplicitLimit(INF, True)
+    if type(f) is ExampleFamily:
+        heads = ExplicitLimit(1 / f.alpha, False)
+        return F(1), (True, full), (False, heads), (True, blown), (False, blown)
+    return F(1), (True, full), (True, full), (True, blown), (True, blown)
+
+
 ORACLE_QS = AUDIT_QS + (F(4, 3), F(4))
 # each q^2 r = 1 below touches at one q of ORACLE_QS: 1/4 at 2, 1/9 at 3,
 # 4/9 at 3/2, 9/16 at 4/3, 4/25 at 5/2, 1/16 at 4
@@ -482,6 +496,33 @@ def test_late_block_derivation_matches_hand_written_forms(f, q):
     if type(f) is ExampleFamily:
         for M in range(5):
             assert f.window_liminf_exact(q, M) == _oracle_window_liminf_exact(f, q, M)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS, ids=repr)
+@pytest.mark.parametrize("f", ORACLE_FAMILIES, ids=repr)
+def test_late_block_derivation_matches_hand_written_rules(f, q):
+    index, *expected = _oracle_rules(f, q)
+    assert type(f.porosity_index()) is F and f.porosity_index() == index
+    derived = (f.sp_rule(), f.csp_rule(), f.ihat_rule(q), f.icsp_rule(q))
+    for (value, cert, note), (want_value, want_cert) in zip(derived, expected):
+        assert value is want_value
+        assert cert == want_cert
+        assert certificate_to_json(cert) == certificate_to_json(want_cert)
+        assert type(note) is str and note
+    # the least and largest late ratios are read once, at one q: they must
+    # be the same at every q
+    ratios = [F(n, d) for n, d in f._late_block(q)]
+    assert [F(*r) for r in f._late_range] == [min(ratios), max(ratios)]
+
+
+def test_point_families_state_no_class_rule_by_hand():
+    derived = {"porosity_index", "sp_rule", "csp_rule", "ihat_rule", "icsp_rule"}
+    for cls in (GeometricLadder, SuperGeometricLadder, ExampleFamily, PatternLadder):
+        mro = cls.__mro__
+        for own in mro[: mro.index(_PointFamily)]:
+            assert derived.isdisjoint(vars(own)), own.__name__
+        # one note table per family, one note per class
+        assert set(vars(cls)["_notes"]) == {"SP", "CSP", "Ihat_SP", "I_CSP"}
 
 
 def test_oracle_grid_reaches_the_edge_cases():

@@ -11,7 +11,7 @@ from test_family_rules import DEPTH, GRID
 from test_tailset import _chains, _families, _fractions
 
 from porosity_lab import membership
-from porosity_lab.blowup import blow_up_block, blow_up_chain, cc1_components
+from porosity_lab.blowup import blow_up_chain, cc1_components
 from porosity_lab.membership import DecompositionResult, decompose_csp
 from porosity_lab.rational import format_rational
 from porosity_lab.tailset import (
@@ -57,7 +57,7 @@ def _assert_paths_match(c):
         assert _csp_scan(c) == oracle.csp_cover_scan(c)
     for q in (F(3, 2), F(5)):
         blown = blow_up_chain(c, q)
-        assert blown.blocks == oracle.merge_blocks(blow_up_block(b, q) for b in c.blocks)
+        assert blown.blocks == oracle.merge_blocks(oracle.blow_up_block(b, q) for b in c.blocks)
         _assert_view_exact(blown)
         assert probe_ratios(blown) == oracle.probe_ratios(blown)
         assert component_ratios(blown) == oracle.component_ratios(blown.blocks)

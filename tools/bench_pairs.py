@@ -24,7 +24,10 @@ With ``--out`` the table is also written to a JSON file, together with the
 Python version, the number of CPUs and the base side's commit (its path when
 it is not a git work tree of its own).  Entries already in that file stay,
 except one for the same workload and seed, which is replaced.  Each side
-runs from its own checkout's perfbench/, which is only read.
+runs its own checkout's perfbench/ on its own src/, both copied first into
+one temporary directory as ``base`` and ``head``: the peak RSS of a run
+moves with the length of the path it runs from, so both paths are equally
+long.  The checkouts themselves are only read.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +53,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=checkout, stdout=subprocess.PIPE, text=True, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def stage(checkout: Path, dest: Path) -> Path:
+    """A copy at dest of what perfbench/run.py reads from a checkout:
+    src/ and perfbench/, without bytecode."""
+    for name in ("src", "perfbench"):
+        shutil.copytree(checkout / name, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
 
 
 def describe(checkout: Path) -> str:
@@ -131,14 +144,16 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    sides = {"base": args.base.resolve(), "head": ROOT}
-    base_name = describe(sides["base"])
+    checkouts = {"base": args.base.resolve(), "head": ROOT}
+    base_name = describe(checkouts["base"])
     runs = {"base": [], "head": []}
-    for i in range(args.pairs):
-        order = ("base", "head") if i % 2 == 0 else ("head", "base")
-        for side in order:
-            runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
-        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {side: stage(path, Path(tmp) / side) for side, path in checkouts.items()}
+        for i in range(args.pairs):
+            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+            for side in order:
+                runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
+            print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 
     table = compare(metrics, runs["base"], runs["head"])
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs; "

@@ -159,8 +159,8 @@ def _cmd_analyze(args) -> int:
     v_icsp = test_i_csp(f, args.q_list, args.m_max, args.depth)
     v_csp = test_csp(f, args.depth)
 
-    # the analyze report carries only the certified porosity index; the
-    # probe tables live under the blowup command where they are printed
+    # the analyze report carries only the certified porosity index; no
+    # command prints probe tables (blowup prints components, betas, gammas)
     p_plus = f.porosity_index()
     p_plus = None if p_plus is None else format_rational(p_plus)
     bounds = None

@@ -48,8 +48,6 @@ __all__ = [
     "check_prime_iff_maximal",
     "check_theorem_istar_eq_ihat",
     "enumerate_down_families",
-    "i_hat",
-    "i_star",
     "ideal_report",
 ]
 
@@ -153,18 +151,18 @@ def _common(tops: int | None) -> int:
     return 0 if tops is None else reduce(and_, _positions(tops), -1)
 
 
-def _star(x: int, points, has, down: bool) -> int:
+def _star(x: int, points, has) -> int:
     """The subsets S of points with S | B in x for every member B.
 
     T_S = {S | B : B in x} grows one point at a time along a depth-first
-    walk, so at most one T per point is live.  When x is a down set, a
-    failing S fails with every superset, and its subtree is skipped.
+    walk, so at most one T per point is live.  x is a down set, so a failing
+    S fails with every superset, and its subtree is skipped.
     """
     last = len(points)
 
     def walk(s: int, t: int, i: int) -> int:
         out = 0 if t & ~x else 1 << s
-        if out or not down:
+        if out:
             for j in range(i, last):
                 p = points[j]
                 h = has[p]
@@ -213,24 +211,6 @@ def _ideals(universe: Universe, tops: int, points: list[int]) -> list[FamilyOfSe
     return [_family(universe, _members(_powerset(m), points)) for m in ordered]
 
 
-def i_hat(gamma: FamilyOfSets) -> FamilyOfSets:
-    """Intersection of all maximal ideals inside gamma.
-
-    Degenerate case: when the support is a member of the down set gamma the
-    intersection collapses to the family {empty set}, returned directly.
-    """
-    _, points, _, tops = _gamma_bits(gamma)
-    return _family(gamma.universe, _members(_powerset(_common(tops)), points))
-
-
-def i_star(gamma: FamilyOfSets) -> FamilyOfSets:
-    """All subsets S of the support with S union B in gamma for every member B."""
-    x, points = _bits(gamma.members)
-    has = _has(len(points))
-    star = _star(x, range(len(points)), has, _is_down(x, has))
-    return _family(gamma.universe, _members(star, points))
-
-
 class IdealReport(Record):
     """Full maximal-ideal analysis of one down set."""
 
@@ -249,7 +229,7 @@ def ideal_report(gamma: FamilyOfSets) -> IdealReport:
     """
     x, points, has, tops = _gamma_bits(gamma)
     hat = _powerset(_common(tops))
-    star = _star(x, range(len(points)), has, True)
+    star = _star(x, range(len(points)), has)
     hat_members = _members(hat, points)
     return IdealReport(
         gamma=gamma,
@@ -343,7 +323,7 @@ def _theorem_scan(n: int) -> TheoremReport:
             continue
         support = _support(x, has)
         qualifying = not x >> support & 1
-        star = _star(x, _positions(support), has, True)
+        star = _star(x, _positions(support), has)
         # the ideals on the support are the P(M), M a proper part of it
         star_top = _support(star, has)
         if (star == _powerset(star_top) and star_top != support) != qualifying:
@@ -392,7 +372,14 @@ def check_prime_iff_maximal(n: int) -> PrimeMaximalReport:
     ground set there is one prime ideal per point: the subsets missing that
     point.
     """
-    full = Universe(n).full_mask
+    Universe(n)
+    _check_ground_size(n)
+    return _prime_scan(n)
+
+
+def _prime_scan(n: int) -> PrimeMaximalReport:
+    """check_prime_iff_maximal for any n >= 1, past the cap."""
+    full = (1 << n) - 1
     width = full + 1
     everything = (1 << width) - 1
     ideals = [_powerset(m) for m in range(full)]

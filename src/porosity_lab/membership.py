@@ -505,20 +505,6 @@ class DecompositionResult(Record):
     cover_verified_to: Fraction
     part_verdicts: tuple[Verdict, ...]
 
-    def gamma_divergence_indices(self, bound) -> tuple[int | None, ...]:
-        """For each interval part, the first position in its gap-ratio
-        sequence from which every later value exceeds `bound` (None when the
-        sequence never clears it, 0 when it always does)."""
-        out = []
-        for part in self.parts[:-1]:
-            gammas = _gap_ratios(part.chain)
-            pos = 0
-            for i, g in enumerate(gammas):
-                if g <= bound:
-                    pos = i + 1
-            out.append(pos if pos < len(gammas) or not gammas else None)
-        return tuple(out)
-
 
 def decompose_csp(
     f: TailFamily, n: int, q, depth: int = 32

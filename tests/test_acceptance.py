@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 from fraction_oracles import blow_up_block
+from test_membership import gamma_divergence_indices
 from transfer_lemma import blocks_subset, check_inclusion_lemma
 
 from porosity_lab.blowup import blow_up_chain, cc1_components
@@ -326,7 +327,7 @@ def test_criterion_7_decomposition_oracle():
         assert sorted(gathered, key=lambda blk: -blk.lo) == list(comps[lo_idx:hi_idx])
         # everything at or above the verified floor is accounted for
         assert all(c.lo >= result.cover_verified_to for c in comps[:hi_idx])
-        marks = result.gamma_divergence_indices(bound)
+        marks = gamma_divergence_indices(result, bound)
         populated = 0
         for part, mark in zip(result.parts[:-1], marks):
             assert mark is not None, (family, n)

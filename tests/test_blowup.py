@@ -27,6 +27,7 @@ from porosity_lab.tailset import (
     PatternLadder,
     Point,
     SuperGeometricLadder,
+    UnionOf,
     _gap_ratios,
     _PointFamily,
     _width_ratios,
@@ -429,3 +430,32 @@ def test_find_covering_blowup_full_interval():
     q, t = find_covering_blowup(f, depth=4)
     assert q == 2
     assert t == 1
+
+
+def test_find_covering_blowup_without_a_certified_index():
+    # an ExplicitChain part takes the union's certified index away, so q
+    # comes from the deepest probe ratios
+    geo = GeometricLadder(1, F(1, 2))
+    f = UnionOf((geo, ExplicitChain(expand(geo, 20))))
+    assert f.porosity_index() is None
+    q, t = find_covering_blowup(f, depth=20)
+    assert (q, t) == (4, 1)
+    # a real cover: the blown blocks, merged by the Fraction oracle, leave
+    # no gap from q*horizon up to t
+    chain = expand(f, 20)
+    merged = merge_blocks([blow_up_block(b, q) for b in chain.blocks])
+    assert any(block_inf(b) <= q * chain.horizon and t <= block_sup(b) for b in merged)
+    # probe ratios near 1 are evidence of strong porosity: no cover
+    sup = SuperGeometricLadder(1, F(1, 2))
+    assert find_covering_blowup(UnionOf((sup, ExplicitChain(expand(sup, 40)))), 32) is None
+
+
+def test_find_covering_blowup_without_a_component_at_the_anchor():
+    # nothing to blow up from a horizon at 0
+    assert find_covering_blowup(ExplicitChain(Chain((), upper=1, horizon=0)), 4) is None
+    # the component at q*horizon is capped by the upper edge below it
+    high = ExplicitChain(Chain((Point(1), Point(F(9, 10))), upper=1, horizon=F(9, 10)))
+    assert find_covering_blowup(high, 4) is None
+    # a point at the horizon blows up to end at q*horizon, the open end
+    low = ExplicitChain(Chain((Point(F(1, 2)),), upper=1, horizon=F(1, 2)))
+    assert find_covering_blowup(low, 4) is None

@@ -166,6 +166,8 @@ def test_unreadable_family_files_are_input_errors(tmp_path, capsys):
         (str(tmp_path), f"error: no such family file: {tmp_path}\n"),
         (str(tmp_path / "none.json"), f"error: no such family file: {tmp_path}/none.json\n"),
         (str(latin1 / "x"), f"error: no such family file: {latin1}/x\n"),
+        # os.stat refuses a path holding a NUL byte with ValueError
+        ("fam\x00.json", "error: no such family file: fam\x00.json\n"),
     ]
     for family, message in cases:
         code, out, err = run_cli(capsys, "analyze", "--family", family)
@@ -305,6 +307,15 @@ def test_infinite_inputs_are_input_errors(capsys, argv):
         (
             '{"variant":"PatternLadder","x0":"1","ratios":"12","decay":"1/4"}',
             "bad family descriptor",
+        ),
+        # values out of range are bad descriptors too
+        ('{"variant":"PatternLadder","x0":"0","ratios":["1/2"],"decay":"1/4"}', "x0 must be positive"),
+        ('{"variant":"PatternLadder","x0":"-1","ratios":["1/2"],"decay":"1/4"}', "x0 must be positive"),
+        ('{"variant":"PatternLadder","x0":"1","ratios":["1/2"],"decay":"0"}', "decay must lie in (0, 1)"),
+        ('{"variant":"PatternLadder","x0":"1","ratios":["1/2"],"decay":"1"}', "decay must lie in (0, 1)"),
+        (
+            '{"variant":"ExplicitChain","chain":{"blocks":[],"upper":"0","horizon":"0"}}',
+            "upper edge must be positive",
         ),
     ],
 )

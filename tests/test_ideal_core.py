@@ -17,14 +17,13 @@ from ideal_oracles import gamma_maximal_ideals, is_down_set, is_ideal, union_sup
 from porosity_lab.ideal_core import (
     MAX_GROUND_SIZE,
     _down_sets,
+    _prime_scan,
     _theorem_scan,
     FamilyOfSets,
     Universe,
     check_prime_iff_maximal,
     check_theorem_istar_eq_ihat,
     enumerate_down_families,
-    i_hat,
-    i_star,
     ideal_report,
 )
 
@@ -295,8 +294,6 @@ def test_worked_maximal_ideal_example():
     gamma = FamilyOfSets(u, frozenset({0b00, 0b01, 0b10}))
     maximal = gamma_maximal_ideals(gamma)
     assert [sorted(m.members) for m in maximal] == [[0, 1], [0, 2]]
-    assert sorted(i_hat(gamma).members) == [0]
-    assert sorted(i_star(gamma).members) == [0]
     rep = ideal_report(gamma)
     assert rep.equal
     assert rep.gamma is gamma
@@ -319,12 +316,15 @@ def test_gamma_maximal_rejects_bad_input():
 def test_i_hat_degenerate_support_member():
     # support inside gamma collapses the intersection to {empty set}
     u = Universe(2)
-    assert sorted(i_hat(FamilyOfSets(u, frozenset({0}))).members) == [0]
-    assert sorted(i_hat(FamilyOfSets(u, frozenset({0, 1, 2, 3}))).members) == [0]
+    for members in ({0}, {0, 1, 2, 3}):
+        report = ideal_report(FamilyOfSets(u, frozenset(members)))
+        assert sorted(report.i_hat.members) == [0]
+        assert report.maximal_ideals == ()
 
 
 def test_ideal_report_agrees_with_public_functions():
-    # ideal_report reads its intersection off its own maximal-ideal search
+    # ideal_report reads its intersection off its own maximal-ideal search;
+    # the oracle intersects the maximal ideals gamma_maximal_ideals finds
     for n in range(1, MAX_GROUND_SIZE + 1):
         u = Universe(n)
         for members in enumerate_down_families(n):
@@ -332,11 +332,14 @@ def test_ideal_report_agrees_with_public_functions():
                 continue
             gamma = FamilyOfSets(u, members)
             report = ideal_report(gamma)
-            assert report.i_hat == i_hat(gamma)
             if union_support(gamma) in members:
                 assert report.maximal_ideals == ()
+                assert report.i_hat.members == {0}
             else:
-                assert list(report.maximal_ideals) == gamma_maximal_ideals(gamma)
+                maximal = gamma_maximal_ideals(gamma)
+                assert list(report.maximal_ideals) == maximal
+                hat = frozenset.intersection(*(m.members for m in maximal))
+                assert report.i_hat == FamilyOfSets(u, hat)
 
 
 @pytest.mark.parametrize("n", range(1, MAX_GROUND_SIZE + 1))
@@ -350,7 +353,7 @@ def test_closed_forms_equal_the_search_oracle_on_every_down_set(n):
         report = ideal_report(gamma)
         if support in members:
             assert report.maximal_ideals == ()
-            assert i_hat(gamma).members == report.i_hat.members == {0}
+            assert report.i_hat.members == {0}
             continue
         maximal = sorted(
             oracle_maximal_families(oracle_ideals_within(members, support)),
@@ -358,7 +361,6 @@ def test_closed_forms_equal_the_search_oracle_on_every_down_set(n):
         )
         hat = frozenset.intersection(*maximal)
         assert [m.members for m in gamma_maximal_ideals(gamma)] == maximal
-        assert i_hat(gamma).members == hat
         assert [m.members for m in report.maximal_ideals] == maximal
         assert report.i_hat.members == hat
 
@@ -369,7 +371,7 @@ def test_i_star_direct_definition_oracle():
     u = Universe(3)
     for fam in rng.sample([f for f in families if f], 10):
         gamma = FamilyOfSets(u, fam)
-        star = i_star(gamma)
+        star = ideal_report(gamma).i_star
         support = union_support(gamma)
         expected = {
             s
@@ -436,10 +438,13 @@ def test_theorem_star_equals_hat_n4():
 
 
 def test_ground_size_errors_keep_their_order():
-    with pytest.raises(ValueError, match="at least one point"):
-        check_theorem_istar_eq_ihat(0)
-    with pytest.raises(ValueError, match=r"ground size must be 1\.\.4"):
-        check_theorem_istar_eq_ihat(MAX_GROUND_SIZE + 1)
+    # only the first size past the cap is tried: a check that let a larger
+    # n through would build ints of 2**n bits for every subset or down set
+    for check in (check_theorem_istar_eq_ihat, check_prime_iff_maximal):
+        with pytest.raises(ValueError, match="at least one point"):
+            check(0)
+        with pytest.raises(ValueError, match=r"ground size must be 1\.\.4"):
+            check(MAX_GROUND_SIZE + 1)
 
 
 def test_exhaustive_scans_at_n5():
@@ -447,7 +452,7 @@ def test_exhaustive_scans_at_n5():
     report = _theorem_scan(5)
     assert (report.n, report.scanned, report.checked) == (5, DOWN_FAMILY_COUNT_5, 7548)
     assert report.ok, report
-    primes = check_prime_iff_maximal(5)
+    primes = _prime_scan(5)
     assert primes.ok, primes
     assert (primes.ideal_count, primes.prime_count, primes.maximal_count) == (31, 5, 5)
 
@@ -485,7 +490,6 @@ def test_ideal_report_over_a_wide_universe_sizes_by_the_support():
         members = frozenset([0] + [1 << p for p in points])
         gamma = FamilyOfSets(u, members)
         assert_report_matches_oracle(gamma)
-        assert i_star(gamma).members == _star_members(members)
         assert len(ideal_report(gamma).maximal_ideals) == 14
 
 
@@ -498,7 +502,7 @@ def test_every_built_family_passes_the_public_check():
                 continue
             gamma = FamilyOfSets(u, members)
             report = ideal_report(gamma)
-            built = [*report.maximal_ideals, report.i_hat, report.i_star, i_hat(gamma), i_star(gamma)]
+            built = [*report.maximal_ideals, report.i_hat, report.i_star]
             if union_support(gamma) not in members:
                 built += gamma_maximal_ideals(gamma)
             for f in built:
@@ -526,7 +530,6 @@ def test_public_functions_equal_the_oracle_on_any_family(f, ground_size):
     members = f.members
     assert union_support(f) == _support_of(members)
     assert is_down_set(f) == _is_down_members(members)
-    assert i_star(f).members == _star_members(members)
     ground = Universe(ground_size)
     assert is_ideal(f, ground) == _is_ideal_members(members, ground.full_mask)
     assert is_ideal(f, f.universe) == _is_ideal_members(members, f.universe.full_mask)

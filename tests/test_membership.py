@@ -235,6 +235,16 @@ def test_union_with_unknown_part_goes_empirical():
     assert v.value
 
 
+def test_i_csp_evidence_of_a_diverging_window_is_empirical_true():
+    # the copy takes the union's certificate away; the gaps of the blown
+    # chain still grow, and the windowed maxima diverge from M = 0
+    u = UnionOf((SUP, ExplicitChain(expand(SUP, 40))))
+    v = i_csp_verdict(u, QS, 8, 32)
+    assert (v.kind, v.value, v.depth) == ("empirical", True, 32)
+    assert v.trend == "monotone-increasing"
+    assert v.note.endswith("q=2: window M=0 diverges")
+
+
 # ---------------------------------------------------------------------------
 # the worked example
 
@@ -342,10 +352,26 @@ def test_decompose_pattern_structure():
     assert all(v.kind == "empirical" for v in r.part_verdicts)
 
 
+def gamma_divergence_indices(result, bound):
+    """For each interval part of a decomposition, the first position in its
+    gap-ratio sequence from which every later value exceeds `bound` (None
+    when the sequence never clears it, 0 when it always does)."""
+    out = []
+    for part in result.parts[:-1]:
+        blocks = part.chain.blocks
+        gammas = [blocks[i].lo / blocks[i + 1].hi for i in range(len(blocks) - 1)]
+        pos = 0
+        for i, g in enumerate(gammas):
+            if g <= bound:
+                pos = i + 1
+        out.append(pos if pos < len(gammas) or not gammas else None)
+    return tuple(out)
+
+
 def test_decompose_pattern_parts_have_diverging_gaps():
     r = decompose_csp(PAT, 1, F(2), depth=20)
     assert isinstance(r, DecompositionResult)
-    marks = r.gamma_divergence_indices(F(10) ** 6)
+    marks = gamma_divergence_indices(r, F(10) ** 6)
     assert all(m is not None for m in marks)
     for part, mark in zip(r.parts[:-1], marks):
         blocks = part.chain.blocks
@@ -384,6 +410,22 @@ def test_decompose_explicit_chain_goes_empirical():
     assert isinstance(r, DecompositionResult)
     short = decompose_csp(ExplicitChain(expand(SUP, 6)), 3, F(2), depth=6)
     assert isinstance(short, HypothesisFailure)
+
+
+def test_decompose_refuses_width_ratios_that_keep_setting_records():
+    # clusters of j = 1..15 points spaced by 3/4: the blown clusters grow
+    # wider with j, so the record width ratio sits in the deep half
+    points, x = [], F(1)
+    for j in range(1, 16):
+        for _ in range(j):
+            points.append(Point(x))
+            x *= F(3, 4)
+        x *= F(2) ** -(j + 4)
+    chain = ExplicitChain(Chain(tuple(points), F(1), points[-1].x))
+    r = decompose_csp(chain, 1, F(2))
+    assert isinstance(r, HypothesisFailure)
+    assert r.reason == "width ratios keep setting records"
+    assert r.window_bound is None
 
 
 def test_decompose_input_validation():

@@ -106,6 +106,9 @@ def test_expand_pattern_ladder():
 def test_expand_validates_depth():
     with pytest.raises(ValueError):
         expand(GeometricLadder(1, F(1, 2)), 0)
+    for thing in (expand(GeometricLadder(1, F(1, 2)), 2), None, "GeometricLadder"):
+        with pytest.raises(TypeError, match="not a tail family"):
+            expand(thing, 2)
 
 
 def test_family_parameter_validation():
@@ -117,6 +120,15 @@ def test_family_parameter_validation():
         ExampleFamily(1)
     with pytest.raises(ValueError):
         PatternLadder(1, (F(1, 2), 1), F(1, 2))
+    for x0 in (0, F(-1, 3)):
+        with pytest.raises(ValueError, match="x0 must be positive"):
+            PatternLadder(x0, (F(1, 2),), F(1, 4))
+    for decay in (0, 1, F(3, 2)):
+        with pytest.raises(ValueError, match=r"decay must lie in \(0, 1\)"):
+            PatternLadder(1, (F(1, 2),), decay)
+    for upper in (0, F(-1, 2)):
+        with pytest.raises(ValueError, match="upper edge must be positive"):
+            Chain((), upper, 0)
     with pytest.raises(ValueError):
         UnionOf(())
     with pytest.raises(ValueError):

@@ -123,10 +123,6 @@ def find_covering_blowup(f: TailFamily, depth: int) -> tuple[Fraction, Fraction]
     q = 1 / (1 - s)
     blown = blow_up_chain(chain, q)
     anchor = q * chain.horizon
-    if anchor == 0:
-        if not blown.blocks:
-            return None
-        anchor = block_inf(blown.blocks[-1])
     for b in blown.blocks:
         if block_inf(b) <= anchor < block_sup(b):
             t = min(chain.upper, block_sup(b))

@@ -43,6 +43,7 @@ from .membership import (
 )
 from .rational import format_rational, parse_rational
 from .tailset import (
+    MAX_NESTING,
     BlowupOf,
     TailFamily,
     blowup_certificate,
@@ -91,6 +92,9 @@ def _load_family(text: str) -> TailFamily:
         data = json.loads(raw)
     except json.JSONDecodeError as e:
         raise InputError(f"family is not valid JSON: {e}") from e
+    except RecursionError:
+        # json gives up on a nesting far deeper than family_from_json takes
+        raise InputError(f"bad family descriptor: nested deeper than {MAX_NESTING} families")
     try:
         return family_from_json(data)
     except (ValueError, KeyError, TypeError) as e:

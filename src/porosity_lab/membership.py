@@ -40,6 +40,7 @@ from .tailset import (
     _View,
     _chain,
     _check_q,
+    _exact,
     _gap_ratios,
     _width_ratios,
     certificate_to_json,
@@ -112,8 +113,8 @@ class Verdict(Record):
     value: bool
     certificate: TailCertificate
     note: str
-    depth: int | None = None
-    trend: str | None = None
+    depth: int | None
+    trend: str | None
 
     @staticmethod
     def definite(value: bool, certificate: TailCertificate, note: str) -> "Verdict":
@@ -179,7 +180,7 @@ def _query(depth: int, q_list=None, M_max: int = 0) -> _Query:
     reads one, holds at least one q and every q exceeds 1; depth is at
     least 1, and M at least 0."""
     if q_list is not None:
-        q_list = tuple(map(Fraction, q_list))
+        q_list = tuple(map(_exact, q_list))
         if not q_list or any(q <= 1 for q in q_list):
             raise ValueError("need at least one q > 1")
     if depth < 1:
@@ -489,7 +490,7 @@ class HypothesisFailure(Record):
     n: int
     q: Fraction
     depth: int
-    window_bound: RationalLike | None = None
+    window_bound: RationalLike | None
 
 
 class DecompositionResult(Record):
@@ -641,7 +642,7 @@ def reproduce_example(alpha, depth: int, q_list, M_max: int = 8) -> ExampleRepor
     # M = 0 reads the family's per-q values
     inv = 1 / f.alpha
     bounds = []
-    for q in map(Fraction, q_list):
+    for q in map(_exact, q_list):
         window, exact = [f.window_liminf(q, 0)], [f.window_liminf_exact(q, 0)]
         for _ in range(M_max):
             window.append(window[-1] * inv)

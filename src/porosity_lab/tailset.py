@@ -22,6 +22,7 @@ from functools import cached_property, wraps
 from heapq import merge
 from itertools import repeat
 from math import lcm, prod
+from numbers import Rational, Real
 
 from ._record import Record
 from .rational import INF, RationalLike, _ratio, _scaled, format_rational, parse_rational
@@ -67,9 +68,12 @@ __all__ = [
 
 
 def _exact(x) -> Fraction:
-    # a Fraction passes as it is: the parsed wire values and every value
-    # the package computes are Fractions already
-    return x if type(x) is Fraction else Fraction(x)
+    # a Fraction is the common case; a binary float is rarely the rational meant
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, Real) and not isinstance(x, Rational):
+        raise ValueError(f"not an exact rational: {x!r}")
+    return Fraction(x)
 
 
 class Point(Record):
@@ -923,7 +927,7 @@ def lambda_gap(c: Chain, h) -> GapMeasurement:
     is true when an entirely empty unknown region could not enlarge the
     answer, i.e. when the measurement is horizon-independent.
     """
-    h = Fraction(h)
+    h = _exact(h)
     if not 0 < h <= c.upper:
         raise ValueError(f"h must lie in (0, upper], got {h}")
     certain = _largest_gap(c.blocks, h, c.horizon)
@@ -1057,6 +1061,10 @@ def chain_from_json(data: dict) -> Chain:
     )
 
 
+# families nest at most this deep in a descriptor, a BlowupOf's base or a
+# UnionOf's part one level down: reading one, like every engine, recurses
+MAX_NESTING = 100
+
 # the family variants by name, and the wire format of each field as
 # (to JSON, from JSON) by field name; every other field is one rational
 _VARIANTS = {cls.__name__: cls for cls in TailFamily}
@@ -1066,10 +1074,10 @@ _FIELD_CODECS = {
         lambda rs: tuple(parse_rational(r) for r in rs),
     ),
     "chain": (chain_to_json, chain_from_json),
-    "base": (lambda f: family_to_json(f), lambda d: family_from_json(d)),
+    "base": (lambda f: family_to_json(f), lambda d: _family_from_json(d)),
     "parts": (
         lambda fs: [family_to_json(f) for f in fs],
-        lambda ds: tuple(family_from_json(d) for d in ds),
+        lambda ds: tuple(_family_from_json(d) for d in ds),
     ),
 }
 _RATIONAL_CODEC = (format_rational, parse_rational)
@@ -1086,6 +1094,18 @@ def family_to_json(f: TailFamily) -> dict:
 
 
 def family_from_json(data: dict) -> TailFamily:
+    """The family a descriptor names; one nested too deep is refused unread."""
+    todo, depth = [data], 0
+    while todo := [d for d in todo if isinstance(d, dict)]:
+        if depth == MAX_NESTING:
+            raise ValueError(f"nested deeper than {MAX_NESTING} families")
+        depth += 1
+        parts = [p for d in todo if isinstance(d.get("parts"), list) for p in d["parts"]]
+        todo = [d.get("base") for d in todo] + parts
+    return _family_from_json(data)
+
+
+def _family_from_json(data: dict) -> TailFamily:
     try:
         variant = data["variant"]
     except (TypeError, KeyError):

@@ -451,8 +451,12 @@ def test_find_covering_blowup_without_a_certified_index():
 
 
 def test_find_covering_blowup_without_a_component_at_the_anchor():
-    # nothing to blow up from a horizon at 0
-    assert find_covering_blowup(ExplicitChain(Chain((), upper=1, horizon=0)), 4) is None
+    # a horizon at 0 puts the anchor q*horizon at 0, below every block, and
+    # the tail gap down to 0 spans a whole probe: no cover, blocks or not
+    points = tuple(Point(F(3, 4) ** k) for k in range(6))
+    mixed = (Interval(F(1, 2), F(1)), Point(F(1, 4)), Interval(F(1, 16), F(1, 8)))
+    for blocks in [(), points, mixed]:
+        assert find_covering_blowup(ExplicitChain(Chain(blocks, upper=1, horizon=0)), 4) is None
     # the component at q*horizon is capped by the upper edge below it
     high = ExplicitChain(Chain((Point(1), Point(F(9, 10))), upper=1, horizon=F(9, 10)))
     assert find_covering_blowup(high, 4) is None

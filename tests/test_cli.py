@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from porosity_lab import cli, tailset
 from porosity_lab.cli import main
+from porosity_lab.tailset import MAX_NESTING
 
 GEO = '{"variant":"GeometricLadder","x0":"1","rho":"1/2"}'
 EXA = '{"variant":"ExampleFamily","alpha":"1/2"}'
@@ -174,6 +175,40 @@ def test_unreadable_family_files_are_input_errors(tmp_path, capsys):
         assert code == 1
         assert out == ""
         assert err.startswith(message) and len(err.splitlines()) == 1
+
+
+def _nested(kind: str, levels: int) -> str:
+    """A descriptor with `levels` families on its deepest path: PAT inside
+    BlowupOf or UnionOf wrappers, written out without json.dumps, which
+    would recurse once per level."""
+    head, tail = {
+        "BlowupOf": ('{"variant":"BlowupOf","base":', ',"q":"1001/1000"}'),
+        "UnionOf": ('{"variant":"UnionOf","parts":[', "," + PAT + "]}"),
+    }[kind]
+    return head * (levels - 1) + PAT + tail * (levels - 1)
+
+
+NESTED_COMMANDS = [("analyze",), ("blowup", "--q", "2"), ("decompose", "--n", "1", "--q", "2")]
+
+
+@pytest.mark.parametrize("kind", ["BlowupOf", "UnionOf"])
+@pytest.mark.parametrize("command", NESTED_COMMANDS, ids=lambda c: c[0])
+def test_a_family_nested_at_the_limit_is_read(capsys, kind, command):
+    family = _nested(kind, MAX_NESTING)
+    code, out, err = run_cli(capsys, *command, "--depth", "8", "--family", family)
+    assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("kind", ["BlowupOf", "UnionOf"])
+@pytest.mark.parametrize("levels", [MAX_NESTING + 1, 5000])
+@pytest.mark.parametrize("command", NESTED_COMMANDS, ids=lambda c: c[0])
+def test_a_family_nested_too_deep_is_one_error_line(tmp_path, capsys, kind, levels, command):
+    # past about 1,000 levels json itself may give up first: the same line
+    fam = tmp_path / "fam.json"
+    fam.write_text(_nested(kind, levels))
+    code, out, err = run_cli(capsys, *command, "--family", str(fam))
+    message = f"error: bad family descriptor: nested deeper than {MAX_NESTING} families\n"
+    assert (code, out, err) == (1, "", message)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from porosity_lab.blowup import cc1_components
+from porosity_lab.blowup import blow_up_chain, cc1_components
 from porosity_lab.membership import (
     CofiniteTail,
     DecompositionResult,
@@ -26,11 +26,14 @@ from porosity_lab.tailset import (
     ExplicitChain,
     ExplicitLimit,
     GeometricLadder,
+    Interval,
     PatternLadder,
     Point,
     SuperGeometricLadder,
     UnionOf,
+    blowup_certificate,
     expand,
+    lambda_gap,
 )
 
 GEO = GeometricLadder(F(1), F(1, 2))
@@ -441,3 +444,44 @@ def test_decompose_blowup_of_pattern():
     r = decompose_csp(BlowupOf(PAT, F(3, 2)), 2, F(2), depth=16)
     assert isinstance(r, DecompositionResult)
     assert len(r.parts) == 6
+
+
+# every constructor and engine that takes a number from outside, given one
+# binary float among exact arguments
+FLOAT_INPUTS = {
+    "Point": lambda: Point(0.3),
+    "Interval.lo": lambda: Interval(0.25, F(1, 2)),
+    "Interval.hi": lambda: Interval(F(1, 4), 0.5),
+    "Chain.upper": lambda: Chain((), upper=1.0, horizon=F(1, 2)),
+    "Chain.horizon": lambda: Chain((), upper=1, horizon=0.5),
+    "GeometricLadder.x0": lambda: GeometricLadder(1.0, F(1, 2)),
+    "GeometricLadder.rho": lambda: GeometricLadder(1, 0.1),
+    "SuperGeometricLadder": lambda: SuperGeometricLadder(1, 0.5),
+    "ExampleFamily": lambda: ExampleFamily(0.5),
+    "PatternLadder.x0": lambda: PatternLadder(1.0, (F(1, 2),), F(1, 4)),
+    "PatternLadder.ratios": lambda: PatternLadder(1, (F(1, 2), 0.125), F(1, 4)),
+    "PatternLadder.decay": lambda: PatternLadder(1, (F(1, 2),), 0.25),
+    "BlowupOf": lambda: BlowupOf(GEO, 1.5),
+    "blow_up_chain": lambda: blow_up_chain(expand(GEO, 4), 1.5),
+    "blowup_certificate": lambda: blowup_certificate(GEO, 2.0),
+    "lambda_gap": lambda: lambda_gap(expand(GEO, 4), 0.5),
+    "test_ihat_sp": lambda: ihat_sp_verdict(GEO, (1.5,)),
+    "test_i_csp": lambda: i_csp_verdict(GEO, (F(2), 1.5)),
+    "decompose_csp": lambda: decompose_csp(PAT, 1, 1.5),
+    "reproduce_example.alpha": lambda: reproduce_example(0.5, 8, (F(2),)),
+    "reproduce_example.q": lambda: reproduce_example(F(1, 2), 8, (2.0,)),
+}
+
+
+@pytest.mark.parametrize("build", FLOAT_INPUTS.values(), ids=FLOAT_INPUTS)
+def test_floats_are_refused(build):
+    with pytest.raises(ValueError, match=r"^not an exact rational: \d+\.\d+$"):
+        build()
+
+
+def test_ints_and_strings_are_read_exactly():
+    assert GeometricLadder(1, "1/10") == GeometricLadder(F(1), F(1, 10))
+    assert Point("0.3").x == F(3, 10) and BlowupOf(GEO, 2).q == F(2)
+    assert ihat_sp_verdict(GEO, ("3/2",)) == ihat_sp_verdict(GEO, (F(3, 2),))
+    assert decompose_csp(PAT, 1, 3) == decompose_csp(PAT, 1, F(3))
+    assert reproduce_example("1/2", 8, (2, "3")) == reproduce_example(F(1, 2), 8, (F(2), F(3)))

@@ -2,8 +2,8 @@
 behave as immutable records.
 
 Every class is built here by keyword, so its field names and their order
-are pinned by the repr; equality, hashing, immutability, the defaults and
-argument binding are checked for each.  A fresh interpreter importing the
+are pinned by the repr; equality, hashing, immutability and argument
+binding are checked for each, and no field has a default.  A fresh interpreter importing the
 CLI must not load `dataclasses`, `inspect` or `typing`, whose import alone
 costs milliseconds on every start, and a plain `analyze` must load neither
 `argparse` nor `ideal_core`.
@@ -225,16 +225,28 @@ def test_arguments_bind_as_in_a_call(cls, kwargs):
     record = cls(**kwargs)
     (first, value), *rest = kwargs.items()
     assert cls(*kwargs.values()) == record
-    assert cls(value, **dict(rest)) == record
     assert cls(**dict(reversed(kwargs.items()))) == record
-    with pytest.raises(TypeError):
-        cls(**dict(rest))  # missing
-    with pytest.raises(TypeError):
-        cls(**kwargs, bogus=1)  # unknown
-    with pytest.raises(TypeError):
-        cls(value, **kwargs)  # repeated
-    with pytest.raises(TypeError):
-        cls(*kwargs.values(), value)  # too many positional
+    calls = [
+        ((), dict(rest)),  # missing
+        ((), {**kwargs, "bogus": 1}),  # unknown
+        ((value,), kwargs),  # repeated
+        ((*kwargs.values(), value), {}),  # too many positional
+    ]
+    own_init = cls.__init__ is not Record.__init__
+    if own_init:
+        # a class that checks its input binds as any Python call does
+        assert cls(value, **dict(rest)) == record
+    else:
+        # Record's __init__ takes every field, all positionally or all by
+        # keyword, and names them when it is called otherwise
+        calls.append((tuple(kwargs.values())[1:], {}))  # too few positional
+        if rest:
+            calls.append(((value,), dict(rest)))  # mixed
+    named = f"{cls.__name__}() takes ({', '.join(kwargs)}), all positionally or all by keyword"
+    for args, kw in calls:
+        with pytest.raises(TypeError) as info:
+            cls(*args, **kw)
+        assert own_init or str(info.value).startswith(named)
 
 
 @pytest.mark.parametrize("cls, kwargs", RECORDS, ids=IDS)
@@ -283,36 +295,27 @@ def test_fields_cannot_be_assigned_or_deleted(cls, kwargs):
     assert getattr(record, name) == value
 
 
-def test_defaults_hold():
-    v = Verdict("definite", True, ExplicitLimit(F(4), True), "n")
-    assert v.depth is None and v.trend is None
-    assert Verdict("empirical", True, UNKNOWN, "n", trend="bounded").depth is None
-    assert HypothesisFailure("r", 1, F(2), 8).window_bound is None
-
-
-def test_defaults_do_not_leak_between_classes():
-    assert Verdict._defaults == {"depth": None, "trend": None}
-    assert HypothesisFailure._defaults == {"window_bound": None}
-    with pytest.raises(TypeError, match="depth"):
-        HypothesisFailure("r", 1, F(2))
-    with pytest.raises(TypeError, match="note"):
-        Verdict("definite", True, UNKNOWN)
+def test_unannotated_class_attributes_are_no_fields():
+    assert ExampleFamily._fields == ("alpha",) and _PointFamily._fields == ()
 
     class Base(Record):
-        a: int = 1
+        a: int
+        limit = 3
 
     class Child(Base):
-        b: int = 2
+        b: int
 
-    class Other(Record):
-        a: int
+    assert (Base._fields, Child._fields) == (("a",), ("a", "b"))
+    assert Child(1, 2)._astuple() == (1, 2) and Child(b=2, a=1).limit == 3
 
-    assert (Child()._astuple(), Child(b=3).a) == ((1, 2), 1)
-    assert Base._defaults == {"a": 1} and Record._defaults == {}
-    with pytest.raises(TypeError, match="missing required arguments: a$"):
-        Other()
-    # class attributes without an annotation are no fields
-    assert ExampleFamily._fields == ("alpha",) and _PointFamily._fields == ()
+
+def test_no_field_has_a_default():
+    for cls, _ in RECORDS:
+        assert not {name for k in cls.__mro__ for name in vars(k)} & set(cls._fields), cls
+    with pytest.raises(TypeError, match=r"^Verdict\(\) takes \(kind, value, "):
+        Verdict("definite", True, ExplicitLimit(F(4), True), "n")
+    with pytest.raises(TypeError, match=r"window_bound\), all positionally"):
+        HypothesisFailure("r", 1, F(2), 8)
 
 
 def test_chain_errors_embed_the_block_reprs():

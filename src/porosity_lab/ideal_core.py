@@ -80,7 +80,8 @@ class FamilyOfSets(Record):
     members: frozenset[int]
 
     def __init__(self, universe: Universe, members: frozenset[int]) -> None:
-        full = universe.full_mask
+        # any iterable of masks, stored as a frozenset
+        members, full = frozenset(members), universe.full_mask
         for m in members:
             if m < 0 or m & ~full:
                 raise ValueError(f"member {m:#b} is not a subset of the universe")

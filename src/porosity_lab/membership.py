@@ -322,27 +322,27 @@ def is_sp(f: TailFamily, depth: int = 32) -> Verdict:
 # Ihat(SP)
 
 
-def _empirical_ihat(f: TailFamily, query: _Query) -> Verdict:
-    q_list, _, depth = query
-    value = True
-    notes = []
-    trend = "bounded"
-    for q in q_list:
-        comps = cc1_components(expand(BlowupOf(f, q), depth))
-        shallow = cc1_components(expand(BlowupOf(f, q), max(1, depth // 2)))
-        growing = len(comps.blocks) > len(shallow.blocks)
-        betas = _width_ratios(comps)
-        stable = _width_record_early(betas)
-        value = value and growing and stable
-        trend = classify_trend(betas)
-        notes.append(
-            f"q={format_rational(q)}: {len(comps.blocks)} components"
-            f" ({'growing' if growing else 'stalled'}),"
-            f" width-ratio record {'early' if stable else 'still moving'}"
-        )
-    return Verdict.empirical(
-        value, depth, trend, "trend of component width ratios; " + "; ".join(notes)
-    )
+def _ihat_evidence(f: TailFamily, q: Fraction, query: _Query) -> tuple[bool, str, str]:
+    # a blown chain still growing with depth, its record width ratio set early
+    comps = cc1_components(expand(BlowupOf(f, q), query.depth))
+    shallow = cc1_components(expand(BlowupOf(f, q), max(1, query.depth // 2)))
+    growing = len(comps.blocks) > len(shallow.blocks)
+    betas = _width_ratios(comps)
+    stable = _width_record_early(betas)
+    note = f"{len(comps.blocks)} components ({'growing' if growing else 'stalled'}),"
+    note += f" width-ratio record {'early' if stable else 'still moving'}"
+    return growing and stable, classify_trend(betas), note
+
+
+def _per_q(quantity: str, evidence: Callable, f: TailFamily, query: _Query) -> Verdict:
+    # the empirical fallback of a class that reads q: true when the evidence
+    # holds at every q, with the last q's trend and every q's note
+    value, notes = True, [f"trend of {quantity}"]
+    for q in query.q_list:
+        holds, trend, note = evidence(f, q, query)
+        value = value and holds
+        notes.append(f"q={format_rational(q)}: {note}")
+    return Verdict.empirical(value, query.depth, trend, "; ".join(notes))
 
 
 _IDEAL_SINK = "an ideal is closed downward"
@@ -351,7 +351,7 @@ _IHAT_SP = _ClassRules(
     "via blow-up invariance of the class: ",
     _IDEAL_SINK,
     True,
-    _empirical_ihat,
+    lambda f, query: _per_q("component width ratios", _ihat_evidence, f, query),
 )
 
 
@@ -425,30 +425,16 @@ def test_csp(f: TailFamily, depth: int = 32) -> Verdict:
 # I(CSP)
 
 
-def _empirical_icsp(f: TailFamily, query: _Query) -> Verdict:
-    q_list, M_max, depth = query
-    value = True
-    notes = []
-    trend = "bounded"
-    for q in q_list:
-        gammas = _gap_ratios(cc1_components(expand(BlowupOf(f, q), depth)))
-        found = None
-        for m_try in range(M_max + 1):
-            if len(gammas) <= m_try + 3:
-                break
-            if _diverges(_windowed_maxima(gammas, m_try)):
-                found = m_try
-                trend = "monotone-increasing"
-                break
-        if found is None:
-            value = False
-            trend = classify_trend(gammas)
-            notes.append(f"q={format_rational(q)}: no window up to {M_max} diverges")
-        else:
-            notes.append(f"q={format_rational(q)}: window M={found} diverges")
-    return Verdict.empirical(
-        value, depth, trend, "trend of windowed gap maxima; " + "; ".join(notes)
-    )
+def _icsp_evidence(f: TailFamily, q: Fraction, query: _Query) -> tuple[bool, str, str]:
+    # the first window up to M whose gap maxima diverge, on top of the
+    # Ihat(SP) evidence at q: I(CSP) lies inside Ihat(SP)
+    gammas = _gap_ratios(cc1_components(expand(BlowupOf(f, q), query.depth)))
+    for m in range(min(query.M_max, len(gammas) - 4) + 1):
+        if _diverges(_windowed_maxima(gammas, m)):
+            holds, _, note = _ihat_evidence(f, q, query)
+            tail = "" if holds else f" but {note}"
+            return holds, "monotone-increasing", f"window M={m} diverges{tail}"
+    return False, classify_trend(gammas), f"no window up to {query.M_max} diverges"
 
 
 _I_CSP = _ClassRules(
@@ -456,7 +442,7 @@ _I_CSP = _ClassRules(
     "via blow-up invariance of the class: ",
     _IDEAL_SINK,
     True,
-    _empirical_icsp,
+    lambda f, query: _per_q("windowed gap maxima", _icsp_evidence, f, query),
 )
 
 
@@ -465,7 +451,9 @@ def test_i_csp(
 ) -> Verdict:
     """Is the set a finite union of completely porous sets?  Characterized
     by: some window size M and threshold q0 make the windowed maxima of the
-    blown gap ratios diverge for every q > q0, with bounded width ratios."""
+    blown gap ratios diverge for every q > q0, with bounded width ratios.
+    The Empirical evidence at a q is Ihat(SP)'s (`test_ihat_sp`) plus a
+    window up to M whose maxima diverge."""
     _require_accumulation(f)
     return _decide(_I_CSP, f, _query(depth, q_list, M_max))
 

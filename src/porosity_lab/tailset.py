@@ -261,6 +261,7 @@ class EventuallyPeriodic(Record):
     def __init__(
         self, beta_pattern: tuple[RationalLike, ...], gamma_pattern: tuple[RationalLike, ...]
     ):
+        beta_pattern, gamma_pattern = tuple(beta_pattern), tuple(gamma_pattern)
         if not beta_pattern or not gamma_pattern:
             raise ValueError("patterns must be nonempty")
         vars(self).update(beta_pattern=beta_pattern, gamma_pattern=gamma_pattern)
@@ -755,7 +756,9 @@ class ExplicitChain(_Family):
 
 class UnionOf(_Family):
     """Union of finitely many families.  The union is known only where every
-    part is, so the merged chain keeps the highest of the part horizons."""
+    part is, so the merged chain keeps the highest of the part horizons.
+    Built in Python, keep within MAX_NESTING levels: repr, hash and the wire
+    format recurse once per level, and no constructor checks it."""
 
     parts: tuple["TailFamily", ...]
 
@@ -798,7 +801,8 @@ class BlowupOf(_Family):
     """The q-blow-up of another family: every point x thickens to the open
     interval (x/q, q*x) and overlaps merge.  A point family's blow-up is
     scanned on its ratio pairs (`_PointFamily._blown_chain`); every other
-    base is expanded and blown up by `blow_up_chain`."""
+    base is expanded and blown up by `blow_up_chain`.  Nest within
+    MAX_NESTING levels, as for `UnionOf`."""
 
     base: "TailFamily"
     q: Fraction

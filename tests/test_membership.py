@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -246,6 +247,67 @@ def test_i_csp_evidence_of_a_diverging_window_is_empirical_true():
     assert (v.kind, v.value, v.depth) == ("empirical", True, 32)
     assert v.trend == "monotone-increasing"
     assert v.note.endswith("q=2: window M=0 diverges")
+
+
+def blocks_then_tail(blocks, ratio, decay, tail):
+    """An ExplicitChain of growing blocks united with a tail below it.
+
+    Block j holds j+1 points at the in-block ratio, and block j+1 starts
+    decay**(j+1) below the last point of block j.  The chain's horizon is
+    its last point x, where tail(x) takes over."""
+    points, x = [], F(1)
+    for j in range(blocks):
+        points.append(x)
+        for _ in range(j):
+            x *= ratio
+            points.append(x)
+        x *= decay ** (j + 1)
+    last = points[-1]
+    return UnionOf((ExplicitChain(Chain(tuple(map(Point, points)), F(1), last)), tail(last)))
+
+
+def test_i_csp_evidence_needs_the_ihat_sp_evidence():
+    # 13 blocks of 1..13 points, 91 in all: the blown gaps diverge from
+    # M = 0, but the blown blocks stop adding components and their width
+    # ratios keep setting records, so the set is not even in Ihat(SP)
+    u = blocks_then_tail(13, F(1, 2), F(1, 2), lambda x: SuperGeometricLadder(x, F(1, 2)))
+    assert len(u.parts[0].chain.blocks) == 91
+    ihat = ihat_sp_verdict(u, QS, 32)
+    assert (ihat.kind, ihat.value) == ("empirical", False)
+    v = i_csp_verdict(u, QS, 8, 32)
+    assert (v.kind, v.value, v.depth) == ("empirical", False, 32)
+    assert "q=2: window M=0 diverges but " in v.note
+    assert "(stalled)" in v.note
+
+
+def nesting_cases():
+    tails = (
+        lambda x: SuperGeometricLadder(x, F(1, 2)),
+        lambda x: PatternLadder(x, (F(1, 2),), F(1, 2)),
+    )
+    for blocks, ratio, decay, tail in itertools.product(
+        (6, 9, 13), (F(1, 2), F(2, 3)), (F(1, 2), F(1, 4)), tails
+    ):
+        yield blocks_then_tail(blocks, ratio, decay, tail)
+    # a ladder next to a copy of its own expansion: no certificate, and the
+    # evidence for both classes holds
+    for f in (SUP, PAT, SuperGeometricLadder(F(1), F(1, 3))):
+        for copy_depth in (16, 40):
+            yield UnionOf((f, ExplicitChain(expand(f, copy_depth))))
+
+
+def test_empirical_i_csp_stays_inside_ihat_sp():
+    # I(CSP) lies inside Ihat(SP): no report may read the one true and the
+    # other false, whether a verdict is Definite or Empirical
+    in_icsp = 0
+    for f in nesting_cases():
+        for q_list in ((F(2),), (F(3, 2),), (F(3, 2), F(3))):
+            for depth in (16, 32):
+                icsp = i_csp_verdict(f, q_list, 8, depth)
+                ihat = ihat_sp_verdict(f, q_list, depth)
+                assert ihat.value or not icsp.value, (f, q_list, depth)
+                in_icsp += icsp.value and icsp.kind == "empirical"
+    assert in_icsp >= 1
 
 
 # ---------------------------------------------------------------------------

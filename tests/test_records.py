@@ -24,6 +24,7 @@ from porosity_lab.ideal_core import (
     PrimeMaximalReport,
     TheoremReport,
     Universe,
+    ideal_report,
 )
 from porosity_lab.membership import (
     CofiniteTail,
@@ -276,6 +277,20 @@ def test_replace_goes_through_init(cls, kwargs):
 def test_checking_classes_still_reject_bad_input(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("wrap", [iter, list, set], ids=["generator", "list", "set"])
+def test_collection_fields_are_stored_frozen(wrap):
+    # a generator is read once, a list or set would leave the record
+    # unhashable: both classes keep their own immutable copy
+    u, masks = Universe(2), (0, 1, 2)
+    family = FamilyOfSets(u, wrap(m for m in masks))
+    assert family == FamilyOfSets(u, frozenset(masks))
+    assert hash(family) == hash(FamilyOfSets(u, frozenset(masks)))
+    assert ideal_report(family) == ideal_report(FamilyOfSets(u, frozenset(masks)))
+    cert = EventuallyPeriodic(wrap(x for x in [F(1)]), wrap(x for x in [F(2)]))
+    assert cert == EventuallyPeriodic((F(1),), (F(2),))
+    assert hash(cert) == hash(EventuallyPeriodic((F(1),), (F(2),)))
 
 
 def test_records_of_different_classes_differ():

@@ -14,6 +14,7 @@ from porosity_lab.blowup import blow_up_chain
 from porosity_lab.membership import DecompositionResult, decompose_csp
 from porosity_lab.rational import INF
 from porosity_lab.tailset import (
+    MAX_NESTING,
     UNKNOWN,
     BlowupOf,
     Chain,
@@ -342,6 +343,21 @@ def test_family_json_round_trip():
         family_from_json({"variant": "NoSuchFamily"})
     with pytest.raises(ValueError):
         family_from_json({})
+
+
+@pytest.mark.parametrize(
+    "wrap", [lambda f: BlowupOf(f, F(3, 2)), lambda f: UnionOf((f,))], ids=["BlowupOf", "UnionOf"]
+)
+def test_a_family_built_to_the_nesting_limit_round_trips(wrap):
+    # no constructor checks the depth, and repr, hash and the wire format
+    # recurse once per level: a family built MAX_NESTING levels deep still
+    # passes through all three
+    f = GeometricLadder(1, F(1, 2))
+    for _ in range(MAX_NESTING - 1):
+        f = wrap(f)
+    assert repr(f).count("GeometricLadder") == 1
+    back = family_from_json(family_to_json(f))
+    assert back == f and hash(back) == hash(f)
 
 
 def _fractions(lo, hi):

@@ -14,8 +14,10 @@ from .rational import _scaled
 from .tailset import (
     PROBE_WINDOW,
     SP_EVIDENCE_RATIO,
+    BlowupOf,
     Chain,
     TailFamily,
+    _PointFamily,
     _View,
     _chain,
     _check_q,
@@ -102,12 +104,13 @@ def find_covering_blowup(f: TailFamily, depth: int) -> tuple[Fraction, Fraction]
 
     The porosity margin s comes from the certified upper porosity when the
     family has one, otherwise from the deepest probe ratios; q = 1/(1-s)
-    then closes every relative gap of size at most s.
+    then closes every relative gap of size at most s.  A point family, which
+    always certifies its index, is blown up on its ratio pairs (`BlowupOf`).
     """
     certified = f.porosity_index()
     if certified == 1:
         return None
-    chain = expand(f, depth)
+    chain = None if isinstance(f, _PointFamily) else expand(f, depth)
     if certified is not None:
         s = (1 + certified) / 2
     else:
@@ -121,11 +124,17 @@ def find_covering_blowup(f: TailFamily, depth: int) -> tuple[Fraction, Fraction]
                 return None
             s = (1 + worst) / 2
     q = 1 / (1 - s)
-    blown = blow_up_chain(chain, q)
-    anchor = q * chain.horizon
+    if chain is None:
+        # the blown chain's horizon is the base's over q, its upper edge q
+        # times the base's
+        blown = expand(BlowupOf(f, q), depth)
+        anchor, upper = q * q * blown.horizon, blown.upper / q
+    else:
+        blown = blow_up_chain(chain, q)
+        anchor, upper = q * chain.horizon, chain.upper
     for b in blown.blocks:
         if block_inf(b) <= anchor < block_sup(b):
-            t = min(chain.upper, block_sup(b))
+            t = min(upper, block_sup(b))
             if t > anchor:
                 return (q, t)
             return None

@@ -13,7 +13,8 @@ infinite.
 The integer paths (chain views, the blow-up kernel) build Fractions with
 three helpers: `_fraction` wraps a pair already in lowest terms, `_ratio`
 reduces a quotient of ints by one gcd, and `_scaled` multiplies by a ratio
-with gcds against the ratio's small terms only.
+with gcds against the ratio's small terms only.  Both skip a division by a
+gcd of 1, which on ints of thousands of bits costs as much as the gcd.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ def _fraction(n: int, d: int) -> Fraction:
 def _ratio(n: int, d: int) -> Fraction:
     """The Fraction n/d, for ints n and d > 0."""
     g = gcd(n, d)
+    if g == 1:
+        return _fraction(n, d)
     return _fraction(n // g, d // g)
 
 
@@ -64,7 +67,11 @@ def _scaled(x: Fraction, a: int, b: int) -> Fraction:
     a factor only between n and b and between d and a."""
     n, d = x.numerator, x.denominator
     g, h = gcd(n, b), gcd(d, a)
-    return _fraction((n // g) * (a // h), (d // h) * (b // g))
+    if g != 1:
+        n, b = n // g, b // g
+    if h != 1:
+        d, a = d // h, a // h
+    return _fraction(n * a, d * b)
 
 
 def format_rational(x: RationalLike) -> str:

@@ -25,7 +25,9 @@ from math import lcm, prod
 from numbers import Rational, Real
 
 from ._record import Record
-from .rational import INF, RationalLike, _ratio, _scaled, format_rational, parse_rational
+from .rational import (
+    INF, RationalLike, _fraction, _ratio, _scaled, format_rational, parse_rational
+)
 
 __all__ = [
     "Point",
@@ -374,15 +376,23 @@ class _PointFamily(_Family):
     has_zero_accumulation = True
     _bounded_groups = True
 
-    def _expand(self, depth: int) -> Chain:
-        # x_k = x0 * r_1 ... r_k for coprime ratio pairs (n, d): the points
-        # reduce against each ratio's small terms; the view keeps unreduced
-        # lo_k = x0_n n_1..n_k d_{k+1}..d_m over D = x0_d d_1..d_m
-        top = x = self.x0
-        points, nums, dens = [_point(x)], [x.numerator], [x.denominator]
-        for n, d in self._ratios(depth):
+    def _points(self, depth: int) -> tuple[list, list]:
+        """The points x_0 > ... > x_m of `_expand(depth)` and the ratio pairs
+        (n, d) = x_k/x_{k-1}, k = 1..m: x_k = x0 * r_1 ... r_k, each point
+        reduced against its ratio's small terms."""
+        x = self.x0
+        points, ratios = [x], list(self._ratios(depth))
+        for n, d in ratios:
             x = _scaled(x, n, d)
-            points.append(_point(x))
+            points.append(x)
+        return points, ratios
+
+    def _expand(self, depth: int) -> Chain:
+        # the view keeps unreduced lo_k = x0_n n_1..n_k d_{k+1}..d_m over
+        # D = x0_d d_1..d_m
+        points, ratios = self._points(depth)
+        nums, dens = [self.x0.numerator], [self.x0.denominator]
+        for n, d in ratios:
             nums.append(nums[-1] * n)
             dens.append(d)
         D = 1
@@ -390,7 +400,27 @@ class _PointFamily(_Family):
             nums[k] *= D
             D *= dens[k]
         lo = tuple(nums)
-        return _chain(tuple(points), top, x, _View(D, lo, lo, lo[-1]))
+        blocks = tuple(map(_point, points))
+        return _chain(blocks, points[0], points[-1], _View(D, lo, lo, lo[-1]))
+
+    def _probe_ratios(self, depth: int) -> list:
+        """`probe_ratios(self._expand(depth))` from the ratio pairs: the
+        probe at x_k, k < m, is the largest gap x_{j-1} - x_j, j > k, over
+        x_k.  Bottom up, that is the larger of 1 - r_{k+1}, in lowest terms
+        as (d - n)/d, and r_{k+1} times the probe at x_{k+1}, compared
+        cross-multiplied on small ints."""
+        points, ratios = self._points(depth)
+        best = _fraction(0, 1)  # below x_m the chain vouches for no gap
+        samples = []
+        for k in range(len(ratios) - 1, -1, -1):
+            n, d = ratios[k]
+            if (d - n) * best.denominator >= n * best.numerator:
+                best = _fraction(d - n, d)
+            else:
+                best = _scaled(best, n, d)
+            samples.append((points[k], best))
+        samples.reverse()
+        return samples
 
     def _blown_chain(self, depth: int, q: Fraction) -> Chain:
         """`blow_up_chain(self._expand(depth), q)`, from one `_merge_scan` of
@@ -864,6 +894,11 @@ def expand_memo():
         _EXPAND_MEMO.reset(token)
 
 
+def _check_depth(depth: int) -> None:
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+
+
 def expand(f: TailFamily, depth: int) -> Chain:
     """Materialize the first `depth` generations of a family.
 
@@ -879,8 +914,7 @@ def expand(f: TailFamily, depth: int) -> Chain:
     reused while the scope lasts.  It is never global: a process-wide memo
     would grow without bound and turn every repeated call into a lookup.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    _check_depth(depth)
     if not isinstance(f, _Family):
         raise TypeError(f"not a tail family: {f!r}")
     memo = _EXPAND_MEMO.get()
@@ -960,8 +994,10 @@ def probe_ratios(c: Chain, deepest: int | None = None) -> list:
     stops once it has the probes asked for.  It runs on the chain's view,
     where D cancels from every ratio.
     """
+    if deepest is not None and deepest < 0:
+        raise ValueError(f"deepest must be at least 0, got {deepest}")
     blocks = c.blocks
-    if not blocks:
+    if not blocks or deepest == 0:
         return []
     _, lo, hi, horizon = c._view
     best = lo[-1] - horizon
@@ -989,11 +1025,16 @@ def porosity_profile(f: TailFamily, depth: int) -> PorosityProfile:
     """Evaluate the gap ratio along probe heights h = lower endpoints of the
     chain's blocks (each sits just above a gap, where the ratio is locally
     maximal).  Probes at or below the horizon are dropped: nothing certain
-    can be said there.
+    can be said there.  A point family's probes are scanned on its ratio
+    pairs (`_PointFamily._probe_ratios`), with no chain.
     """
     if not f.has_zero_accumulation:
         raise ValueError("family does not accumulate at 0; no porosity to probe")
-    samples = probe_ratios(expand(f, depth))
+    if isinstance(f, _PointFamily):
+        _check_depth(depth)
+        samples = f._probe_ratios(depth)
+    else:
+        samples = probe_ratios(expand(f, depth))
     return PorosityProfile(tuple(samples), f.porosity_index())
 
 

@@ -424,6 +424,30 @@ def test_find_covering_blowup_refuses_porous_families(monkeypatch):
     assert len(calls) == 1
 
 
+def _cover_on_the_expanded_chain(f, depth):
+    # the covering search on blow_up_chain(expand(f, depth), q), for a point
+    # family with a certified index below 1
+    q = 2 / (1 - f.porosity_index())
+    chain = expand(f, depth)
+    anchor = q * chain.horizon
+    for b in blow_up_chain(chain, q).blocks:
+        if block_inf(b) <= anchor < block_sup(b):
+            t = min(chain.upper, block_sup(b))
+            return (q, t) if t > anchor else None
+    return None
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_point_families.filter(lambda f: isinstance(f, _PointFamily)), st.integers(1, 24))
+def test_find_covering_blowup_scans_point_families(f, depth):
+    # only GeometricLadder certifies an index below 1; the rest refuse
+    found = find_covering_blowup(f, depth)
+    if f.porosity_index() == 1:
+        assert found is None
+    else:
+        assert found == _cover_on_the_expanded_chain(f, depth)
+
+
 def test_find_covering_blowup_full_interval():
     eps = F(1, 1000)
     f = ExplicitChain(Chain((Interval(eps, 1),), upper=1, horizon=eps))

@@ -51,6 +51,8 @@ from porosity_lab.tailset import (
     expand,
     family_from_json,
     family_to_json,
+    porosity_profile,
+    probe_ratios,
 )
 
 QS = (F(3, 2), F(2), F(3))
@@ -513,6 +515,12 @@ def test_late_block_derivation_matches_hand_written_rules(f, q):
     # be the same at every q
     ratios = [F(n, d) for n, d in f._late_block(q)]
     assert [F(*r) for r in f._late_range] == [min(ratios), max(ratios)]
+
+
+@pytest.mark.parametrize("depth", [1, 2, DEPTH, 30])
+@pytest.mark.parametrize("f", ORACLE_FAMILIES, ids=repr)
+def test_profile_scan_is_the_probe_sweep_on_the_oracle_grid(f, depth):
+    assert porosity_profile(f, depth).samples == tuple(probe_ratios(expand(f, depth)))
 
 
 def test_point_families_state_no_class_rule_by_hand():

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from fraction_oracles import merge_blocks, restrict_blocks
+from fraction_oracles import probe_ratios as oracle_probe_ratios
 from test_family_rules import DEPTH, GRID
 
+from porosity_lab import tailset
 from porosity_lab.blowup import blow_up_chain
 from porosity_lab.membership import DecompositionResult, decompose_csp
 from porosity_lab.rational import INF
@@ -262,6 +264,24 @@ def test_porosity_profile_requires_accumulation():
         porosity_profile(ExplicitChain(chain), 4)
 
 
+def test_point_family_profile_builds_no_chain(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a chain")
+
+    monkeypatch.setattr(tailset, "expand", refuse)
+    monkeypatch.setattr(tailset, "_View", refuse)
+    families = [
+        GeometricLadder(F(3, 4), F(5, 7)),
+        SuperGeometricLadder(1, F(2, 3)),
+        ExampleFamily(F(1, 2)),
+        PatternLadder(1, (F(9, 10), F(4, 5)), F(1, 2)),
+    ]
+    for f in families:
+        assert len(porosity_profile(f, 16).samples) >= 15
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            porosity_profile(f, 0)
+
+
 def test_blowup_certificate_frozen_values():
     assert blowup_certificate(SuperGeometricLadder(1, F(1, 2)), 2) == ExplicitLimit(F(4), True)
     # geometric: q^2 rho > 1 means total merge, no tail to certify
@@ -470,6 +490,34 @@ def test_probe_ratios_match_per_probe_rescan(c):
         for h in (block_inf(b) for b in c.blocks)
         if h > c.horizon
     ]
+
+
+def test_probe_ratios_at_no_deepest_probe():
+    c = expand(GeometricLadder(1, F(1, 2)), 6)
+    assert probe_ratios(c, 0) == []
+    for deepest in (-1, -5):
+        with pytest.raises(ValueError, match="deepest must be at least 0"):
+            probe_ratios(c, deepest)
+
+
+_profiled_families = _point_families.filter(lambda f: not isinstance(f, ExplicitChain))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_profiled_families, st.integers(1, 40))
+def test_point_family_profile_is_the_probe_sweep(f, depth):
+    # the scan on the ratio pairs against probe_ratios on the expanded chain
+    assert porosity_profile(f, depth).samples == tuple(probe_ratios(expand(f, depth)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_profiled_families, st.integers(1, 6))
+def test_point_family_profile_is_the_gap_function(f, depth):
+    # at small depth, against the Fraction sweep and against lambda itself
+    c = expand(f, depth)
+    samples = list(porosity_profile(f, depth).samples)
+    assert samples == oracle_probe_ratios(c)
+    assert samples == [(b.x, lambda_gap(c, b.x).value / b.x) for b in c.blocks[:-1]]
 
 
 _raw_blocks = st.lists(

@@ -18,7 +18,10 @@ equal counts for neither side.  It also prints two verdicts per metric:
   every run of this checkout reads better than every run of base.
 
     python3 tools/bench_pairs.py --base ../base --workload deep-scan --seed 1 \\
-        --pairs 5 --seconds 36 --out BENCH.json
+        --seconds 36 --out BENCH.json
+
+It runs ten pairs unless ``--pairs`` says otherwise: with fewer than ten,
+the gain rule's nine tenths means every pair.
 
 With ``--out`` the table is also written to a JSON file, together with the
 Python version, the number of CPUs and the base side's commit (its path when
@@ -136,7 +139,7 @@ def main(argv=None) -> int:
     parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--out", type=Path, help="JSON file to add the table to")
     args = parser.parse_args(argv)

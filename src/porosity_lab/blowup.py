@@ -22,6 +22,7 @@ from .tailset import (
     _chain,
     _check_q,
     _interval,
+    _scanned_chain,
     block_inf,
     block_sup,
     expand,
@@ -53,7 +54,7 @@ def blow_up_chain(c: Chain, q) -> Chain:
     finished component become Fractions, reduced against q's small terms.
 
     This is the blow-up of every chain but a point family's: `BlowupOf`
-    scans a point family on its ratio pairs instead
+    scans a point family, or a blow-up of one, on its ratio pairs instead
     (`_PointFamily._blown_chain`), and the tests hold that scan to this
     function's chain.
     """
@@ -82,16 +83,31 @@ def cc1_components(c: Chain) -> Chain:
     """Components of a blown-up chain contained in (0, 1], descending, as a
     chain of their own with upper edge 1.  Chains with isolated points are
     rejected: components only exist after a blow-up.
+
+    A blown point family's chain is cut on its Fraction ends, all of them
+    intervals, and the part kept takes its ratios, its view and its ends'
+    text from the whole chain's, the last two sliced only when read.
     """
+    ratios = c._component_ratios
+    if ratios is not None:
+        i = next((k for k, x in enumerate(c.blocks) if x.hi <= 1), len(c.blocks))
+
+        def view():
+            D, lo, hi, horizon = c._view
+            return _View(D, lo[i:], hi[i:], min(horizon, D))
+
+        def text():
+            return c._ends_text[i:]
+
+        ratios = ratios[0][i:], ratios[1][i:]
+        horizon = min(c.horizon, Fraction(1))
+        return _scanned_chain(c.blocks[i:], Fraction(1), horizon, ratios, view, text)
     D, lo, hi, horizon = c._view
     if any(l == h for l, h in zip(lo, hi)):
         raise ValueError("chain has isolated points; blow up first")
     i = next((k for k, h in enumerate(hi) if h <= D), len(hi))
     view = _View(D, lo[i:], hi[i:], min(horizon, D))
-    ratios = c._component_ratios
-    if ratios is not None:  # the ratios of the components kept
-        ratios = ratios[0][i:], ratios[1][i:]
-    return _chain(c.blocks[i:], Fraction(1), min(c.horizon, Fraction(1)), view, ratios)
+    return _chain(c.blocks[i:], Fraction(1), min(c.horizon, Fraction(1)), view)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from .tailset import (
     TailFamily,
     blowup_certificate,
     certificate_to_json,
+    component_ends_text,
     component_ratios,
     expand,
     expand_memo,
@@ -223,10 +224,7 @@ def _cmd_blowup(args) -> int:
         cert = blowup_certificate(f, q)
         profile = {
             "q": format_rational(q),
-            "components": [
-                {"lo": format_rational(c.lo), "hi": format_rational(c.hi)}
-                for c in comps.blocks
-            ],
+            "components": [{"lo": lo, "hi": hi} for lo, hi in component_ends_text(comps)],
             "betas": [format_rational(x) for x in betas],
             "gammas": [format_rational(x) for x in gammas],
             "certificate": certificate_to_json(cert),

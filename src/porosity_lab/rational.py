@@ -15,10 +15,13 @@ three helpers: `_fraction` wraps a pair already in lowest terms, `_ratio`
 reduces a quotient of ints by one gcd, and `_scaled` multiplies by a ratio
 with gcds against the ratio's small terms only.  Both skip a division by a
 gcd of 1, which on ints of thousands of bits costs as much as the gcd.
+`_replayed_text` takes `_scaled`'s steps in decimal, for wire text that
+prints in linear time.
 """
 
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
 from math import gcd
 
@@ -72,6 +75,38 @@ def _scaled(x: Fraction, a: int, b: int) -> Fraction:
     if h != 1:
         d, a = d // h, a // h
     return _fraction(n * a, d * b)
+
+
+# Exact integer arithmetic on Decimals: at this precision and exponent range
+# no product or quotient of ints rounds, and an Inexact would raise.  Every
+# operation names this context, so no result depends on the caller's
+# decimal context and none of its flags is set.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[decimal.Inexact]
+)
+
+
+def _replayed_text(x: Fraction, steps) -> list:
+    """The wire text of x times each prefix product of `steps`, pairs (a, b)
+    of coprime ints > 0: the values `_scaled` gives step by step, with the
+    same gcds against each step's terms.  The numerator and denominator are
+    Decimals, which print in time linear in their digits, where str(int)
+    takes quadratic time before Python 3.12; only x and the steps are ints,
+    so no long int is ever converted."""
+    c = _EXACT
+    n, d = c.create_decimal(x.numerator), c.create_decimal(x.denominator)
+    out = []
+    for a, b in steps:
+        g = gcd(int(c.remainder(n, b)), b) if b != 1 else 1
+        h = gcd(int(c.remainder(d, a)), a) if a != 1 else 1
+        if g != 1:
+            n, b = c.divide_int(n, g), b // g
+        if h != 1:
+            d, a = c.divide_int(d, h), a // h
+        n, d = c.multiply(n, a), c.multiply(d, b)
+        num, den = c.to_sci_string(n), c.to_sci_string(d)
+        out.append(num if den == "1" else f"{num}/{den}")
+    return out
 
 
 def format_rational(x: RationalLike) -> str:

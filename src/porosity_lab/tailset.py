@@ -9,7 +9,8 @@ asymptotics a finite prefix can never prove.
 
 Every coordinate and ratio handed out is a fractions.Fraction, and the only
 non-rational value is the infinity marker for diverging gap ratios.  Inside,
-each chain carries a view of itself as ints over one denominator (`_View`).
+each chain carries a view of itself as ints over one denominator (`_View`),
+which a blown point family's chain builds only when it is read.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from numbers import Rational, Real
 
 from ._record import Record
 from .rational import (
-    INF, RationalLike, _fraction, _ratio, _scaled, format_rational, parse_rational
+    INF, RationalLike, _fraction, _ratio, _replayed_text, _scaled, format_rational, parse_rational
 )
 
 __all__ = [
@@ -58,6 +59,7 @@ __all__ = [
     "porosity_profile",
     "blowup_certificate",
     "component_ratios",
+    "component_ends_text",
     "certificate_to_json",
     "chain_to_json",
     "chain_from_json",
@@ -116,7 +118,8 @@ def block_sup(b: Block) -> Fraction:
 
 # A chain's coordinates as ints over one common denominator D: block k
 # spans lo[k]/D to hi[k]/D, the horizon is horizon/D.  Point families emit
-# it, blow-ups and unions transform their inputs' views, and only a chain
+# it, blow-ups and unions transform their inputs' views, a blown point
+# family's chain takes it from its scan on first read, and only a chain
 # from outside takes an lcm.  The hot scans run on it and build Fractions
 # only for what they return.
 _View = namedtuple("_View", "D lo hi horizon")
@@ -174,6 +177,19 @@ class Chain(Record):
     # ratios off the view
     _component_ratios = None
 
+    # A scanned chain (`_scanned_chain`) builds its view and the wire text of
+    # its ends only when something reads them: the covering blow-up and the
+    # evidence for Î(SP) and I(CSP) read only its blocks and ratios.  Every
+    # other chain has its view from the start.
+
+    @cached_property
+    def _view(self) -> _View:
+        return self._make_view()
+
+    @cached_property
+    def _ends_text(self) -> list:
+        return self._make_ends_text()
+
 
 # Constructors for values that are valid by construction: they skip the checks
 # and Fraction conversions of __init__.  Only internal code whose
@@ -195,16 +211,28 @@ def _interval(lo: Fraction, hi: Fraction) -> Interval:
     return i
 
 
-def _chain(
-    blocks: tuple[Block, ...], upper: Fraction, horizon: Fraction, view: _View, ratios=None
-) -> Chain:
+def _chain(blocks: tuple[Block, ...], upper: Fraction, horizon: Fraction, view: _View) -> Chain:
     c = object.__new__(Chain)
-    object.__setattr__(c, "blocks", blocks)
-    object.__setattr__(c, "upper", upper)
-    object.__setattr__(c, "horizon", horizon)
-    object.__setattr__(c, "_view", view)
-    if ratios is not None:
-        object.__setattr__(c, "_component_ratios", ratios)
+    vars(c).update(blocks=blocks, upper=upper, horizon=horizon, _view=view)
+    return c
+
+
+def _scanned_chain(
+    blocks: tuple[Interval, ...], upper: Fraction, horizon: Fraction, ratios, make_view, make_text
+) -> Chain:
+    """A blown point family's chain, or the part of one that
+    `cc1_components` keeps: intervals only, with the (width, gap) ratios its
+    scan found; `make_view()` and `make_text()` give its view and the wire
+    text of its (lo, hi) ends on first read."""
+    c = object.__new__(Chain)
+    vars(c).update(
+        blocks=blocks,
+        upper=upper,
+        horizon=horizon,
+        _component_ratios=ratios,
+        _make_view=make_view,
+        _make_ends_text=make_text,
+    )
     return c
 
 
@@ -430,42 +458,62 @@ class _PointFamily(_Family):
         and x_j.  Its width ratio is q^2 over its merged product and the gap
         below it is 1/(r*q^2), both on small ints.  Its hi is the lo above
         over that gap ratio and its lo is hi over the width ratio: two
-        `_scaled` per component and none per point.  The view ints are the
-        base view's (see `_expand`) at the component ends, lo*b^2 and hi*a^2
-        over D*a*b for q = a/b: prefix products of the numerators times
-        suffix products of the denominators, each taken per component."""
+        `_scaled` per component and none per point.
+
+        The view and the ends' text wait for their first reader.  The view
+        ints are the base view's (see `_expand`) at the component ends,
+        lo*b^2 and hi*a^2 over D*a*b for q = a/b: prefix products of the
+        numerators times suffix products of the denominators, each taken per
+        component.  The text replays the ends from x0 by the same small
+        steps, q and then the inverse width and gap ratios in turn, in
+        decimal (`_replayed_text`)."""
         a, b = q.numerator, q.denominator
         aa, bb = a * a, b * b
         comps, mn, md = _merge_scan(self._ratios(depth), aa, bb)
         comps.append((mn, md, 0, 1))  # the last component: no gap below it
-        hi = _scaled(self.x0, a, b)
-        top = self.x0.numerator  # x_i's view int before its suffix product
-        blocks, betas, gammas, tops = [], [], [], []
+        x0 = self.x0
+        hi = _scaled(x0, a, b)
+        blocks, betas, gammas = [], [], []
         for mn, md, n, d in comps:
             beta = _ratio(aa * md, bb * mn)
             lo = _scaled(hi, beta.denominator, beta.numerator)
             blocks.append(_interval(lo, hi))
             betas.append(beta)
-            tops.append(top)
             if n:
                 gamma = _ratio(d * bb, n * aa)
                 gammas.append(gamma)
                 hi = _scaled(lo, gamma.denominator, gamma.numerator)
+        betas, gammas = tuple(betas), tuple(gammas)
+
+        def view():
+            # x_i's view int before its suffix product, top down; then, bottom
+            # up, S is the product of the denominators below a component's
+            # bottom point, and the view ints of its two ends share top * S
+            tops, top = [], x0.numerator
+            for mn, _, n, _ in comps:
+                tops.append(top)
                 top *= mn * n
-        # bottom up, S is the product of the denominators below a component's
-        # bottom point, and the view ints of its two ends share top * S
-        lo, hi, S = [], [], 1
-        for (mn, md, _, d), top in zip(reversed(comps), reversed(tops)):
-            S *= d
-            end = top * S
-            lo.append(end * (mn * bb))
-            hi.append(end * (md * aa))
-            S *= md
-        lo.reverse()
-        hi.reverse()
-        view = _View(self.x0.denominator * S * a * b, tuple(lo), tuple(hi), lo[-1])
-        ratios = tuple(betas), tuple(gammas)
-        return _chain(tuple(blocks), blocks[0].hi, blocks[-1].lo, view, ratios)
+            lo, hi, S = [], [], 1
+            for (mn, md, _, d), top in zip(reversed(comps), reversed(tops)):
+                S *= d
+                end = top * S
+                lo.append(end * (mn * bb))
+                hi.append(end * (md * aa))
+                S *= md
+            lo.reverse()
+            hi.reverse()
+            return _View(x0.denominator * S * a * b, tuple(lo), tuple(hi), lo[-1])
+
+        def text():
+            steps = [(a, b)]
+            for beta, gamma in zip(betas, gammas):
+                steps += (beta.denominator, beta.numerator), (gamma.denominator, gamma.numerator)
+            steps.append((betas[-1].denominator, betas[-1].numerator))
+            ends = _replayed_text(x0, steps)
+            return list(zip(ends[1::2], ends[::2]))  # (lo, hi)
+
+        blocks = tuple(blocks)
+        return _scanned_chain(blocks, blocks[0].hi, blocks[-1].lo, (betas, gammas), view, text)
 
     @cached_property
     def _late_range(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -830,7 +878,10 @@ class UnionOf(_Family):
 class BlowupOf(_Family):
     """The q-blow-up of another family: every point x thickens to the open
     interval (x/q, q*x) and overlaps merge.  A point family's blow-up is
-    scanned on its ratio pairs (`_PointFamily._blown_chain`); every other
+    scanned on its ratio pairs (`_PointFamily._blown_chain`), and so is a
+    nested one: blow-ups of a point family compose, (f(q0))(q) = f(q0*q),
+    so the layers' factors multiply into one scan, whose chain differs from
+    blowing up the inner chain again only in its view's D.  Every other
     base is expanded and blown up by `blow_up_chain`.  Nest within
     MAX_NESTING levels, as for `UnionOf`."""
 
@@ -845,8 +896,11 @@ class BlowupOf(_Family):
         return self.base.has_zero_accumulation
 
     def _expand(self, depth):
-        if isinstance(self.base, _PointFamily):
-            return self.base._blown_chain(depth, self.q)
+        base, q = self.base, self.q
+        while type(base) is BlowupOf:
+            base, q = base.base, base.q * q
+        if isinstance(base, _PointFamily):
+            return base._blown_chain(depth, q)
         from . import blowup
 
         return blowup.blow_up_chain(expand(self.base, depth), self.q)
@@ -1054,6 +1108,16 @@ def component_ratios(c: Chain) -> tuple[tuple[Fraction, ...], tuple[Fraction, ..
     a blown point family's chain carries them from its scan, and on any
     other chain each is a quotient of two view ints."""
     return _width_ratios(c), _gap_ratios(c)
+
+
+def component_ends_text(c: Chain) -> list:
+    """The wire text of each (lo, hi) of a chain of intervals, such as the
+    components `cc1_components` keeps: `format_rational`'s, which a blown
+    point family's chain replays in decimal on first read, so that its long
+    ends print in linear time."""
+    if c._component_ratios is not None:
+        return c._ends_text
+    return [(format_rational(b.lo), format_rational(b.hi)) for b in c.blocks]
 
 
 # the two halves of component_ratios, for the engines that read only one:

@@ -1,11 +1,13 @@
 """Blow-up operator laws, component extraction, and the inclusion lemma."""
 
+import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from fraction_oracles import blow_up_block, merge_blocks
 from test_tailset import _chains, _fractions, _point_families
@@ -33,9 +35,11 @@ from porosity_lab.tailset import (
     _width_ratios,
     block_inf,
     block_sup,
+    component_ends_text,
     component_ratios,
     expand,
 )
+from porosity_lab.rational import _ratio, format_rational
 
 
 def random_point_chain(rng, max_len=12):
@@ -293,15 +297,6 @@ def test_point_family_scan_on_growing_ratio_powers():
     assert 1 < len(scanned.blocks) < 16
 
 
-def test_blow_up_of_a_blow_up_stays_generic():
-    inner = BlowupOf(ExampleFamily(F(1, 2)), F(3, 2))
-    outer = expand(BlowupOf(inner, F(2)), 6)
-    generic = blow_up_chain(expand(inner, 6), F(2))
-    assert outer._component_ratios is None
-    assert (outer, outer._view) == (generic, generic._view)
-    _assert_scan_is_blow_up_chain(inner.base, inner.q, 6)
-
-
 _POINT_DESCRIPTORS = [
     '{"variant":"GeometricLadder","x0":"3","rho":"1/5"}',
     '{"variant":"GeometricLadder","x0":"1","rho":"4/5"}',
@@ -309,6 +304,108 @@ _POINT_DESCRIPTORS = [
     '{"variant":"ExampleFamily","alpha":"1/2"}',
     '{"variant":"PatternLadder","x0":"1","ratios":["1/2","1/8"],"decay":"1/4"}',
 ]
+_NESTING_QS = (F(4, 3), F(3, 2), F(2), F(5, 2), F(3))
+
+
+def _view_ratios(c):
+    # each hi/lo and each lo over the next hi, off the view: D cancels
+    _, lo, hi, _ = c._view
+    return tuple(map(_ratio, hi, lo)), tuple(map(_ratio, lo, hi[1:]))
+
+
+@pytest.mark.parametrize("family", _POINT_DESCRIPTORS)
+def test_blow_up_of_a_blown_point_family_is_one_scan(family):
+    # blow-ups of a point family compose: the scan at q0*q gives the chain
+    # that blowing the q0-scan up by q gives, but for the view's D
+    f = tailset.family_from_json(json.loads(family))
+    for q0, q, depth in itertools.product(_NESTING_QS, _NESTING_QS, (1, 5, 12)):
+        composed = expand(BlowupOf(BlowupOf(f, q0), q), depth)
+        generic = blow_up_chain(expand(BlowupOf(f, q0), depth), q)
+        assert composed._component_ratios is not None
+        assert generic._component_ratios is None
+        assert (composed.blocks, composed.upper, composed.horizon) == (
+            generic.blocks,
+            generic.upper,
+            generic.horizon,
+        )
+        assert _view_ratios(composed) == _view_ratios(generic)
+        kept = cc1_components(composed), cc1_components(generic)
+        assert component_ratios(kept[0]) == component_ratios(kept[1])
+        assert _view_ratios(kept[0]) == _view_ratios(kept[1])
+
+
+def test_three_blow_ups_of_a_point_family_are_one_scan():
+    f = ExampleFamily(F(2, 3))
+    nested = expand(BlowupOf(BlowupOf(BlowupOf(f, F(4, 3)), F(3, 2)), F(5, 4)), 8)
+    once = expand(BlowupOf(f, F(5, 2)), 8)
+    assert nested == once
+    assert (nested._view, component_ratios(nested)) == (once._view, component_ratios(once))
+
+
+def test_a_scanned_chain_builds_its_view_and_text_only_when_read():
+    scanned = expand(BlowupOf(ExampleFamily(F(1, 2)), F(3, 2)), 8)
+    kept = cc1_components(scanned)
+    for c in (scanned, kept):
+        assert {"_view", "_ends_text"}.isdisjoint(vars(c))
+    assert component_ends_text(kept) == [
+        (format_rational(b.lo), format_rational(b.hi)) for b in kept.blocks
+    ]
+    assert "_ends_text" in vars(scanned) and "_view" not in vars(scanned)
+    assert len(kept._view.lo) == len(kept.blocks)
+    assert "_view" in vars(scanned)
+
+
+@st.composite
+def _scanned_family_and_q(draw):
+    """A point family and a q > 1: an int, any rational, or one made of the
+    family's own terms, so that the replayed steps take gcds above 1 and
+    some ends come out with denominator 1."""
+    f = draw(_point_families.filter(lambda f: isinstance(f, _PointFamily)))
+    terms = [f.x0.numerator, f.x0.denominator]
+    terms += [t for r in itertools.islice(f._ratios(4), 3) for t in r]
+    n, d = draw(st.sampled_from(terms)), draw(st.sampled_from(terms))
+    shared = F(max(n, d) * draw(st.integers(1, 3)), min(n, d))
+    q = draw(st.one_of(st.integers(2, 6).map(F), _fractions(1, 4), st.just(shared)))
+    return f, q if q > 1 else q + 1
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_scanned_family_and_q(), st.integers(1, 10))
+# x0 = 9/2 and q = 2: the first step cancels the 2, x0*q = 9 prints as an
+# int, and rho = 2/3 makes the ends below share factors with q
+@example((GeometricLadder(F(9, 2), F(2, 3)), F(2)), 6)
+def test_replayed_end_text_is_format_rational(case, depth):
+    f, q = case
+    scanned = expand(BlowupOf(f, q), depth)
+    for c in (scanned, cc1_components(scanned)):
+        assert component_ends_text(c) == [
+            (format_rational(b.lo), format_rational(b.hi)) for b in c.blocks
+        ]
+
+
+@pytest.mark.parametrize(
+    "family",
+    _POINT_DESCRIPTORS
+    + [
+        '{"variant":"GeometricLadder","x0":"9/2","rho":"2/3"}',
+        '{"variant":"ExampleFamily","alpha":"5/13"}',
+        '{"variant":"PatternLadder","x0":"4/3","ratios":["3/4","1/6"],"decay":"2/9"}',
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_blowup_report_is_the_generic_blow_ups(capsys, monkeypatch, family, fmt):
+    # the report from the scan, with its replayed text, against the one
+    # from blow_up_chain of the expanded points, printed by format_rational
+    argv = ["blowup", "--family", family, "--depth", "10", "--format", fmt]
+    argv += ["--q", "2", "--q", "3/2", "--q", "3", "--q", "9/4"]
+    want = cli.main(argv), capsys.readouterr()
+
+    def generic(self, depth):
+        assert isinstance(self.base, _PointFamily)
+        return blow_up_chain(self.base._expand(depth), self.q)
+
+    monkeypatch.setattr(BlowupOf, "_expand", generic)
+    assert (cli.main(argv), capsys.readouterr()) == want
 
 
 @pytest.mark.parametrize("family", _POINT_DESCRIPTORS)

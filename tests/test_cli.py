@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import copy
+import decimal
 import io
 import json
 import re
@@ -244,6 +245,22 @@ def test_main_restores_the_digit_limit(capsys, argv, want):
         assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_blowup_ignores_the_callers_decimal_context(capsys, monkeypatch, fmt):
+    # the scanned ends print from decimal text on the package's own exact
+    # context: a three-digit context around the call changes no byte, and
+    # the caller gets its context back untouched
+    argv = ("blowup", "--family", EXA, "--depth", "12", "--q", "2", "--q", "4/3", "--format", fmt)
+    want = run_cli(capsys, *argv)
+    assert len(want[1]) > 2000  # ends far longer than three digits
+    with decimal.localcontext(decimal.Context(prec=3)) as ctx:
+        monkeypatch.setattr(decimal, "getcontext", mock.Mock(side_effect=AssertionError))
+        assert run_cli(capsys, *argv) == want
+        monkeypatch.undo()
+        assert decimal.getcontext() is ctx
+        assert ctx.prec == 3 and not any(ctx.flags.values())
 
 
 @pytest.mark.parametrize(

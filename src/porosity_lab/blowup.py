@@ -16,8 +16,8 @@ from .tailset import (
     SP_EVIDENCE_RATIO,
     BlowupOf,
     Chain,
+    Point,
     TailFamily,
-    _PointFamily,
     _View,
     _chain,
     _check_q,
@@ -53,10 +53,11 @@ def blow_up_chain(c: Chain, q) -> Chain:
     hi*a^2, so each merge is one int comparison.  Only the two ends of each
     finished component become Fractions, reduced against q's small terms.
 
-    This is the blow-up of every chain but a point family's: `BlowupOf`
-    scans a point family, or a blow-up of one, on its ratio pairs instead
-    (`_PointFamily._blown_chain`), and the tests hold that scan to this
-    function's chain.
+    Blow-ups compose: blowing the result up by q' gives the chain of the
+    blow-up by q*q', but for the view's D.  So `BlowupOf` blows a nested
+    family up once, at the product (`_Family._blown_chain`), by this
+    function, or for a point family on its ratio pairs, a scan the tests
+    hold to this function's chain.
     """
     q = _check_q(q)
     a, b = q.numerator, q.denominator
@@ -84,30 +85,26 @@ def cc1_components(c: Chain) -> Chain:
     chain of their own with upper edge 1.  Chains with isolated points are
     rejected: components only exist after a blow-up.
 
-    A blown point family's chain is cut on its Fraction ends, all of them
-    intervals, and the part kept takes its ratios, its view and its ends'
-    text from the whole chain's, the last two sliced only when read.
+    The cut runs on the Fraction ends.  The part kept takes its view and its
+    ends' text from the whole chain's, sliced only when read, and a blown
+    point family's ratios from its scan, sliced.
     """
+    blocks = c.blocks
+    if any(type(b) is Point for b in blocks):
+        raise ValueError("chain has isolated points; blow up first")
+    i = next((k for k, b in enumerate(blocks) if b.hi <= 1), len(blocks))
+
+    def view():
+        D, lo, hi, horizon = c._view
+        return _View(D, lo[i:], hi[i:], min(horizon, D))
+
+    def text():
+        return c._ends_text[i:]
+
     ratios = c._component_ratios
     if ratios is not None:
-        i = next((k for k, x in enumerate(c.blocks) if x.hi <= 1), len(c.blocks))
-
-        def view():
-            D, lo, hi, horizon = c._view
-            return _View(D, lo[i:], hi[i:], min(horizon, D))
-
-        def text():
-            return c._ends_text[i:]
-
         ratios = ratios[0][i:], ratios[1][i:]
-        horizon = min(c.horizon, Fraction(1))
-        return _scanned_chain(c.blocks[i:], Fraction(1), horizon, ratios, view, text)
-    D, lo, hi, horizon = c._view
-    if any(l == h for l, h in zip(lo, hi)):
-        raise ValueError("chain has isolated points; blow up first")
-    i = next((k for k, h in enumerate(hi) if h <= D), len(hi))
-    view = _View(D, lo[i:], hi[i:], min(horizon, D))
-    return _chain(c.blocks[i:], Fraction(1), min(c.horizon, Fraction(1)), view)
+    return _scanned_chain(blocks[i:], Fraction(1), min(c.horizon, Fraction(1)), ratios, view, text)
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +117,16 @@ def find_covering_blowup(f: TailFamily, depth: int) -> tuple[Fraction, Fraction]
 
     The porosity margin s comes from the certified upper porosity when the
     family has one, otherwise from the deepest probe ratios; q = 1/(1-s)
-    then closes every relative gap of size at most s.  A point family, which
-    always certifies its index, is blown up on its ratio pairs (`BlowupOf`).
+    then closes every relative gap of size at most s.  A certified family
+    gives its own blow-up (`BlowupOf`), else the probed chain is blown up.
     """
     certified = f.porosity_index()
     if certified == 1:
         return None
-    chain = None if isinstance(f, _PointFamily) else expand(f, depth)
     if certified is not None:
-        s = (1 + certified) / 2
+        s, chain = (1 + certified) / 2, None
     else:
+        chain = expand(f, depth)
         samples = probe_ratios(chain, PROBE_WINDOW)
         if not samples:
             # no internal gaps observed at all: any modest q will do
@@ -140,14 +137,10 @@ def find_covering_blowup(f: TailFamily, depth: int) -> tuple[Fraction, Fraction]
                 return None
             s = (1 + worst) / 2
     q = 1 / (1 - s)
-    if chain is None:
-        # the blown chain's horizon is the base's over q, its upper edge q
-        # times the base's
-        blown = expand(BlowupOf(f, q), depth)
-        anchor, upper = q * q * blown.horizon, blown.upper / q
-    else:
-        blown = blow_up_chain(chain, q)
-        anchor, upper = q * chain.horizon, chain.upper
+    blown = expand(BlowupOf(f, q), depth) if chain is None else blow_up_chain(chain, q)
+    # the blown chain's horizon is the base's over q, its upper edge q times
+    # the base's
+    anchor, upper = q * q * blown.horizon, blown.upper / q
     for b in blown.blocks:
         if block_inf(b) <= anchor < block_sup(b):
             t = min(upper, block_sup(b))

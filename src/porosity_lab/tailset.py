@@ -118,10 +118,10 @@ def block_sup(b: Block) -> Fraction:
 
 # A chain's coordinates as ints over one common denominator D: block k
 # spans lo[k]/D to hi[k]/D, the horizon is horizon/D.  Point families emit
-# it, blow-ups and unions transform their inputs' views, a blown point
-# family's chain takes it from its scan on first read, and only a chain
-# from outside takes an lcm.  The hot scans run on it and build Fractions
-# only for what they return.
+# it, blow-ups (nested ones composed into one) and unions transform their
+# inputs' views, a scanned chain (`_scanned_chain`) takes it on first read,
+# and only a chain from outside takes an lcm.  The hot scans run on it and
+# build Fractions only for what they return.
 _View = namedtuple("_View", "D lo hi horizon")
 
 
@@ -190,6 +190,9 @@ class Chain(Record):
     def _ends_text(self) -> list:
         return self._make_ends_text()
 
+    def _make_ends_text(self) -> list:
+        return [(format_rational(b.lo), format_rational(b.hi)) for b in self.blocks]
+
 
 # Constructors for values that are valid by construction: they skip the checks
 # and Fraction conversions of __init__.  Only internal code whose
@@ -220,10 +223,10 @@ def _chain(blocks: tuple[Block, ...], upper: Fraction, horizon: Fraction, view: 
 def _scanned_chain(
     blocks: tuple[Interval, ...], upper: Fraction, horizon: Fraction, ratios, make_view, make_text
 ) -> Chain:
-    """A blown point family's chain, or the part of one that
-    `cc1_components` keeps: intervals only, with the (width, gap) ratios its
-    scan found; `make_view()` and `make_text()` give its view and the wire
-    text of its (lo, hi) ends on first read."""
+    """A blown point family's chain, with the (width, gap) ratios its scan
+    found, or the part of a chain `cc1_components` keeps, with those ratios
+    cut or None: intervals only; `make_view()` and `make_text()` give its
+    view and the wire text of its (lo, hi) ends on first read."""
     c = object.__new__(Chain)
     vars(c).update(
         blocks=blocks,
@@ -367,6 +370,16 @@ class _Family(Record):
         """At blow-up factor q: bounds on the width-ratio limsup and on the
         liminf of the gap maxima over windows of M+1."""
         return None
+
+    def _probe_ratios(self, depth: int) -> list:
+        """`porosity_profile`'s probes, off the chain at `depth`."""
+        return probe_ratios(expand(self, depth))
+
+    def _blown_chain(self, depth: int, q: Fraction) -> Chain:
+        """The chain of the q-blow-up at `depth`, as `BlowupOf` expands it."""
+        from . import blowup  # blowup imports this module
+
+        return blowup.blow_up_chain(expand(self, depth), q)
 
 
 def _merge_scan(ratios, aa: int, bb: int) -> tuple[list, int, int]:
@@ -877,12 +890,12 @@ class UnionOf(_Family):
 
 class BlowupOf(_Family):
     """The q-blow-up of another family: every point x thickens to the open
-    interval (x/q, q*x) and overlaps merge.  A point family's blow-up is
-    scanned on its ratio pairs (`_PointFamily._blown_chain`), and so is a
-    nested one: blow-ups of a point family compose, (f(q0))(q) = f(q0*q),
-    so the layers' factors multiply into one scan, whose chain differs from
-    blowing up the inner chain again only in its view's D.  Every other
-    base is expanded and blown up by `blow_up_chain`.  Nest within
+    interval (x/q, q*x) and overlaps merge.  Blow-ups compose for every
+    base, (f(q0))(q) = f(q0*q), so a nested one multiplies its layers'
+    factors and asks the innermost base for one blow-up at the product
+    (`_blown_chain`), whose chain differs from blowing up the inner chain
+    again only in its view's D.  A point family scans its ratio pairs, any
+    other base blows up its chain by `blow_up_chain`.  Nest within
     MAX_NESTING levels, as for `UnionOf`."""
 
     base: "TailFamily"
@@ -896,14 +909,10 @@ class BlowupOf(_Family):
         return self.base.has_zero_accumulation
 
     def _expand(self, depth):
-        base, q = self.base, self.q
-        while type(base) is BlowupOf:
-            base, q = base.base, base.q * q
-        if isinstance(base, _PointFamily):
-            return base._blown_chain(depth, q)
-        from . import blowup
+        return self.base._blown_chain(depth, self.q)
 
-        return blowup.blow_up_chain(expand(self.base, depth), self.q)
+    def _blown_chain(self, depth, q):
+        return self.base._blown_chain(depth, self.q * q)
 
     def porosity_index(self):
         # full porosity survives the blow-up in both directions; partial
@@ -1079,17 +1088,13 @@ def porosity_profile(f: TailFamily, depth: int) -> PorosityProfile:
     """Evaluate the gap ratio along probe heights h = lower endpoints of the
     chain's blocks (each sits just above a gap, where the ratio is locally
     maximal).  Probes at or below the horizon are dropped: nothing certain
-    can be said there.  A point family's probes are scanned on its ratio
-    pairs (`_PointFamily._probe_ratios`), with no chain.
+    can be said there.  The family gives its own probes (`_probe_ratios`):
+    a point family scans its ratio pairs, with no chain.
     """
     if not f.has_zero_accumulation:
         raise ValueError("family does not accumulate at 0; no porosity to probe")
-    if isinstance(f, _PointFamily):
-        _check_depth(depth)
-        samples = f._probe_ratios(depth)
-    else:
-        samples = probe_ratios(expand(f, depth))
-    return PorosityProfile(tuple(samples), f.porosity_index())
+    _check_depth(depth)
+    return PorosityProfile(tuple(f._probe_ratios(depth)), f.porosity_index())
 
 
 # ---------------------------------------------------------------------------
@@ -1115,9 +1120,7 @@ def component_ends_text(c: Chain) -> list:
     components `cc1_components` keeps: `format_rational`'s, which a blown
     point family's chain replays in decimal on first read, so that its long
     ends print in linear time."""
-    if c._component_ratios is not None:
-        return c._ends_text
-    return [(format_rational(b.lo), format_rational(b.hi)) for b in c.blocks]
+    return c._ends_text
 
 
 # the two halves of component_ratios, for the engines that read only one:

@@ -52,18 +52,23 @@ def random_point_chain(rng, max_len=12):
     return Chain(tuple(pts), upper=pts[0].x, horizon=pts[-1].x)
 
 
-def random_mixed_chain(rng, max_len=10):
-    """Descending mix of points and intervals."""
+def random_mixed_chain(rng, max_len=10, touch=0):
+    """Descending mix of points and intervals.  With probability `touch` a
+    block starts where the one above ends: open ends touch, or a point sits
+    on an interval's open end."""
     blocks = []
     x = F(rng.randint(1, 8), rng.randint(1, 4))
+    touching = False
     for _ in range(rng.randint(1, max_len)):
-        if rng.random() < 0.4:
+        if rng.random() < 0.4 and not (touching and isinstance(blocks[-1], Point)):
             blocks.append(Point(x))
         else:
             lo = x * F(rng.randint(1, 20), 21)
             blocks.append(Interval(lo, x))
             x = lo
-        x *= F(rng.randint(1, 20), 21)
+        touching = touch and rng.random() < touch
+        if not touching:
+            x *= F(rng.randint(1, 20), 21)
     horizon = x if rng.random() < 0.5 else F(0)
     return Chain(tuple(blocks), upper=blocks[0].x if isinstance(blocks[0], Point) else blocks[0].hi, horizon=horizon)
 
@@ -182,6 +187,18 @@ def test_double_blow_up_contains_product_blow_up():
         assert blocks_subset(product.blocks, twice.blocks)
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.randoms(use_true_random=False), _fractions(1, 4), _fractions(1, 4))
+def test_blow_ups_compose_on_every_chain(rng, q0, q):
+    # (c(q0))(q) = c(q0*q) on a mixed chain with touching ends and points on
+    # open ends, but for the view's D
+    c = random_mixed_chain(rng, touch=F(1, 3))
+    twice = blow_up_chain(blow_up_chain(c, q0), q)
+    once = blow_up_chain(c, q0 * q)
+    assert (twice.blocks, twice.upper, twice.horizon) == (once.blocks, once.upper, once.horizon)
+    assert _view_ratios(twice) == _view_ratios(once)
+
+
 def test_blown_point_components_have_wide_ratio():
     rng = random.Random(9)
     for _ in range(200):
@@ -211,11 +228,17 @@ def test_cc1_components_filter_and_order():
         horizon=F(1, 8),
     )
     assert cc1_components(c).blocks == (Interval(F(1, 8), F(1, 4)),)
-    # a component ending exactly at 1 lies in (0, 1]
+    # a component ending exactly at 1 lies in (0, 1], on a chain from
+    # outside and on a scanned one, whose top component ends at x0*q = 1
     at_1 = Chain((Interval(1, F(1001, 1000)), Interval(F(1, 4), 1)), upper=2, horizon=0)
     assert cc1_components(at_1).blocks == (Interval(F(1, 4), 1),)
-    with pytest.raises(ValueError):
-        cc1_components(Chain((Point(1),), upper=1, horizon=0))
+    scanned = expand(BlowupOf(GeometricLadder(F(1, 2), F(1, 9)), 2), 4)
+    assert scanned.blocks[0].hi == 1
+    assert cc1_components(scanned).blocks == scanned.blocks
+    # a point anywhere is refused, also one the cut would drop
+    for blocks in [(Point(1),), (Point(2), Interval(F(1, 4), F(1, 2)))]:
+        with pytest.raises(ValueError, match="isolated points"):
+            cc1_components(Chain(blocks, upper=2, horizon=0))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +357,52 @@ def test_blow_up_of_a_blown_point_family_is_one_scan(family):
         assert _view_ratios(kept[0]) == _view_ratios(kept[1])
 
 
+_UNIONS = {
+    "two-point-families": UnionOf((GeometricLadder(1, F(1, 3)), SuperGeometricLadder(F(3, 2), F(1, 2)))),
+    "point-family-and-intervals": UnionOf(
+        (
+            PatternLadder(1, (F(1, 2), F(1, 8)), F(1, 4)),
+            ExplicitChain(
+                Chain(
+                    (Interval(F(3, 4), 1), Point(F(1, 2)), Interval(F(1, 4), F(1, 2)),
+                     Interval(F(1, 8), F(1, 4)), Interval(F(1, 400), F(1, 100)), Point(F(1, 10**6))),
+                    upper=1,
+                    horizon=F(1, 10**7),
+                )
+            ),
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _UNIONS)
+def test_blow_up_of_a_blown_union_is_one_pass(monkeypatch, name):
+    # blow-ups compose on any base: one blow_up_chain at q0*q gives what two
+    # generic passes give, but for the view's D
+    g = _UNIONS[name]
+    passes = []
+
+    def counting(c, q):
+        passes.append(q)
+        return blow_up_chain(c, q)
+
+    monkeypatch.setattr(blowup, "blow_up_chain", counting)
+    for q0, q, depth in itertools.product(_NESTING_QS[:3], _NESTING_QS[2:], (1, 6, 12)):
+        passes.clear()
+        composed = expand(BlowupOf(BlowupOf(g, q0), q), depth)
+        assert passes == [q0 * q]
+        twice = blow_up_chain(blow_up_chain(expand(g, depth), q0), q)
+        assert (composed.blocks, composed.upper, composed.horizon) == (
+            twice.blocks,
+            twice.upper,
+            twice.horizon,
+        )
+        assert _view_ratios(composed) == _view_ratios(twice)
+        kept = cc1_components(composed), cc1_components(twice)
+        assert component_ratios(kept[0]) == component_ratios(kept[1])
+        assert component_ends_text(kept[0]) == component_ends_text(kept[1])
+
+
 def test_three_blow_ups_of_a_point_family_are_one_scan():
     f = ExampleFamily(F(2, 3))
     nested = expand(BlowupOf(BlowupOf(BlowupOf(f, F(4, 3)), F(3, 2)), F(5, 4)), 8)
@@ -353,6 +422,21 @@ def test_a_scanned_chain_builds_its_view_and_text_only_when_read():
     assert "_ends_text" in vars(scanned) and "_view" not in vars(scanned)
     assert len(kept._view.lo) == len(kept.blocks)
     assert "_view" in vars(scanned)
+    # a chain from blow_up_chain: the part kept reads its view and text off
+    # the whole chain's on first read, its text format_rational's
+    generic = blow_up_chain(expand(_UNIONS["point-family-and-intervals"], 8), F(3, 2))
+    kept = cc1_components(generic)
+    assert 0 < len(kept.blocks) < len(generic.blocks)
+    assert {"_view", "_ends_text"}.isdisjoint(vars(kept)) and kept._component_ratios is None
+    assert component_ends_text(kept) == [
+        (format_rational(b.lo), format_rational(b.hi)) for b in kept.blocks
+    ]
+    assert "_view" not in vars(kept)
+    assert component_ratios(kept) == (
+        tuple(b.hi / b.lo for b in kept.blocks),
+        tuple(a.lo / b.hi for a, b in zip(kept.blocks, kept.blocks[1:])),
+    )
+    assert kept._view.D == generic._view.D and len(kept._view.lo) == len(kept.blocks)
 
 
 @st.composite

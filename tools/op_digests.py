@@ -5,7 +5,9 @@ at the given seed and prints, per op, its workload, index, kind and the
 sha256 of its outcome: a CLI op's exit code, stdout and stderr, a library
 op's result, or the type and message of the exception it raised.  The op
 lists come from perfbench/ in this checkout, which is only read; the
-package comes from --src, so two commits run the same ops:
+package comes from --src, so two commits run the same ops.  A second list,
+printed as `generic-paths`, is built here and does not depend on the seed:
+the paths of families with no ratio-pair scan, which no workload op takes.
 
     python3 tools/op_digests.py --seed 1 > head.txt
     python3 tools/op_digests.py --seed 1 --src ../base/src > base.txt
@@ -17,7 +19,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +35,59 @@ import workloads  # noqa: E402
 def load_modules(src: Path) -> dict:
     sys.path.insert(0, str(src))
     return {name: importlib.import_module(f"porosity_lab.{name}") for name in spans.MODULES}
+
+
+# intervals, a point on an interval's open end, and two open ends that touch
+INTERVAL_CHAIN = {
+    "variant": "ExplicitChain",
+    "chain": {
+        "blocks": [{"lo": "3/4", "hi": "1"}, {"point": "1/2"}, {"lo": "1/4", "hi": "1/2"},
+                   {"lo": "1/8", "hi": "1/4"}, {"lo": "1/400", "hi": "1/100"},
+                   {"lo": "1/40000", "hi": "1/20000"}, {"point": "1/1000000"}],
+        "upper": "1",
+        "horizon": "1/10000000",
+    },
+}
+POINT_UNION = {
+    "variant": "UnionOf",
+    "parts": [{"variant": "GeometricLadder", "x0": "1", "rho": "2/3"},
+              {"variant": "GeometricLadder", "x0": "5/6", "rho": "1/2"}],
+}
+MIXED_UNION = {
+    "variant": "UnionOf",
+    "parts": [{"variant": "PatternLadder", "x0": "1", "ratios": ["1/2", "1/8"], "decay": "1/4"},
+              INTERVAL_CHAIN],
+}
+SUPER_UNION = {
+    "variant": "UnionOf",
+    "parts": [{"variant": "GeometricLadder", "x0": "1", "rho": "1/5"},
+              {"variant": "SuperGeometricLadder", "x0": "3/2", "rho": "1/2"}],
+}
+
+
+def generic_paths(mods: dict, family_file: Path) -> list:
+    """Ops on the paths of families with no ratio-pair scan: the porosity
+    profile and covering blow-up of unions, of blown unions and of a chain
+    with intervals; the reports on blown unions, whose blow-ups compose;
+    and one analyze that reads its family from `family_file`, which this
+    writes."""
+    tailset = mods["tailset"]
+    ops = []
+    for spec in (POINT_UNION, MIXED_UNION, {"variant": "BlowupOf", "base": SUPER_UNION, "q": "3/2"},
+                 INTERVAL_CHAIN):
+        f = tailset.family_from_json(spec)
+        ops.append(workloads.Op("profile", "profile", fn="tailset.porosity_profile", args=(f, 16)))
+        ops.append(workloads.Op("covering", "covering", fn="blowup.find_covering_blowup", args=(f, 16)))
+    for base, q0 in ((MIXED_UNION, "3/2"), (SUPER_UNION, "5/4")):
+        family = json.dumps({"variant": "BlowupOf", "base": base, "q": q0})
+        for argv in (["blowup", "--q", "5/4", "--q", "3/2", "--format", "text"],
+                     ["decompose", "--n", "1", "--q", "5/4", "--format", "json"],
+                     ["analyze", "--q", "5/4", "--q", "3/2", "--format", "json"]):
+            ops.append(workloads.Op(argv[0], "cli-ok", argv=[*argv, "--family", family, "--depth", "12"]))
+    family_file.write_text(json.dumps(MIXED_UNION), encoding="utf-8")
+    argv = ["analyze", "--family", str(family_file), "--depth", "12", "--q", "2", "--format", "text"]
+    ops.append(workloads.Op("analyze-file", "cli-ok", argv=argv))
+    return ops
 
 
 def outcome_bytes(outcome) -> bytes:
@@ -49,10 +106,12 @@ def main(argv=None) -> int:
     mods = load_modules(args.src.resolve())
     lists = {name: workloads.build(name, args.seed, mods) for name in workloads.WORKLOADS}
     lists["defect-probes"] = workloads.defect_probes()
-    for name, ops in lists.items():
-        for i, op in enumerate(ops):
-            digest = hashlib.sha256(outcome_bytes(run.call(op, mods))).hexdigest()
-            print(f"{name} {i} {op.kind} {digest}")
+    with tempfile.TemporaryDirectory() as tmp:
+        lists["generic-paths"] = generic_paths(mods, Path(tmp) / "family.json")
+        for name, ops in lists.items():
+            for i, op in enumerate(ops):
+                digest = hashlib.sha256(outcome_bytes(run.call(op, mods))).hexdigest()
+                print(f"{name} {i} {op.kind} {digest}")
     return 0
 
 

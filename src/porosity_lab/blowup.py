@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import _scaled
+from .rational import _ratio, _scaled
 from .tailset import (
     PROBE_WINDOW,
     SP_EVIDENCE_RATIO,
@@ -85,14 +85,29 @@ def cc1_components(c: Chain) -> Chain:
     chain of their own with upper edge 1.  Chains with isolated points are
     rejected: components only exist after a blow-up.
 
-    The cut runs on the Fraction ends.  The part kept takes its view and its
-    ends' text from the whole chain's, sliced only when read, and a blown
-    point family's ratios from its scan, sliced.
+    A blown point family's chain walks its hi ends down from its upper
+    edge on its scan's ratios, cross-multiplied, to the first one at most 1;
+    any other chain's cut runs on its Fraction ends.  The part kept slices
+    the whole chain's ends, view and ends' text when read, and its ratios.
     """
-    blocks = c.blocks
-    if any(type(b) is Point for b in blocks):
-        raise ValueError("chain has isolated points; blow up first")
-    i = next((k for k, b in enumerate(blocks) if b.hi <= 1), len(blocks))
+    ratios = c._component_ratios
+    if ratios is None:
+        blocks = c.blocks
+        if any(type(b) is Point for b in blocks):
+            raise ValueError("chain has isolated points; blow up first")
+        i = next((k for k, b in enumerate(blocks) if b.hi <= 1), len(blocks))
+    else:
+        betas, gammas = ratios
+        n, d, i = c.upper.numerator, c.upper.denominator, 0
+        while n > d and i < len(betas):
+            if i < len(gammas):
+                n *= betas[i].denominator * gammas[i].denominator
+                d *= betas[i].numerator * gammas[i].numerator
+            i += 1
+        ratios = betas[i:], gammas[i:]
+
+    def ends():
+        return c.blocks[i:], min(c.horizon, Fraction(1))
 
     def view():
         D, lo, hi, horizon = c._view
@@ -101,10 +116,7 @@ def cc1_components(c: Chain) -> Chain:
     def text():
         return c._ends_text[i:]
 
-    ratios = c._component_ratios
-    if ratios is not None:
-        ratios = ratios[0][i:], ratios[1][i:]
-    return _scanned_chain(blocks[i:], Fraction(1), min(c.horizon, Fraction(1)), ratios, view, text)
+    return _scanned_chain(Fraction(1), ratios, ends, view, text)
 
 
 # ---------------------------------------------------------------------------
@@ -115,32 +127,28 @@ def find_covering_blowup(f: TailFamily, depth: int) -> tuple[Fraction, Fraction]
     """Find (q, t) such that the blown-up chain has no gap between q*horizon
     and t, or None when the evidence points at full porosity instead.
 
-    The porosity margin s comes from the certified upper porosity when the
-    family has one, otherwise from the deepest probe ratios; q = 1/(1-s)
-    then closes every relative gap of size at most s.  A certified family
-    gives its own blow-up (`BlowupOf`), else the probed chain is blown up.
+    The porosity margin m comes from the certified upper porosity when the
+    family has one, otherwise from the deepest probe ratios; q = 2/(1-m)
+    then closes every relative gap of size at most s = (1+m)/2.  A certified
+    family gives its own blow-up (`BlowupOf`), else the probed chain's.
     """
     certified = f.porosity_index()
     if certified == 1:
         return None
     if certified is not None:
-        s, chain = (1 + certified) / 2, None
+        margin, chain = certified, None
     else:
         chain = expand(f, depth)
-        samples = probe_ratios(chain, PROBE_WINDOW)
-        if not samples:
-            # no internal gaps observed at all: any modest q will do
-            s = Fraction(1, 2)
-        else:
-            worst = max(r for _, r in samples)
-            if worst >= SP_EVIDENCE_RATIO:
-                return None
-            s = (1 + worst) / 2
-    q = 1 / (1 - s)
+        # no internal gaps observed at all: any modest q will do
+        margin = max((r for _, r in probe_ratios(chain, PROBE_WINDOW)), default=Fraction(0))
+        if margin >= SP_EVIDENCE_RATIO:
+            return None
+    q = _ratio(2 * margin.denominator, margin.denominator - margin.numerator)
     blown = expand(BlowupOf(f, q), depth) if chain is None else blow_up_chain(chain, q)
     # the blown chain's horizon is the base's over q, its upper edge q times
     # the base's
-    anchor, upper = q * q * blown.horizon, blown.upper / q
+    n, d = q.numerator, q.denominator
+    anchor, upper = _scaled(blown.horizon, n * n, d * d), _scaled(blown.upper, d, n)
     for b in blown.blocks:
         if block_inf(b) <= anchor < block_sup(b):
             t = min(upper, block_sup(b))

@@ -230,8 +230,10 @@ def _cmd_blowup(args) -> int:
             "certificate": certificate_to_json(cert),
         }
         profiles.append(profile)
+        if args.fmt == "json":
+            continue
         # the text lines reuse the report's strings: each value is formatted once
-        lines.append(f"q={profile['q']}: {len(comps.blocks)} components below 1")
+        lines.append(f"q={profile['q']}: {len(betas)} components below 1")
         gammas_text = profile["gammas"] + ["-"]  # no gap below the last one
         for i, c in enumerate(profile["components"]):
             lines.append(

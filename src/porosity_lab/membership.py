@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .blowup import cc1_components
-from .rational import INF, RationalLike, _ratio, format_rational
+from .rational import INF, RationalLike, format_rational
 from .tailset import (
     PROBE_WINDOW,
     SP_EVIDENCE_RATIO,
@@ -40,6 +40,7 @@ from .tailset import (
     _View,
     _chain,
     _check_q,
+    _count,
     _exact,
     _gap_ratios,
     _width_ratios,
@@ -83,12 +84,30 @@ def classify_trend(values) -> str:
     only ever go up, bounded when they hold still or settle downward,
     oscillating otherwise.  Neighbours are compared, never subtracted."""
     vals = list(values)[-TREND_WINDOW:]
-    pairs = list(zip(vals, vals[1:]))
+    return _trend(list(zip(vals, vals[1:])))
+
+
+def _trend(pairs: list) -> str:
+    # classify_trend of the values whose neighbours (a, b) compare as the
+    # pairs do
     if all(a <= b for a, b in pairs) and any(a < b for a, b in pairs):
         return "monotone-increasing"
     if all(a >= b for a, b in pairs):
         return "bounded"
     return "oscillating"
+
+
+def _head_trend(heads) -> str:
+    """classify_trend of the last TREND_WINDOW ratios h_k/h_{k+1} of
+    positive heads, with no ratio built: neighbours compare as their integer
+    parts, or where those tie, as h_k*h_{k+2} against h_{k+1}^2.  View ints
+    share a factor as long as the chain's D, and a floor division with a
+    short quotient takes time linear in their length, a gcd or a product
+    more."""
+    h = heads[-TREND_WINDOW - 1 :]
+    whole = [a // b for a, b in zip(h, h[1:])]
+    steps = zip(whole, whole[1:], h, h[1:], h[2:])
+    return _trend([(p, q) if p != q else (a * c, b * b) for p, q, a, b, c in steps])
 
 
 def _diverges(maxima) -> bool:
@@ -326,10 +345,11 @@ def _ihat_evidence(f: TailFamily, q: Fraction, query: _Query) -> tuple[bool, str
     # a blown chain still growing with depth, its record width ratio set early
     comps = cc1_components(expand(BlowupOf(f, q), query.depth))
     shallow = cc1_components(expand(BlowupOf(f, q), max(1, query.depth // 2)))
-    growing = len(comps.blocks) > len(shallow.blocks)
+    count = _count(comps)
+    growing = count > _count(shallow)
     betas = _width_ratios(comps)
     stable = _width_record_early(betas)
-    note = f"{len(comps.blocks)} components ({'growing' if growing else 'stalled'}),"
+    note = f"{count} components ({'growing' if growing else 'stalled'}),"
     note += f" width-ratio record {'early' if stable else 'still moving'}"
     return growing and stable, classify_trend(betas), note
 
@@ -375,7 +395,8 @@ def _empirical_csp(f: TailFamily, query: _Query) -> Verdict:
     # greedy ladder search with the fixed candidate factor COVER_Q: a block
     # joins the running cluster while the gap stays bridgeable and the span
     # stays coverable by one interval (both within COVER_Q^2); the witness
-    # looks real when successive cluster heads shrink ever faster (on ints)
+    # looks real when successive cluster heads shrink ever faster, read off
+    # the view ints of the last heads (`_head_trend`)
     _, lo, hi, _ = chain._view
     n, d = (COVER_Q * COVER_Q).as_integer_ratio()
     clusters = []
@@ -387,10 +408,9 @@ def _empirical_csp(f: TailFamily, query: _Query) -> Verdict:
             clusters.append(head)
             head, low = hi[k], lo[k]
     clusters.append(head)
-    growth = list(map(_ratio, clusters, clusters[1:]))
-    trend = classify_trend(growth)
+    trend = _head_trend(clusters)
     value = (
-        len(growth) >= 3
+        len(clusters) >= 4
         and clusters[-1] * HEAD_RATIO_CUT.denominator <= HEAD_RATIO_CUT.numerator * clusters[-2]
         and trend == "monotone-increasing"
     )

@@ -11,10 +11,10 @@ read back: every parsed value is an input parameter, and no input may be
 infinite.
 
 The integer paths (chain views, the blow-up kernel) build Fractions with
-three helpers: `_fraction` wraps a pair already in lowest terms, `_ratio`
-reduces a quotient of ints by one gcd, and `_scaled` multiplies by a ratio
-with gcds against the ratio's small terms only.  Both skip a division by a
-gcd of 1, which on ints of thousands of bits costs as much as the gcd.
+three helpers: `_fraction` wraps a pair in lowest terms, `_ratio` reduces a
+quotient of ints by one gcd, and `_scaled` multiplies by a ratio, or divides
+by a reduced Fraction as a component ratio of two block ends does, with
+gcds against its terms only.  Both skip a division by a gcd of 1.
 `_replayed_text` takes `_scaled`'s steps in decimal, for wire text that
 prints in linear time.
 """
@@ -94,17 +94,18 @@ def _replayed_text(x: Fraction, steps) -> list:
     takes quadratic time before Python 3.12; only x and the steps are ints,
     so no long int is ever converted."""
     c = _EXACT
+    remainder, divide_int, multiply, text = c.remainder, c.divide_int, c.multiply, c.to_sci_string
     n, d = c.create_decimal(x.numerator), c.create_decimal(x.denominator)
     out = []
     for a, b in steps:
-        g = gcd(int(c.remainder(n, b)), b) if b != 1 else 1
-        h = gcd(int(c.remainder(d, a)), a) if a != 1 else 1
+        g = gcd(int(remainder(n, b)), b) if b != 1 else 1
+        h = gcd(int(remainder(d, a)), a) if a != 1 else 1
         if g != 1:
-            n, b = c.divide_int(n, g), b // g
+            n, b = divide_int(n, g), b // g
         if h != 1:
-            d, a = c.divide_int(d, h), a // h
-        n, d = c.multiply(n, a), c.multiply(d, b)
-        num, den = c.to_sci_string(n), c.to_sci_string(d)
+            d, a = divide_int(d, h), a // h
+        n, d = multiply(n, a), multiply(d, b)
+        num, den = text(n), text(d)
         out.append(num if den == "1" else f"{num}/{den}")
     return out
 

@@ -10,7 +10,7 @@ asymptotics a finite prefix can never prove.
 Every coordinate and ratio handed out is a fractions.Fraction, and the only
 non-rational value is the infinity marker for diverging gap ratios.  Inside,
 each chain carries a view of itself as ints over one denominator (`_View`),
-which a blown point family's chain builds only when it is read.
+which a blown point family's chain builds, as its ends, only when read.
 """
 
 from __future__ import annotations
@@ -131,6 +131,10 @@ class Chain(Record):
     The set is fully described on (horizon, upper] and unspecified below the
     horizon.  Every block coordinate is >= horizon (a generated chain puts
     its horizon exactly at the smallest emitted coordinate).
+
+    A scanned chain (`_scanned_chain`) builds its blocks and horizon, its
+    view and its ends' text only when read: the `blowup` report and the
+    evidence for Î(SP) and I(CSP) read only its ratios and text.
     """
 
     blocks: tuple[Block, ...]
@@ -174,13 +178,15 @@ class Chain(Record):
 
     # the (width, gap) ratios of a blown point family's components, as the
     # scan that built the chain found them; every other chain reads its
-    # ratios off the view
+    # ratios off its ends
     _component_ratios = None
 
-    # A scanned chain (`_scanned_chain`) builds its view and the wire text of
-    # its ends only when something reads them: the covering blow-up and the
-    # evidence for Î(SP) and I(CSP) read only its blocks and ratios.  Every
-    # other chain has its view from the start.
+    def __getattr__(self, name):
+        # only a scanned chain lacks fields: its maker gives blocks and horizon
+        if name != "blocks" and name != "horizon":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vars(self).update(zip(("blocks", "horizon"), self._make_ends()))
+        return vars(self)[name]
 
     @cached_property
     def _view(self) -> _View:
@@ -220,19 +226,16 @@ def _chain(blocks: tuple[Block, ...], upper: Fraction, horizon: Fraction, view: 
     return c
 
 
-def _scanned_chain(
-    blocks: tuple[Interval, ...], upper: Fraction, horizon: Fraction, ratios, make_view, make_text
-) -> Chain:
+def _scanned_chain(upper: Fraction, ratios, make_ends, make_view, make_text) -> Chain:
     """A blown point family's chain, with the (width, gap) ratios its scan
     found, or the part of a chain `cc1_components` keeps, with those ratios
-    cut or None: intervals only; `make_view()` and `make_text()` give its
-    view and the wire text of its (lo, hi) ends on first read."""
+    cut or None: intervals only.  `make_ends()` gives its blocks and horizon,
+    `make_view()` its view, `make_text()` its (lo, hi) text, on first read."""
     c = object.__new__(Chain)
     vars(c).update(
-        blocks=blocks,
         upper=upper,
-        horizon=horizon,
         _component_ratios=ratios,
+        _make_ends=make_ends,
         _make_view=make_view,
         _make_ends_text=make_text,
     )
@@ -402,6 +405,16 @@ def _merge_scan(ratios, aa: int, bb: int) -> tuple[list, int, int]:
     return closed, mn, md
 
 
+def _scan_ratios(closed, aa: int, bb: int) -> tuple[tuple, tuple]:
+    """The width ratio of each component `_merge_scan` closes, q^2 over its
+    merged product, and the gap ratio below it, 1/(r*q^2), where a joint
+    (r = 0) gives a gap that grows without bound."""
+    return (
+        tuple([_ratio(aa * md, bb * mn) for mn, md, _, _ in closed]),
+        tuple([_ratio(d * bb, n * aa) if n else INF for _, _, n, d in closed]),
+    )
+
+
 class _PointFamily(_Family):
     """A family of points given by a closed form.  It states its points (the
     first, `x0`, and the ratios between consecutive ones as coprime int
@@ -469,34 +482,32 @@ class _PointFamily(_Family):
 
         A component spans x_j/q to q*x_i over its top and bottom points x_i
         and x_j.  Its width ratio is q^2 over its merged product and the gap
-        below it is 1/(r*q^2), both on small ints.  Its hi is the lo above
-        over that gap ratio and its lo is hi over the width ratio: two
-        `_scaled` per component and none per point.
+        below it is 1/(r*q^2), both on small ints, and the chain keeps them.
 
-        The view and the ends' text wait for their first reader.  The view
-        ints are the base view's (see `_expand`) at the component ends,
-        lo*b^2 and hi*a^2 over D*a*b for q = a/b: prefix products of the
-        numerators times suffix products of the denominators, each taken per
-        component.  The text replays the ends from x0 by the same small
-        steps, q and then the inverse width and gap ratios in turn, in
-        decimal (`_replayed_text`)."""
+        Its ends, its view and its ends' text wait for their first reader.
+        The ends step down from q*x0: a component's lo is its hi over the
+        width ratio, and the hi below is that lo over the gap ratio, two
+        `_scaled` per component and none per point.  The view ints are the
+        base view's (see `_expand`) at the component ends, lo*b^2 and hi*a^2
+        over D*a*b for q = a/b: prefix products of the numerators times
+        suffix products of the denominators, each taken per component.  The
+        text replays the ends' steps from x0 in decimal (`_replayed_text`)."""
         a, b = q.numerator, q.denominator
         aa, bb = a * a, b * b
         comps, mn, md = _merge_scan(self._ratios(depth), aa, bb)
         comps.append((mn, md, 0, 1))  # the last component: no gap below it
+        betas, gammas = _scan_ratios(comps, aa, bb)
+        gammas = gammas[:-1]
         x0 = self.x0
-        hi = _scaled(x0, a, b)
-        blocks, betas, gammas = [], [], []
-        for mn, md, n, d in comps:
-            beta = _ratio(aa * md, bb * mn)
-            lo = _scaled(hi, beta.denominator, beta.numerator)
-            blocks.append(_interval(lo, hi))
-            betas.append(beta)
-            if n:
-                gamma = _ratio(d * bb, n * aa)
-                gammas.append(gamma)
-                hi = _scaled(lo, gamma.denominator, gamma.numerator)
-        betas, gammas = tuple(betas), tuple(gammas)
+        upper = _scaled(x0, a, b)
+
+        def ends():
+            hi, blocks = upper, []
+            for gamma, beta in zip((None, *gammas), betas):  # the gap above, the width
+                if gamma:
+                    hi = _scaled(blocks[-1].lo, gamma.denominator, gamma.numerator)
+                blocks.append(_interval(_scaled(hi, beta.denominator, beta.numerator), hi))
+            return tuple(blocks), blocks[-1].lo
 
         def view():
             # x_i's view int before its suffix product, top down; then, bottom
@@ -525,8 +536,7 @@ class _PointFamily(_Family):
             ends = _replayed_text(x0, steps)
             return list(zip(ends[1::2], ends[::2]))  # (lo, hi)
 
-        blocks = tuple(blocks)
-        return _scanned_chain(blocks, blocks[0].hi, blocks[-1].lo, (betas, gammas), view, text)
+        return _scanned_chain(upper, (betas, gammas), ends, view, text)
 
     @cached_property
     def _late_range(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -568,15 +578,10 @@ class _PointFamily(_Family):
     @_once_per_q
     def _late_components(self, q: Fraction) -> tuple[tuple, tuple]:
         """Width ratios and the gap ratio after each component of the
-        q-blow-up of one late block, from `_merge_scan`: q^2 over the merged
-        product, and 1/(r*q^2) across an open gap, where a joint (ratio 0)
-        gives a gap that grows without bound."""
+        q-blow-up of one late block (`_scan_ratios`)."""
         aa, bb = q.numerator**2, q.denominator**2
         comps, _, _ = _merge_scan(self._late_block(q), aa, bb)
-        return (
-            tuple(_ratio(aa * md, bb * mn) for mn, md, _, _ in comps),
-            tuple(_ratio(d * bb, n * aa) if n else INF for _, _, n, d in comps),
-        )
+        return _scan_ratios(comps, aa, bb)
 
     def blowup_certificate(self, q):
         betas, gammas = self._late_components(q)
@@ -1111,7 +1116,8 @@ def component_ratios(c: Chain) -> tuple[tuple[Fraction, ...], tuple[Fraction, ..
     """Width ratios b_i/a_i and gap ratios a_i/b_{i+1} of a chain of
     intervals (a_i, b_i), such as the components `cc1_components` keeps;
     a blown point family's chain carries them from its scan, and on any
-    other chain each is a quotient of two view ints."""
+    other chain each is a quotient of two reduced ends, with gcds against
+    their terms only: the view ints run over the whole chain's D."""
     return _width_ratios(c), _gap_ratios(c)
 
 
@@ -1123,22 +1129,25 @@ def component_ends_text(c: Chain) -> list:
     return c._ends_text
 
 
-# the two halves of component_ratios, for the engines that read only one:
-# off the view, each ratio costs a gcd of two view ints
+# the two halves of component_ratios, for the engines that read only one,
+# and the count, off a blown point family's ratios where it has them
+
+
+def _count(c: Chain) -> int:
+    return len(c.blocks if c._component_ratios is None else c._component_ratios[0])
 
 
 def _width_ratios(c: Chain) -> tuple[Fraction, ...]:
     if c._component_ratios is not None:
         return c._component_ratios[0]
-    _, lo, hi, _ = c._view
-    return tuple(map(_ratio, hi, lo))
+    return tuple([_scaled(b.hi, b.lo.denominator, b.lo.numerator) for b in c.blocks])
 
 
 def _gap_ratios(c: Chain) -> tuple[Fraction, ...]:
     if c._component_ratios is not None:
         return c._component_ratios[1]
-    _, lo, hi, _ = c._view
-    return tuple(map(_ratio, lo, hi[1:]))
+    b = c.blocks
+    return tuple([_scaled(x.lo, y.hi.denominator, y.hi.numerator) for x, y in zip(b, b[1:])])
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from porosity_lab.tailset import (
     Point,
     SuperGeometricLadder,
     UnionOf,
+    _count,
     _gap_ratios,
     _PointFamily,
     _width_ratios,
@@ -415,19 +416,24 @@ def test_a_scanned_chain_builds_its_view_and_text_only_when_read():
     scanned = expand(BlowupOf(ExampleFamily(F(1, 2)), F(3, 2)), 8)
     kept = cc1_components(scanned)
     for c in (scanned, kept):
-        assert {"_view", "_ends_text"}.isdisjoint(vars(c))
-    assert component_ends_text(kept) == [
-        (format_rational(b.lo), format_rational(b.hi)) for b in kept.blocks
-    ]
-    assert "_ends_text" in vars(scanned) and "_view" not in vars(scanned)
+        assert {"blocks", "horizon", "_view", "_ends_text"}.isdisjoint(vars(c))
+    # the ratios, the count and the text build no block end
+    ratios, text = component_ratios(kept), component_ends_text(kept)
+    assert _count(kept) == len(ratios[0]) == len(text) > 0
+    for c in (scanned, kept):
+        assert {"blocks", "horizon", "_view"}.isdisjoint(vars(c))
+    assert text == [(format_rational(b.lo), format_rational(b.hi)) for b in kept.blocks]
+    assert {"blocks", "horizon", "_ends_text"} <= vars(scanned).keys()
+    assert "_view" not in vars(scanned)
     assert len(kept._view.lo) == len(kept.blocks)
     assert "_view" in vars(scanned)
-    # a chain from blow_up_chain: the part kept reads its view and text off
-    # the whole chain's on first read, its text format_rational's
+    # a chain from blow_up_chain: the part kept reads its ends, view and
+    # text off the whole chain's on first read, its text format_rational's
     generic = blow_up_chain(expand(_UNIONS["point-family-and-intervals"], 8), F(3, 2))
     kept = cc1_components(generic)
+    assert {"blocks", "_view", "_ends_text"}.isdisjoint(vars(kept))
     assert 0 < len(kept.blocks) < len(generic.blocks)
-    assert {"_view", "_ends_text"}.isdisjoint(vars(kept)) and kept._component_ratios is None
+    assert kept._component_ratios is None
     assert component_ends_text(kept) == [
         (format_rational(b.lo), format_rational(b.hi)) for b in kept.blocks
     ]
@@ -437,6 +443,64 @@ def test_a_scanned_chain_builds_its_view_and_text_only_when_read():
         tuple(a.lo / b.hi for a, b in zip(kept.blocks, kept.blocks[1:])),
     )
     assert kept._view.D == generic._view.D and len(kept._view.lo) == len(kept.blocks)
+
+
+# x0 > 1, so that the cut below 1 falls some components down
+_deep_cut_families = st.one_of(
+    st.builds(GeometricLadder, _fractions(4, 60), _fractions(0, 1)),
+    st.builds(SuperGeometricLadder, _fractions(4, 60), _fractions(0, 1)),
+    st.builds(
+        PatternLadder,
+        _fractions(4, 60),
+        st.lists(_fractions(0, 1), max_size=3).map(tuple),
+        _fractions(0, 1),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_deep_cut_families, st.sampled_from(_NESTING_QS), st.integers(1, 12))
+@example(GeometricLadder(59, F(1, 5)), F(3, 2), 12)  # three components above 1
+def test_lazy_ends_are_the_generic_blow_ups(f, q, depth):
+    # the cut on the scan's ratios, then the ends built on first read: the
+    # part kept first, the whole chain through it
+    scanned = expand(BlowupOf(f, q), depth)
+    kept = cc1_components(scanned)
+    generic = blow_up_chain(expand(f, depth), q)
+    generic_kept = cc1_components(generic)
+    assert _count(scanned) == len(generic.blocks)
+    assert _count(kept) == len(generic_kept.blocks)
+    assert {"blocks", "horizon"}.isdisjoint(vars(scanned))
+    for c, o in ((kept, generic_kept), (scanned, generic)):
+        assert (c.blocks, c.upper, c.horizon) == (o.blocks, o.upper, o.horizon)
+        assert component_ratios(c) == component_ratios(o)
+
+
+@pytest.mark.parametrize(
+    "family",
+    _POINT_DESCRIPTORS
+    + ['{"variant":"BlowupOf","base":{"variant":"ExampleFamily","alpha":"2/3"},"q":"3/2"}'],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_blowup_report_of_a_point_family_builds_no_block_end(capsys, monkeypatch, family, fmt):
+    argv = ["blowup", "--family", family, "--depth", "12", "--format", fmt, "--q", "2", "--q", "3"]
+    want = cli.main(argv), capsys.readouterr()
+
+    def refuse(lo, hi):
+        raise AssertionError("built a block end")
+
+    monkeypatch.setattr(tailset, "_interval", refuse)
+    assert (cli.main(argv), capsys.readouterr()) == want
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.randoms(use_true_random=False), st.sampled_from((F(5, 4), F(3, 2), F(2), F(3))))
+def test_component_ratios_from_the_reduced_ends_are_the_view_quotients(rng, q):
+    # a chain with touching ends blown up, whose gap ratios can be 1: the
+    # ratios of its reduced ends against the quotients of its view ints
+    blown = blow_up_chain(random_mixed_chain(rng, touch=0.5), q)
+    for c in (blown, cc1_components(blown)):
+        assert component_ratios(c) == _view_ratios(c)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Each chain's integer view, and every path that runs on it, against the
 Fraction oracles in fraction_oracles.py."""
 
+import math
 from fractions import Fraction as F
 
 import fraction_oracles as oracle
@@ -268,3 +269,30 @@ _trend_values = st.lists(
 @example([F(1), F(2), F(1)])
 def test_classify_trend_is_the_subtraction_form(values):
     assert membership.classify_trend(values) == oracle.classify_trend(values)
+
+
+@st.composite
+def _heads(draw):
+    """Descending positive ints that share a long factor, as cluster heads
+    on a view do.  Their ratios come from a set where neighbours tie, both
+    in their integer parts (5/2 and 2) and exactly, or are any rational
+    above 1; runs shorter than TREND_WINDOW come up too."""
+    ties = st.sampled_from((F(2), F(5, 2), F(3), F(7, 2), F(16), F(33, 2)))
+    ratios = draw(st.lists(ties | _fractions(1, 40), max_size=2 * membership.TREND_WINDOW))
+    x = [F(1)]
+    for r in ratios:
+        x.append(x[-1] * r)
+    D = math.lcm(*(v.denominator for v in x)) * draw(st.integers(1, 2**200))
+    return [int(v * D) for v in reversed(x)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_heads())
+@example([7])
+@example([12, 6])
+@example([12, 6, 3])
+@example([20, 8, 4])  # integer parts 2 and 2, ratios 5/2 then 2
+@example([36, 12, 4, 2])
+def test_head_trend_is_the_trend_of_the_reduced_growth(heads):
+    growth = [F(a, b) for a, b in zip(heads, heads[1:])]
+    assert membership._head_trend(heads) == membership.classify_trend(growth)

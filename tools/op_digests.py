@@ -7,7 +7,9 @@ op's result, or the type and message of the exception it raised.  The op
 lists come from perfbench/ in this checkout, which is only read; the
 package comes from --src, so two commits run the same ops.  A second list,
 printed as `generic-paths`, is built here and does not depend on the seed:
-the paths of families with no ratio-pair scan, which no workload op takes.
+the paths of families with no ratio-pair scan, and point families whose
+x0 > 1 puts the cut below 1 several components down, which no workload op
+takes: the workloads draw x0 from (1/2, 1).
 
     python3 tools/op_digests.py --seed 1 > head.txt
     python3 tools/op_digests.py --seed 1 --src ../base/src > base.txt
@@ -58,6 +60,15 @@ MIXED_UNION = {
     "parts": [{"variant": "PatternLadder", "x0": "1", "ratios": ["1/2", "1/8"], "decay": "1/4"},
               INTERVAL_CHAIN],
 }
+# x0 > 1: the blown chains' first components lie above 1
+DEEP_CUTS = (
+    {"variant": "GeometricLadder", "x0": "40", "rho": "1/2"},
+    {"variant": "SuperGeometricLadder", "x0": "9/2", "rho": "2/3"},
+    {"variant": "PatternLadder", "x0": "7", "ratios": ["1/3"], "decay": "1/2"},
+    {"variant": "BlowupOf", "q": "2",
+     "base": {"variant": "BlowupOf", "q": "3/2",
+              "base": {"variant": "PatternLadder", "x0": "7", "ratios": ["1/3"], "decay": "1/2"}}},
+)
 SUPER_UNION = {
     "variant": "UnionOf",
     "parts": [{"variant": "GeometricLadder", "x0": "1", "rho": "1/5"},
@@ -70,7 +81,8 @@ def generic_paths(mods: dict, family_file: Path) -> list:
     profile and covering blow-up of unions, of blown unions and of a chain
     with intervals; the reports on blown unions, whose blow-ups compose;
     and one analyze that reads its family from `family_file`, which this
-    writes."""
+    writes.  Then the reports on point families whose cut falls deep, and
+    the covering blow-up of one blown, which blows up its scanned chain."""
     tailset = mods["tailset"]
     ops = []
     for spec in (POINT_UNION, MIXED_UNION, {"variant": "BlowupOf", "base": SUPER_UNION, "q": "3/2"},
@@ -87,6 +99,13 @@ def generic_paths(mods: dict, family_file: Path) -> list:
     family_file.write_text(json.dumps(MIXED_UNION), encoding="utf-8")
     argv = ["analyze", "--family", str(family_file), "--depth", "12", "--q", "2", "--format", "text"]
     ops.append(workloads.Op("analyze-file", "cli-ok", argv=argv))
+    for spec in DEEP_CUTS:
+        for argv in (["blowup", "--format", "text"], ["blowup", "--format", "json"],
+                     ["decompose", "--n", "1", "--format", "json"], ["analyze", "--format", "json"]):
+            argv += ["--q", "3", "--family", json.dumps(spec), "--depth", "12"]
+            ops.append(workloads.Op(f"{argv[0]}-deep-cut", "cli-ok", argv=argv))
+    f = tailset.family_from_json({"variant": "BlowupOf", "base": DEEP_CUTS[0], "q": "3/2"})
+    ops.append(workloads.Op("covering", "covering", fn="blowup.find_covering_blowup", args=(f, 16)))
     return ops
 
 

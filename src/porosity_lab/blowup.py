@@ -16,7 +16,6 @@ from .tailset import (
     SP_EVIDENCE_RATIO,
     BlowupOf,
     Chain,
-    Point,
     TailFamily,
     _View,
     _chain,
@@ -56,8 +55,8 @@ def blow_up_chain(c: Chain, q) -> Chain:
     Blow-ups compose: blowing the result up by q' gives the chain of the
     blow-up by q*q', but for the view's D.  So `BlowupOf` blows a nested
     family up once, at the product (`_Family._blown_chain`), by this
-    function, or for a point family on its ratio pairs, a scan the tests
-    hold to this function's chain.
+    function, or for a point family, or a union of them, on ratio pairs, a
+    scan the tests hold to this function's chain.
     """
     q = _check_q(q)
     a, b = q.numerator, q.denominator
@@ -87,15 +86,22 @@ def cc1_components(c: Chain) -> Chain:
 
     A blown point family's chain walks its hi ends down from its upper
     edge on its scan's ratios, cross-multiplied, to the first one at most 1;
-    any other chain's cut runs on its Fraction ends.  The part kept slices
-    the whole chain's ends, view and ends' text when read, and its ratios.
+    every other chain cuts on its view, at the first hi <= D, and builds no
+    end.  The part kept slices the whole chain's ends, view, ends' text and
+    ratios when read.
     """
-    ratios = c._component_ratios
+    ratios = vars(c).get("_component_ratios")
     if ratios is None:
-        blocks = c.blocks
-        if any(type(b) is Point for b in blocks):
+        D, lo, hi, _ = c._view
+        if any(map(int.__eq__, lo, hi)):
             raise ValueError("chain has isolated points; blow up first")
-        i = next((k for k, b in enumerate(blocks) if b.hi <= 1), len(blocks))
+        i = next((k for k, h in enumerate(hi) if h <= D), len(hi))
+        make = vars(c).get("_make_component_ratios")  # a blown union's, from a start
+        if make is not None:
+
+            def ratios():
+                return make(i)
+
     else:
         betas, gammas = ratios
         n, d, i = c.upper.numerator, c.upper.denominator, 0

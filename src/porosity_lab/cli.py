@@ -111,33 +111,49 @@ def _common_json(args) -> dict:
     }
 
 
-def _dumps(value, pad: str = "\n") -> str:
+def _dumps(value) -> str:
     """json.dumps(value, sort_keys=True, indent=2) for a report: dicts with
-    str keys, lists, tuples, str, int, bool and None, at the indentation
-    `pad` (a newline and the blanks of the current level).  json.dumps with
-    an indent runs its pure-Python encoder before Python 3.14; this writer
-    leaves only the string quoting to json's C function."""
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if type(value) is int:
-        return int.__repr__(value)
-    inner = pad + "  "
-    if type(value) is dict:
-        if not value:
-            return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_dumps(value[k], inner)}" for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if type(value) is list or type(value) is tuple:
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + pad + "]"
-    raise TypeError(f"not a report value: {value!r}")
+    str keys, lists, tuples, str, int, bool and None.  json.dumps with an
+    indent runs its pure-Python encoder before Python 3.14; this writer
+    leaves only the string quoting to json's C function, and joins the
+    report's fragments once, at the end."""
+    out = []
+    _dump(value, "\n", out.append)
+    return "".join(out)
+
+
+def _dump(value, pad: str, put) -> None:
+    # `pad` is a newline and the blanks of the current level; `put` takes
+    # each fragment in order
+    t = type(value)
+    if t is str:
+        put(encode_basestring_ascii(value))
+    elif t is dict:
+        inner = pad + "  "
+        sep = "{" + inner
+        for k in sorted(value):
+            put(sep)
+            put(encode_basestring_ascii(k))
+            put(": ")
+            _dump(value[k], inner, put)
+            sep = "," + inner
+        put(pad + "}" if value else "{}")
+    elif t is list or t is tuple:
+        inner = pad + "  "
+        sep = "[" + inner
+        for v in value:
+            put(sep)
+            _dump(v, inner, put)
+            sep = "," + inner
+        put(pad + "]" if value else "[]")
+    elif t is int:
+        put(int.__repr__(value))
+    elif t is bool:
+        put("true" if value else "false")
+    elif value is None:
+        put("null")
+    else:
+        raise TypeError(f"not a report value: {value!r}")
 
 
 def _emit(args, report: dict, text_lines) -> None:

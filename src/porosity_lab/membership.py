@@ -543,8 +543,7 @@ def decompose_csp(
         return HypothesisFailure(reason, n, q, depth, bound)
 
     chain = cc1_components(expand(BlowupOf(f, q), depth))
-    comps = chain.blocks
-    t = len(comps)
+    t = _count(chain)
     if t < 3 * (n + 1):
         return HypothesisFailure(
             f"only {t} components at this depth; need {3 * (n + 1)}", n, q, depth, None
@@ -565,6 +564,7 @@ def decompose_csp(
         if not _width_record_early(_width_ratios(chain)):
             return HypothesisFailure("width ratios keep setting records", n, q, depth, None)
 
+    comps = chain.blocks
     blocks = (t - 1) // (n + 1)
     seps = []
     for k in range(blocks):

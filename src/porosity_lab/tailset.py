@@ -21,7 +21,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import cached_property, wraps
 from heapq import merge
-from itertools import repeat
+from itertools import count, repeat
 from math import lcm, prod
 from numbers import Rational, Real
 
@@ -132,9 +132,10 @@ class Chain(Record):
     horizon.  Every block coordinate is >= horizon (a generated chain puts
     its horizon exactly at the smallest emitted coordinate).
 
-    A scanned chain (`_scanned_chain`) builds its blocks and horizon, its
-    view and its ends' text only when read: the `blowup` report and the
-    evidence for Î(SP) and I(CSP) read only its ratios and text.
+    A scanned chain (`_scanned_chain`) builds its blocks and horizon and its
+    ends' text only when read, and so does a blown point family's its view
+    and a blown union's its ratios: the `blowup` report and the evidence
+    for Î(SP) and I(CSP) read only ratios, counts and text.
     """
 
     blocks: tuple[Block, ...]
@@ -176,10 +177,13 @@ class Chain(Record):
         view = _View(D, lo, hi, floor)
         vars(self).update(blocks=blocks, upper=upper, horizon=horizon, _view=view)
 
-    # the (width, gap) ratios of a blown point family's components, as the
-    # scan that built the chain found them; every other chain reads its
-    # ratios off its ends
-    _component_ratios = None
+    @cached_property
+    def _component_ratios(self) -> tuple | None:
+        # the (width, gap) ratios of a blown point family's components, as its
+        # scan found them, or of a blown union's, from its parts' scans; None
+        # on every other chain, which reads its ratios off its ends
+        make = vars(self).get("_make_component_ratios")
+        return None if make is None else make()
 
     def __getattr__(self, name):
         # only a scanned chain lacks fields: its maker gives blocks and horizon
@@ -226,19 +230,16 @@ def _chain(blocks: tuple[Block, ...], upper: Fraction, horizon: Fraction, view: 
     return c
 
 
-def _scanned_chain(upper: Fraction, ratios, make_ends, make_view, make_text) -> Chain:
-    """A blown point family's chain, with the (width, gap) ratios its scan
-    found, or the part of a chain `cc1_components` keeps, with those ratios
-    cut or None: intervals only.  `make_ends()` gives its blocks and horizon,
-    `make_view()` its view, `make_text()` its (lo, hi) text, on first read."""
+def _scanned_chain(upper: Fraction, ratios, make_ends, view, make_text) -> Chain:
+    """A blown point family's or blown union's chain, or the part of a chain
+    `cc1_components` keeps: intervals only.  Its (width, gap) ratios and its
+    view are given, or made on first read by a function given in their place.
+    `make_ends()` gives its blocks and horizon, `make_text()` its (lo, hi)
+    text, on first read."""
     c = object.__new__(Chain)
-    vars(c).update(
-        upper=upper,
-        _component_ratios=ratios,
-        _make_ends=make_ends,
-        _make_view=make_view,
-        _make_ends_text=make_text,
-    )
+    vars(c).update(upper=upper, _make_ends=make_ends, _make_ends_text=make_text)
+    vars(c)["_make_component_ratios" if callable(ratios) else "_component_ratios"] = ratios
+    vars(c)["_make_view" if callable(view) else "_view"] = view
     return c
 
 
@@ -384,6 +385,11 @@ class _Family(Record):
 
         return blowup.blow_up_chain(expand(self, depth), q)
 
+    def _point_parts(self) -> list | None:
+        """The point families whose union this family is, or None when it
+        is no such union."""
+        return None
+
 
 def _merge_scan(ratios, aa: int, bb: int) -> tuple[list, int, int]:
     """The components of the q-blow-up of points spaced by `ratios`, coprime
@@ -476,9 +482,16 @@ class _PointFamily(_Family):
         samples.reverse()
         return samples
 
+    def _point_parts(self):
+        return [self]
+
     def _blown_chain(self, depth: int, q: Fraction) -> Chain:
-        """`blow_up_chain(self._expand(depth), q)`, from one `_merge_scan` of
-        the ratios.
+        return self._blown_scan(self._ratios(depth), q)
+
+    def _blown_scan(self, ratios, q: Fraction) -> Chain:
+        """`blow_up_chain(self._expand(depth), q)` for the points that
+        `ratios`, the first of `self._ratios(depth)`, step down to, from one
+        `_merge_scan`.
 
         A component spans x_j/q to q*x_i over its top and bottom points x_i
         and x_j.  Its width ratio is q^2 over its merged product and the gap
@@ -494,7 +507,7 @@ class _PointFamily(_Family):
         text replays the ends' steps from x0 in decimal (`_replayed_text`)."""
         a, b = q.numerator, q.denominator
         aa, bb = a * a, b * b
-        comps, mn, md = _merge_scan(self._ratios(depth), aa, bb)
+        comps, mn, md = _merge_scan(ratios, aa, bb)
         comps.append((mn, md, 0, 1))  # the last component: no gap below it
         betas, gammas = _scan_ratios(comps, aa, bb)
         gammas = gammas[:-1]
@@ -852,9 +865,11 @@ class ExplicitChain(_Family):
 
 class UnionOf(_Family):
     """Union of finitely many families.  The union is known only where every
-    part is, so the merged chain keeps the highest of the part horizons.
-    Built in Python, keep within MAX_NESTING levels: repr, hash and the wire
-    format recurse once per level, and no constructor checks it."""
+    part is, so the merged chain keeps the highest of the part horizons.  Its
+    blow-up is the union of its parts' blow-ups, which a union of point
+    families merges from their scans (`_blown_chain`).  Built in Python,
+    keep within MAX_NESTING levels: repr, hash and the wire format recurse
+    once per level, and no constructor checks it."""
 
     parts: tuple["TailFamily", ...]
 
@@ -892,6 +907,99 @@ class UnionOf(_Family):
         upper = max(c.upper for c in chains)
         return _chain(tuple(blocks), upper, horizon, _View(D, tuple(lo), tuple(hi), floor))
 
+    def _point_parts(self):
+        leaves = []
+        for p in self.parts:
+            more = p._point_parts()
+            if more is None:
+                return None
+            leaves += more
+        return leaves
+
+    def _blown_chain(self, depth, q):
+        """The union of the parts' q-blow-ups, when every part is a point
+        family or a union of them (`_point_parts`); else `blow_up_chain` of
+        the merged chain.
+
+        Each point family blows up its points at or above the union horizon
+        H, the highest part horizon, by its own scan (`_blown_scan`).  H and
+        each family's points above it are found on cross-multiplied running
+        products of its ratio pairs, with no Fraction per point.  The parts'
+        components merge top down on their views lifted onto one D: one
+        joins the component above when its hi lies strictly above that one's
+        lo, so ends that only touch stay apart.  The ends, built on first
+        read, and their text are the parts'.  A width or gap ratio is a
+        part's scan ratio where one part's component or gap gives it, and a
+        quotient of reduced ends where parts merge."""
+        leaves = self._point_parts()
+        if leaves is None:
+            return super()._blown_chain(depth, q)
+        scans = [(f, list(f._ratios(depth))) for f in leaves]
+        hn, hd = 0, 1  # H = hn/hd, the highest of the horizons x0 * r_1 ... r_m
+        for f, ratios in scans:
+            n = f.x0.numerator * prod([n for n, _ in ratios])
+            d = f.x0.denominator * prod([d for _, d in ratios])
+            if n * hd > hn * d:
+                hn, hd = n, d
+        blown = []
+        for f, ratios in scans:
+            u, v, k = f.x0.numerator * hd, f.x0.denominator * hn, 0  # x_k/H = u/v
+            if u < v:
+                continue  # every point lies below H
+            for n, d in ratios:
+                u, v = u * n, v * d
+                if u < v:
+                    break
+                k += 1
+            blown.append(f._blown_scan(ratios[:k], q))
+
+        views = [c._view for c in blown]
+        D = lcm(*(v.D for v in views))
+        runs = []
+        for k, v in enumerate(views):
+            m = D // v.D
+            runs.append(zip([x * m for x in v.hi], [x * m for x in v.lo], repeat(k), count()))
+        comps = []  # [lo, hi, (part, component) of lo, (part, component) of hi]
+        for hi, lo, k, j in merge(*runs, reverse=True):
+            if comps and hi > comps[-1][0]:
+                if lo < comps[-1][0]:
+                    comps[-1][0], comps[-1][2] = lo, (k, j)
+            else:
+                comps.append([lo, hi, (k, j), (k, j)])
+        at = [c[2:] for c in comps]
+
+        def end(part_at, side):
+            k, j = part_at
+            return getattr(blown[k].blocks[j], side)
+
+        def ends():
+            blocks = tuple([_interval(end(l, "lo"), end(h, "hi")) for l, h in at])
+            return blocks, blocks[-1].lo
+
+        def ratios(start=0):
+            # of the components from `start` on, as cc1_components keeps them
+            scanned, kept = [c._component_ratios for c in blown], at[start:]
+            widths = [
+                scanned[l[0]][0][l[1]] if l == h else _quotient(end(h, "hi"), end(l, "lo"))
+                for l, h in kept
+            ]
+            # a hi of the part whose lo ends the component above is that
+            # part's next component's: the gap is one of its scan's gaps
+            gaps = [
+                scanned[l[0]][1][l[1]] if l[0] == h[0] else _quotient(end(l, "lo"), end(h, "hi"))
+                for (l, _), (_, h) in zip(kept, kept[1:])
+            ]
+            return tuple(widths), tuple(gaps)
+
+        def text():
+            texts = [c._ends_text for c in blown]
+            return [(texts[l[0]][l[1]][0], texts[h[0]][h[1]][1]) for l, h in at]
+
+        lo = tuple([c[0] for c in comps])
+        view = _View(D, lo, tuple([c[1] for c in comps]), lo[-1])
+        upper = _scaled(max(f.x0 for f in leaves), q.numerator, q.denominator)
+        return _scanned_chain(upper, ratios, ends, view, text)
+
 
 class BlowupOf(_Family):
     """The q-blow-up of another family: every point x thickens to the open
@@ -899,9 +1007,10 @@ class BlowupOf(_Family):
     base, (f(q0))(q) = f(q0*q), so a nested one multiplies its layers'
     factors and asks the innermost base for one blow-up at the product
     (`_blown_chain`), whose chain differs from blowing up the inner chain
-    again only in its view's D.  A point family scans its ratio pairs, any
-    other base blows up its chain by `blow_up_chain`.  Nest within
-    MAX_NESTING levels, as for `UnionOf`."""
+    again only in its view's D.  A point family scans its ratio pairs, a
+    union of point families merges its parts' scans, any other base blows
+    up its chain by `blow_up_chain`.  Nest within MAX_NESTING levels, as for
+    `UnionOf`."""
 
     base: "TailFamily"
     q: Fraction
@@ -1115,7 +1224,8 @@ def blowup_certificate(base: TailFamily, q) -> TailCertificate:
 def component_ratios(c: Chain) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Width ratios b_i/a_i and gap ratios a_i/b_{i+1} of a chain of
     intervals (a_i, b_i), such as the components `cc1_components` keeps;
-    a blown point family's chain carries them from its scan, and on any
+    a blown point family's chain carries them from its scan, a blown union
+    of point families takes its parts' where no parts merge, and on any
     other chain each is a quotient of two reduced ends, with gcds against
     their terms only: the view ints run over the whole chain's D."""
     return _width_ratios(c), _gap_ratios(c)
@@ -1130,24 +1240,31 @@ def component_ends_text(c: Chain) -> list:
 
 
 # the two halves of component_ratios, for the engines that read only one,
-# and the count, off a blown point family's ratios where it has them
+# and the count: off a blown point family's ratios, which its scan gives,
+# else off the view, which builds no end
 
 
 def _count(c: Chain) -> int:
-    return len(c.blocks if c._component_ratios is None else c._component_ratios[0])
+    ratios = vars(c).get("_component_ratios")
+    return len(c._view.lo if ratios is None else ratios[0])
+
+
+def _quotient(x: Fraction, y: Fraction) -> Fraction:
+    """x/y of two reduced ends, with gcds against their terms only."""
+    return _scaled(x, y.denominator, y.numerator)
 
 
 def _width_ratios(c: Chain) -> tuple[Fraction, ...]:
     if c._component_ratios is not None:
         return c._component_ratios[0]
-    return tuple([_scaled(b.hi, b.lo.denominator, b.lo.numerator) for b in c.blocks])
+    return tuple([_quotient(b.hi, b.lo) for b in c.blocks])
 
 
 def _gap_ratios(c: Chain) -> tuple[Fraction, ...]:
     if c._component_ratios is not None:
         return c._component_ratios[1]
     b = c.blocks
-    return tuple([_scaled(x.lo, y.hi.denominator, y.hi.numerator) for x, y in zip(b, b[1:])])
+    return tuple([_quotient(x.lo, y.hi) for x, y in zip(b, b[1:])])
 
 
 # ---------------------------------------------------------------------------

@@ -378,20 +378,35 @@ _UNIONS = {
 
 @pytest.mark.parametrize("name", _UNIONS)
 def test_blow_up_of_a_blown_union_is_one_pass(monkeypatch, name):
-    # blow-ups compose on any base: one blow_up_chain at q0*q gives what two
-    # generic passes give, but for the view's D
+    # blow-ups compose on any base: one pass at q0*q gives what two generic
+    # passes give, but for the view's D.  A union of point families makes no
+    # generic pass: each part is scanned once at q0*q and the scans merge; a
+    # union with a part that has no scan makes one blow_up_chain pass
     g = _UNIONS[name]
-    passes = []
+    passes, scans = [], []
 
     def counting(c, q):
         passes.append(q)
         return blow_up_chain(c, q)
 
+    def scanning(self, ratios, q, scan=_PointFamily._blown_scan):
+        scans.append((self, q))
+        return scan(self, ratios, q)
+
     monkeypatch.setattr(blowup, "blow_up_chain", counting)
+    monkeypatch.setattr(_PointFamily, "_blown_scan", scanning)
     for q0, q, depth in itertools.product(_NESTING_QS[:3], _NESTING_QS[2:], (1, 6, 12)):
         passes.clear()
+        scans.clear()
         composed = expand(BlowupOf(BlowupOf(g, q0), q), depth)
-        assert passes == [q0 * q]
+        if name == "two-point-families":
+            # a part whose points all lie below the union horizon drops out
+            horizon = expand(g, depth).horizon
+            assert passes == []
+            assert scans == [(p, q0 * q) for p in g.parts if p.x0 >= horizon]
+        else:
+            assert passes == [q0 * q]
+            assert scans == []
         twice = blow_up_chain(blow_up_chain(expand(g, depth), q0), q)
         assert (composed.blocks, composed.upper, composed.horizon) == (
             twice.blocks,
@@ -402,6 +417,104 @@ def test_blow_up_of_a_blown_union_is_one_pass(monkeypatch, name):
         kept = cc1_components(composed), cc1_components(twice)
         assert component_ratios(kept[0]) == component_ratios(kept[1])
         assert component_ends_text(kept[0]) == component_ends_text(kept[1])
+
+
+_scanned_families = _point_families.filter(lambda f: isinstance(f, _PointFamily))
+
+
+def _points(f, depth):
+    return [b.x for b in f._expand(depth).blocks]
+
+
+@st.composite
+def _blown_unions(draw):
+    """A union of two or three point families, flat or with a union among
+    its parts, a q and a depth.  The last part may start where the first
+    part's points put it: blown up, touching one of them end to end
+    (x/q^2), on one of them, or below all of them, under the union
+    horizon."""
+    depth = draw(st.integers(1, 10))
+    q = draw(st.one_of(st.sampled_from(_NESTING_QS), _fractions(1, 3)))
+    parts = draw(st.lists(_scanned_families, min_size=2, max_size=3))
+    points = _points(parts[0], depth)
+    x = draw(st.sampled_from(points))
+    x0 = draw(st.sampled_from((None, x / (q * q), x, points[-1] / 2)))
+    if x0 is not None:
+        group = st.lists(_fractions(0, 1), max_size=3).map(tuple)
+        parts[-1] = draw(
+            st.builds(GeometricLadder, st.just(x0), _fractions(0, 1))
+            | st.builds(PatternLadder, st.just(x0), group, _fractions(0, 1))
+        )
+    nested = draw(st.integers(1, len(parts)))  # how many parts an inner union takes
+    if nested > 1:
+        parts[:nested] = [UnionOf(tuple(parts[:nested]))]
+    return UnionOf(tuple(parts)), q, depth
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_blown_unions())
+# blown points of the two parts touch end to end: 1/4 = 1/q^2
+@example((UnionOf((GeometricLadder(1, F(1, 9)), GeometricLadder(F(1, 4), F(1, 9)))), F(2), 4))
+# a point both parts hold
+@example((UnionOf((GeometricLadder(1, F(1, 2)), GeometricLadder(F(1, 4), F(1, 3)))), F(3, 2), 5))
+# the second part lies wholly below the union horizon 1/4
+@example((UnionOf((GeometricLadder(1, F(1, 2)), GeometricLadder(F(1, 100), F(1, 2)))), F(2), 3))
+# the horizon 1/27 falls inside ExampleFamily's second block, 1/9 inside
+# the pattern's second group
+@example((UnionOf((ExampleFamily(F(1, 2)), GeometricLadder(1, F(1, 3)))), F(3, 2), 4))
+@example((UnionOf((PatternLadder(1, (F(1, 2), F(1, 2)), F(1, 2)), GeometricLadder(1, F(1, 3)))), F(5, 4), 3))
+@example(
+    (
+        UnionOf(
+            (
+                UnionOf((ExampleFamily(F(2, 3)), GeometricLadder(1, F(1, 3)))),
+                SuperGeometricLadder(F(3, 2), F(1, 2)),
+            )
+        ),
+        F(2),
+        6,
+    )
+)
+def test_a_blown_union_of_point_families_is_blow_up_chain(case):
+    # the parts' scans, merged, against blow_up_chain of the merged points:
+    # the reads that build no end come first, on a chain of their own
+    u, q, depth = case
+    want = blow_up_chain(expand(u, depth), q)
+    want_kept = cc1_components(want)
+    got = expand(BlowupOf(u, q), depth)
+    kept = cc1_components(got)
+    assert "_make_component_ratios" in vars(got)
+    assert (_count(got), _count(kept)) == (len(want.blocks), len(want_kept.blocks))
+    assert component_ratios(kept) == component_ratios(want_kept)
+    assert component_ends_text(kept) == component_ends_text(want_kept)
+    assert {"blocks", "horizon"}.isdisjoint(vars(got))
+    got = expand(BlowupOf(u, q), depth)
+    assert (got.blocks, got.upper, got.horizon) == (want.blocks, want.upper, want.horizon)
+    assert _view_ratios(got) == _view_ratios(want)
+    assert component_ratios(got) == component_ratios(want)
+    kept = cc1_components(got)
+    assert (kept.blocks, kept.horizon) == (want_kept.blocks, want_kept.horizon)
+    assert _view_ratios(kept) == _view_ratios(want_kept)
+
+
+@pytest.mark.parametrize(
+    "command", [("blowup", "--q", "2", "--q", "3/2"), ("decompose", "--n", "1", "--q", "5/4")], ids=" ".join
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_blown_union_of_point_families_lists_no_points(capsys, monkeypatch, command, fmt):
+    union = UnionOf((UnionOf((ExampleFamily(F(1, 2)), GeometricLadder(1, F(1, 3)))),
+                     PatternLadder(F(3, 4), (F(1, 2), F(1, 8)), F(1, 4))))
+    argv = [command[0], "--family", json.dumps(tailset.family_to_json(union)), "--depth", "12"]
+    argv += ["--format", fmt, *command[1:]]
+    want = cli.main(argv), capsys.readouterr()
+
+    def refuse(self, depth):
+        raise AssertionError("listed a point family's points")
+
+    monkeypatch.setattr(_PointFamily, "_points", refuse)
+    assert (cli.main(argv), capsys.readouterr()) == want
+    kept = cc1_components(expand(BlowupOf(BlowupOf(union, F(9, 8)), F(10, 9)), 12))
+    assert kept.blocks and component_ratios(kept) and component_ends_text(kept)
 
 
 def test_three_blow_ups_of_a_point_family_are_one_scan():

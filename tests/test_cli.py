@@ -504,15 +504,27 @@ def test_reports_are_byte_stable(capsys):
     assert json.loads(first)["seed"] == 11
 
 
+def _deeply_nested(levels):
+    value = 'a "quoted"\n\x00 leaf'
+    for i in range(levels):
+        value = ({"k": value, "": None}, [i, True]) if i % 2 else [{"z\t": value}]
+    return value
+
+
 # report-shaped values: str keys; strings with non-ASCII letters, control
-# characters, quotes, backslashes and line breaks; ints past 64 bits
-_report_scalars = st.none() | st.booleans() | st.integers(-(2**200), 2**200) | st.text()
+# characters, quotes, backslashes and line breaks, some made mostly of what
+# json escapes; ints past 64 bits.  The writer appends every fragment to one
+# list, at every nesting level
+_escaped_text = st.text(st.sampled_from('"\\/\x00\x08\x1f\n\t\x7f \u00e9\U0001f600a'), max_size=8)
+_report_scalars = (
+    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | st.text() | _escaped_text
+)
 _report_values = st.recursive(
     _report_scalars,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=20,
+    | st.dictionaries(st.text(max_size=6) | _escaped_text, inner, max_size=4),
+    max_leaves=40,
 )
 
 
@@ -524,6 +536,7 @@ _report_values = st.recursive(
 @example({"b": [], "a": {}, "c": (), "": [[]]})
 @example({"s\u00e9\n\x00\x1f\u2028\"\\": ["\U0001f600", "\ud83d", "\x7f", "\u00ff", 0, -1, True, None]})
 @example([(1, (2, ())), {"k": ({"x": False},)}])
+@example(_deeply_nested(40))
 def test_report_writer_is_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 

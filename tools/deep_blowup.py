@@ -1,7 +1,8 @@
 """Time the blowup report on deep point families and hash it, to compare two commits.
 
 Each case is one `porosity-lab blowup` run in-process, deeper than any
-benchmark op, where the component ends run to thousands of digits.  Per
+benchmark op, where the component ends run to thousands of digits: of a
+point family, a blown one, or a union of two, which merges their scans.  Per
 case the tool prints its name, the sha256 of its exit code and stdout, and
 its wall time.  The package comes from --src, so two commits run the same
 cases; their hashes must match, while their times only compare on one host:
@@ -38,6 +39,14 @@ CASES = {
     "example-5/13-d48": (_example("5/13"), 48),
     "example-1/2-d64": (_example("1/2"), 64),
     "blowup-example-5/13-d32": ({"variant": "BlowupOf", "base": _example("5/13"), "q": "3/2"}, 32),
+    # the pattern's horizon cuts the example family inside a block
+    "union-example-5/13-pattern-d32": (
+        {"variant": "UnionOf", "parts": [
+            _example("5/13"),
+            {"variant": "PatternLadder", "x0": "1", "ratios": ["1/3", "2/5"], "decay": "1/2"},
+        ]},
+        32,
+    ),
 }
 
 

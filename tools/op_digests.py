@@ -7,9 +7,10 @@ op's result, or the type and message of the exception it raised.  The op
 lists come from perfbench/ in this checkout, which is only read; the
 package comes from --src, so two commits run the same ops.  A second list,
 printed as `generic-paths`, is built here and does not depend on the seed:
-the paths of families with no ratio-pair scan, and point families whose
+the paths of families with no ratio-pair scan; point families whose
 x0 > 1 puts the cut below 1 several components down, which no workload op
-takes: the workloads draw x0 from (1/2, 1).
+takes: the workloads draw x0 from (1/2, 1); and blown unions at the edge
+cases of their merge.
 
     python3 tools/op_digests.py --seed 1 > head.txt
     python3 tools/op_digests.py --seed 1 --src ../base/src > base.txt
@@ -76,13 +77,42 @@ SUPER_UNION = {
 }
 
 
+
+def _geometric(x0: str, rho: str) -> dict:
+    return {"variant": "GeometricLadder", "x0": x0, "rho": rho}
+
+
+def _union(*parts: dict) -> dict:
+    return {"variant": "UnionOf", "parts": list(parts)}
+
+
+# blown unions of point families, which merge their parts' scans, at their
+# edge cases: blown points of two parts that touch end to end at q = 2
+# (1/4 = 1/q^2), a point both parts hold, a part wholly below the union
+# horizon at depth 12, and a horizon inside an ExampleFamily block and a
+# PatternLadder group, one of them in a nested union; and a union with a
+# blown part, which keeps the generic blow-up
+EXAMPLE = {"variant": "ExampleFamily", "alpha": "1/2"}
+PATTERN = {"variant": "PatternLadder", "x0": "1", "ratios": ["1/2", "1/2"], "decay": "1/2"}
+EDGE_UNIONS = (
+    _union(_geometric("1", "1/9"), _geometric("1/4", "1/9")),
+    _union(_geometric("1", "1/2"), _geometric("1/4", "1/3")),
+    _union(_geometric("1", "3/5"), _geometric("1/300", "1/2")),
+    _union(EXAMPLE, _geometric("1", "1/2")),
+    _union(_union(PATTERN, EXAMPLE), _geometric("1", "3/5")),
+    _union(_geometric("1", "1/2"), {"variant": "BlowupOf", "base": PATTERN, "q": "3/2"}),
+)
+
+
 def generic_paths(mods: dict, family_file: Path) -> list:
     """Ops on the paths of families with no ratio-pair scan: the porosity
     profile and covering blow-up of unions, of blown unions and of a chain
     with intervals; the reports on blown unions, whose blow-ups compose;
     and one analyze that reads its family from `family_file`, which this
     writes.  Then the reports on point families whose cut falls deep, and
-    the covering blow-up of one blown, which blows up its scanned chain."""
+    the covering blow-up of one blown, which blows up its scanned chain.
+    Last the reports on blown unions at their edge cases (`EDGE_UNIONS`),
+    which hold the merge of the parts' scans to the generic blow-up."""
     tailset = mods["tailset"]
     ops = []
     for spec in (POINT_UNION, MIXED_UNION, {"variant": "BlowupOf", "base": SUPER_UNION, "q": "3/2"},
@@ -106,6 +136,13 @@ def generic_paths(mods: dict, family_file: Path) -> list:
             ops.append(workloads.Op(f"{argv[0]}-deep-cut", "cli-ok", argv=argv))
     f = tailset.family_from_json({"variant": "BlowupOf", "base": DEEP_CUTS[0], "q": "3/2"})
     ops.append(workloads.Op("covering", "covering", fn="blowup.find_covering_blowup", args=(f, 16)))
+    for spec in EDGE_UNIONS:
+        for family in (spec, {"variant": "BlowupOf", "base": spec, "q": "4/3"}):
+            for argv in (["blowup", "--q", "2", "--q", "3/2", "--format", "text"],
+                         ["blowup", "--q", "3/2", "--format", "json"],
+                         ["decompose", "--n", "1", "--q", "5/4", "--format", "json"]):
+                argv += ["--family", json.dumps(family), "--depth", "12"]
+                ops.append(workloads.Op(f"{argv[0]}-edge-union", "cli-ok", argv=argv))
     return ops
 
 

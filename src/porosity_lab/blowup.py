@@ -87,21 +87,16 @@ def cc1_components(c: Chain) -> Chain:
     A blown point family's chain walks its hi ends down from its upper
     edge on its scan's ratios, cross-multiplied, to the first one at most 1;
     every other chain cuts on its view, at the first hi <= D, and builds no
-    end.  The part kept slices the whole chain's ends, view, ends' text and
-    ratios when read.
+    end.  The part kept slices the whole chain's ends, view and ends' text
+    when read, and a scanned chain's ratios at once; any other part kept
+    reads its ratios off its own ends.
     """
-    ratios = vars(c).get("_component_ratios")
+    ratios = c._component_ratios
     if ratios is None:
         D, lo, hi, _ = c._view
         if any(map(int.__eq__, lo, hi)):
             raise ValueError("chain has isolated points; blow up first")
         i = next((k for k, h in enumerate(hi) if h <= D), len(hi))
-        make = vars(c).get("_make_component_ratios")  # a blown union's, from a start
-        if make is not None:
-
-            def ratios():
-                return make(i)
-
     else:
         betas, gammas = ratios
         n, d, i = c.upper.numerator, c.upper.denominator, 0

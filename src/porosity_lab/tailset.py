@@ -133,9 +133,10 @@ class Chain(Record):
     its horizon exactly at the smallest emitted coordinate).
 
     A scanned chain (`_scanned_chain`) builds its blocks and horizon and its
-    ends' text only when read, and so does a blown point family's its view
-    and a blown union's its ratios: the `blowup` report and the evidence
-    for Î(SP) and I(CSP) read only ratios, counts and text.
+    ends' text only when read, and a blown point family's chain its view
+    too: the `blowup` report and the evidence for Î(SP) and I(CSP) read only
+    ratios, counts and text.  The ratios are quotients of the reduced ends
+    on every chain but a blown point family's, which carries its scan's.
     """
 
     blocks: tuple[Block, ...]
@@ -177,13 +178,10 @@ class Chain(Record):
         view = _View(D, lo, hi, floor)
         vars(self).update(blocks=blocks, upper=upper, horizon=horizon, _view=view)
 
-    @cached_property
-    def _component_ratios(self) -> tuple | None:
-        # the (width, gap) ratios of a blown point family's components, as its
-        # scan found them, or of a blown union's, from its parts' scans; None
-        # on every other chain, which reads its ratios off its ends
-        make = vars(self).get("_make_component_ratios")
-        return None if make is None else make()
+    # the (width, gap) ratios of a blown point family's components, as its
+    # scan found them, and of the part `cc1_components` keeps of them; every
+    # other chain reads its ratios off its ends
+    _component_ratios = None
 
     def __getattr__(self, name):
         # only a scanned chain lacks fields: its maker gives blocks and horizon
@@ -232,14 +230,17 @@ def _chain(blocks: tuple[Block, ...], upper: Fraction, horizon: Fraction, view: 
 
 def _scanned_chain(upper: Fraction, ratios, make_ends, view, make_text) -> Chain:
     """A blown point family's or blown union's chain, or the part of a chain
-    `cc1_components` keeps: intervals only.  Its (width, gap) ratios and its
-    view are given, or made on first read by a function given in their place.
+    `cc1_components` keeps: intervals only.  Its (width, gap) ratios are a
+    point family's scan's, or None where they are quotients of its ends.  Its
+    view is given, or made on first read by a function given in its place.
     `make_ends()` gives its blocks and horizon, `make_text()` its (lo, hi)
-    text, on first read."""
+    text, on first read; with no `make_text` the text is `format_rational`'s
+    of the ends."""
     c = object.__new__(Chain)
-    vars(c).update(upper=upper, _make_ends=make_ends, _make_ends_text=make_text)
-    vars(c)["_make_component_ratios" if callable(ratios) else "_component_ratios"] = ratios
+    vars(c).update(upper=upper, _component_ratios=ratios, _make_ends=make_ends)
     vars(c)["_make_view" if callable(view) else "_view"] = view
+    if make_text is not None:
+        vars(c)["_make_ends_text"] = make_text
     return c
 
 
@@ -867,7 +868,8 @@ class UnionOf(_Family):
     """Union of finitely many families.  The union is known only where every
     part is, so the merged chain keeps the highest of the part horizons.  Its
     blow-up is the union of its parts' blow-ups, which a union of point
-    families merges from their scans (`_blown_chain`).  Built in Python,
+    families merges from their scans (`_blown_chain`); its ratios and text
+    are read off the merged ends, as on any chain.  Built in Python,
     keep within MAX_NESTING levels: repr, hash and the wire format recurse
     once per level, and no constructor checks it."""
 
@@ -927,10 +929,9 @@ class UnionOf(_Family):
         products of its ratio pairs, with no Fraction per point.  The parts'
         components merge top down on their views lifted onto one D: one
         joins the component above when its hi lies strictly above that one's
-        lo, so ends that only touch stay apart.  The ends, built on first
-        read, and their text are the parts'.  A width or gap ratio is a
-        part's scan ratio where one part's component or gap gives it, and a
-        quotient of reduced ends where parts merge."""
+        lo, so ends that only touch stay apart.  The ends are the parts',
+        built on first read; the ratios and the text are read off them, as
+        on every chain but a point family's scan."""
         leaves = self._point_parts()
         if leaves is None:
             return super()._blown_chain(depth, q)
@@ -966,39 +967,16 @@ class UnionOf(_Family):
                     comps[-1][0], comps[-1][2] = lo, (k, j)
             else:
                 comps.append([lo, hi, (k, j), (k, j)])
-        at = [c[2:] for c in comps]
-
-        def end(part_at, side):
-            k, j = part_at
-            return getattr(blown[k].blocks[j], side)
 
         def ends():
-            blocks = tuple([_interval(end(l, "lo"), end(h, "hi")) for l, h in at])
+            pairs = [(blown[k].blocks[j], blown[m].blocks[n]) for *_, (k, j), (m, n) in comps]
+            blocks = tuple([_interval(l.lo, h.hi) for l, h in pairs])
             return blocks, blocks[-1].lo
-
-        def ratios(start=0):
-            # of the components from `start` on, as cc1_components keeps them
-            scanned, kept = [c._component_ratios for c in blown], at[start:]
-            widths = [
-                scanned[l[0]][0][l[1]] if l == h else _quotient(end(h, "hi"), end(l, "lo"))
-                for l, h in kept
-            ]
-            # a hi of the part whose lo ends the component above is that
-            # part's next component's: the gap is one of its scan's gaps
-            gaps = [
-                scanned[l[0]][1][l[1]] if l[0] == h[0] else _quotient(end(l, "lo"), end(h, "hi"))
-                for (l, _), (_, h) in zip(kept, kept[1:])
-            ]
-            return tuple(widths), tuple(gaps)
-
-        def text():
-            texts = [c._ends_text for c in blown]
-            return [(texts[l[0]][l[1]][0], texts[h[0]][h[1]][1]) for l, h in at]
 
         lo = tuple([c[0] for c in comps])
         view = _View(D, lo, tuple([c[1] for c in comps]), lo[-1])
         upper = _scaled(max(f.x0 for f in leaves), q.numerator, q.denominator)
-        return _scanned_chain(upper, ratios, ends, view, text)
+        return _scanned_chain(upper, None, ends, view, None)
 
 
 class BlowupOf(_Family):
@@ -1224,10 +1202,10 @@ def blowup_certificate(base: TailFamily, q) -> TailCertificate:
 def component_ratios(c: Chain) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Width ratios b_i/a_i and gap ratios a_i/b_{i+1} of a chain of
     intervals (a_i, b_i), such as the components `cc1_components` keeps;
-    a blown point family's chain carries them from its scan, a blown union
-    of point families takes its parts' where no parts merge, and on any
-    other chain each is a quotient of two reduced ends, with gcds against
-    their terms only: the view ints run over the whole chain's D."""
+    a blown point family's chain carries them from its scan, and on any
+    other chain, a blown union's too, each is a quotient of two reduced
+    ends, with gcds against their terms only: the view ints run over the
+    whole chain's D."""
     return _width_ratios(c), _gap_ratios(c)
 
 
@@ -1245,7 +1223,7 @@ def component_ends_text(c: Chain) -> list:
 
 
 def _count(c: Chain) -> int:
-    ratios = vars(c).get("_component_ratios")
+    ratios = c._component_ratios
     return len(c._view.lo if ratios is None else ratios[0])
 
 

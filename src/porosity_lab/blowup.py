@@ -130,22 +130,21 @@ def find_covering_blowup(f: TailFamily, depth: int) -> tuple[Fraction, Fraction]
 
     The porosity margin m comes from the certified upper porosity when the
     family has one, otherwise from the deepest probe ratios; q = 2/(1-m)
-    then closes every relative gap of size at most s = (1+m)/2.  A certified
-    family gives its own blow-up (`BlowupOf`), else the probed chain's.
+    then closes every relative gap of size at most s = (1+m)/2.  Either way
+    the family gives its own blow-up (`BlowupOf`): a point family's scan, a
+    union of them merged from their scans, any other chain's one pass.
     """
-    certified = f.porosity_index()
-    if certified == 1:
+    margin = f.porosity_index()
+    if margin == 1:
         return None
-    if certified is not None:
-        margin, chain = certified, None
-    else:
-        chain = expand(f, depth)
+    if margin is None:
         # no internal gaps observed at all: any modest q will do
-        margin = max((r for _, r in probe_ratios(chain, PROBE_WINDOW)), default=Fraction(0))
+        probes = probe_ratios(expand(f, depth), PROBE_WINDOW)
+        margin = max((r for _, r in probes), default=Fraction(0))
         if margin >= SP_EVIDENCE_RATIO:
             return None
     q = _ratio(2 * margin.denominator, margin.denominator - margin.numerator)
-    blown = expand(BlowupOf(f, q), depth) if chain is None else blow_up_chain(chain, q)
+    blown = expand(BlowupOf(f, q), depth)
     # the blown chain's horizon is the base's over q, its upper edge q times
     # the base's
     n, d = q.numerator, q.denominator

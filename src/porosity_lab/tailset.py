@@ -21,7 +21,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import cached_property, wraps
 from heapq import merge
-from itertools import count, repeat
+from itertools import repeat
 from math import lcm, prod
 from numbers import Rational, Real
 
@@ -132,11 +132,12 @@ class Chain(Record):
     horizon.  Every block coordinate is >= horizon (a generated chain puts
     its horizon exactly at the smallest emitted coordinate).
 
-    A scanned chain (`_scanned_chain`) builds its blocks and horizon and its
-    ends' text only when read, and a blown point family's chain its view
-    too: the `blowup` report and the evidence for Î(SP) and I(CSP) read only
-    ratios, counts and text.  The ratios are quotients of the reduced ends
-    on every chain but a blown point family's, which carries its scan's.
+    A scanned chain (`_scanned_chain`), a blown point family's or the part
+    `cc1_components` keeps, builds its blocks and horizon, its view and its
+    ends' text only when read: the `blowup` report and the evidence for
+    Î(SP) and I(CSP) read only ratios, counts and text.  The ratios are
+    quotients of the reduced ends on every chain but a blown point
+    family's, which carries its scan's.
     """
 
     blocks: tuple[Block, ...]
@@ -228,26 +229,25 @@ def _chain(blocks: tuple[Block, ...], upper: Fraction, horizon: Fraction, view: 
     return c
 
 
-def _scanned_chain(upper: Fraction, ratios, make_ends, view, make_text) -> Chain:
-    """A blown point family's or blown union's chain, or the part of a chain
-    `cc1_components` keeps: intervals only.  Its (width, gap) ratios are a
-    point family's scan's, or None where they are quotients of its ends.  Its
-    view is given, or made on first read by a function given in its place.
-    `make_ends()` gives its blocks and horizon, `make_text()` its (lo, hi)
-    text, on first read; with no `make_text` the text is `format_rational`'s
-    of the ends."""
+def _scanned_chain(upper: Fraction, ratios, make_ends, make_view, make_text) -> Chain:
+    """A blown point family's chain, or the part of a chain `cc1_components`
+    keeps: intervals only.  Its (width, gap) ratios are a point family's
+    scan's, or None where they are quotients of its ends.  `make_ends()`
+    gives its blocks and horizon, `make_view()` its view and `make_text()`
+    its (lo, hi) text, each on first read."""
     c = object.__new__(Chain)
-    vars(c).update(upper=upper, _component_ratios=ratios, _make_ends=make_ends)
-    vars(c)["_make_view" if callable(view) else "_view"] = view
-    if make_text is not None:
-        vars(c)["_make_ends_text"] = make_text
+    vars(c).update(
+        upper=upper, _component_ratios=ratios, _make_ends=make_ends, _make_view=make_view,
+        _make_ends_text=make_text,
+    )
     return c
 
 
 def merge_blocks(items) -> tuple[list, list, list]:
-    """The merge pass of `UnionOf`, internal to it: (hi, lo, tag, block)
-    items in descending (hi, lo) order, as `heapq.merge` gives them from the
-    parts' views, become the union's blocks and their lo and hi ints.
+    """The merge pass of `_union_chain`, which every union takes, blown or
+    not: (hi, lo, tag, block) items in descending (hi, lo) order, as
+    `heapq.merge` gives them from the parts' views, become the union's
+    blocks and their lo and hi ints.
     Intervals overlapping on a set of positive length merge; a point inside
     an interval, or equal to the point above, vanishes; open ends that
     touch, or carry a point, stay apart."""
@@ -265,6 +265,29 @@ def merge_blocks(items) -> tuple[list, list, list]:
         los.append(lo)
         his.append(hi)
     return blocks, los, his
+
+
+def _union_chain(chains, horizon: Fraction) -> Chain:
+    """The union of `chains`, known only above `horizon`: their views,
+    lifted onto the lcm of their denominators, merge in one `merge_blocks`
+    pass, since each chain already descends; blocks below the horizon drop
+    out and one straddling interval is clipped."""
+    D = lcm(*(c._view.D for c in chains))
+    runs = []
+    for k, c in enumerate(chains):
+        v, m = c._view, D // c._view.D
+        lo = [x * m for x in v.lo]
+        hi = lo if v.hi is v.lo else [x * m for x in v.hi]
+        runs.append(zip(hi, lo, repeat(k), c.blocks))
+    floor = horizon.numerator * (D // horizon.denominator)
+    blocks, lo, hi = merge_blocks(merge(*runs, reverse=True))
+    while lo and lo[-1] < floor:
+        if hi[-1] > floor and type(blocks[-1]) is Interval:
+            blocks[-1], lo[-1] = _interval(horizon, blocks[-1].hi), floor
+            break
+        del blocks[-1], lo[-1], hi[-1]
+    upper = max(c.upper for c in chains)
+    return _chain(tuple(blocks), upper, horizon, _View(D, tuple(lo), tuple(hi), floor))
 
 
 def _check_q(q) -> Fraction:
@@ -868,10 +891,11 @@ class UnionOf(_Family):
     """Union of finitely many families.  The union is known only where every
     part is, so the merged chain keeps the highest of the part horizons.  Its
     blow-up is the union of its parts' blow-ups, which a union of point
-    families merges from their scans (`_blown_chain`); its ratios and text
-    are read off the merged ends, as on any chain.  Built in Python,
-    keep within MAX_NESTING levels: repr, hash and the wire format recurse
-    once per level, and no constructor checks it."""
+    families merges from their scans (`_blown_chain`) by the same merge
+    (`_union_chain`); its ratios and text are read off the merged ends, as
+    on any chain.  Built in Python, keep within MAX_NESTING levels: repr,
+    hash and the wire format recurse once per level, and no constructor
+    checks it."""
 
     parts: tuple["TailFamily", ...]
 
@@ -886,28 +910,8 @@ class UnionOf(_Family):
         return any(p.has_zero_accumulation for p in self.parts)
 
     def _expand(self, depth):
-        # the parts' views, lifted onto the lcm of their denominators, merge
-        # in one pass: each part already descends
         chains = [expand(p, depth) for p in self.parts]
-        D = lcm(*(c._view.D for c in chains))
-        runs = []
-        for k, c in enumerate(chains):
-            v, m = c._view, D // c._view.D
-            lo = [x * m for x in v.lo]
-            hi = lo if v.hi is v.lo else [x * m for x in v.hi]
-            runs.append(zip(hi, lo, repeat(k), c.blocks))
-        horizon = max(c.horizon for c in chains)
-        floor = horizon.numerator * (D // horizon.denominator)
-        blocks, lo, hi = merge_blocks(merge(*runs, reverse=True))
-        # the union is known only above the highest part horizon: blocks
-        # below it drop out, one straddling interval is clipped
-        while lo and lo[-1] < floor:
-            if hi[-1] > floor and type(blocks[-1]) is Interval:
-                blocks[-1], lo[-1] = _interval(horizon, blocks[-1].hi), floor
-                break
-            del blocks[-1], lo[-1], hi[-1]
-        upper = max(c.upper for c in chains)
-        return _chain(tuple(blocks), upper, horizon, _View(D, tuple(lo), tuple(hi), floor))
+        return _union_chain(chains, max(c.horizon for c in chains))
 
     def _point_parts(self):
         leaves = []
@@ -926,12 +930,11 @@ class UnionOf(_Family):
         Each point family blows up its points at or above the union horizon
         H, the highest part horizon, by its own scan (`_blown_scan`).  H and
         each family's points above it are found on cross-multiplied running
-        products of its ratio pairs, with no Fraction per point.  The parts'
-        components merge top down on their views lifted onto one D: one
-        joins the component above when its hi lies strictly above that one's
-        lo, so ends that only touch stay apart.  The ends are the parts',
-        built on first read; the ratios and the text are read off them, as
-        on every chain but a point family's scan."""
+        products of its ratio pairs, with no Fraction per point.  The scans
+        merge as the parts of any union do (`_union_chain`), known above
+        the lowest of their horizons, H/q, where the part with horizon H
+        ends: touching ends stay apart, and nothing lies below H/q to
+        clip."""
         leaves = self._point_parts()
         if leaves is None:
             return super()._blown_chain(depth, q)
@@ -953,30 +956,7 @@ class UnionOf(_Family):
                     break
                 k += 1
             blown.append(f._blown_scan(ratios[:k], q))
-
-        views = [c._view for c in blown]
-        D = lcm(*(v.D for v in views))
-        runs = []
-        for k, v in enumerate(views):
-            m = D // v.D
-            runs.append(zip([x * m for x in v.hi], [x * m for x in v.lo], repeat(k), count()))
-        comps = []  # [lo, hi, (part, component) of lo, (part, component) of hi]
-        for hi, lo, k, j in merge(*runs, reverse=True):
-            if comps and hi > comps[-1][0]:
-                if lo < comps[-1][0]:
-                    comps[-1][0], comps[-1][2] = lo, (k, j)
-            else:
-                comps.append([lo, hi, (k, j), (k, j)])
-
-        def ends():
-            pairs = [(blown[k].blocks[j], blown[m].blocks[n]) for *_, (k, j), (m, n) in comps]
-            blocks = tuple([_interval(l.lo, h.hi) for l, h in pairs])
-            return blocks, blocks[-1].lo
-
-        lo = tuple([c[0] for c in comps])
-        view = _View(D, lo, tuple([c[1] for c in comps]), lo[-1])
-        upper = _scaled(max(f.x0 for f in leaves), q.numerator, q.denominator)
-        return _scanned_chain(upper, None, ends, view, None)
+        return _union_chain(blown, min(c.horizon for c in blown))
 
 
 class BlowupOf(_Family):
@@ -986,8 +966,9 @@ class BlowupOf(_Family):
     factors and asks the innermost base for one blow-up at the product
     (`_blown_chain`), whose chain differs from blowing up the inner chain
     again only in its view's D.  A point family scans its ratio pairs, a
-    union of point families merges its parts' scans, any other base blows
-    up its chain by `blow_up_chain`.  Nest within MAX_NESTING levels, as for
+    union of point families merges its parts' scans as a union merges its
+    parts' chains (`_union_chain`), any other base blows up its chain by
+    `blow_up_chain`.  Nest within MAX_NESTING levels, as for
     `UnionOf`."""
 
     base: "TailFamily"

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,8 @@ from porosity_lab.blowup import (
     find_covering_blowup,
 )
 from porosity_lab.tailset import (
+    PROBE_WINDOW,
+    SP_EVIDENCE_RATIO,
     BlowupOf,
     Chain,
     ExampleFamily,
@@ -39,6 +42,7 @@ from porosity_lab.tailset import (
     component_ends_text,
     component_ratios,
     expand,
+    probe_ratios,
 )
 from porosity_lab.rational import _ratio, format_rational
 
@@ -476,9 +480,11 @@ def _blown_unions(draw):
     )
 )
 def test_a_blown_union_of_point_families_is_blow_up_chain(case):
-    # the parts' scans, merged, against blow_up_chain of the merged points:
-    # the count and the kept ratios and text as a report reads them, then
-    # the ends, views and ratios of a fresh chain
+    # the parts' scans, merged as any union merges its parts' chains,
+    # against blow_up_chain of the merged points: the counts, and the kept
+    # part's ratios and text as a report reads them, before that part
+    # slices its ends; then the ends, views and ratios of a fresh chain and
+    # of its kept part
     u, q, depth = case
     want = blow_up_chain(expand(u, depth), q)
     want_kept = cc1_components(want)
@@ -782,10 +788,16 @@ def test_find_covering_blowup_refuses_porous_families(monkeypatch):
 
 
 def _cover_on_the_expanded_chain(f, depth):
-    # the covering search on blow_up_chain(expand(f, depth), q), for a point
-    # family with a certified index below 1
-    q = 2 / (1 - f.porosity_index())
+    # the covering search on blow_up_chain(expand(f, depth), q), for a
+    # family with a certified index below 1 or with none, where the margin
+    # comes from the deepest probes
     chain = expand(f, depth)
+    margin = f.porosity_index()
+    if margin is None:
+        margin = max((r for _, r in probe_ratios(chain, PROBE_WINDOW)), default=F(0))
+        if margin >= SP_EVIDENCE_RATIO:
+            return None
+    q = 2 / (1 - margin)
     anchor = q * chain.horizon
     for b in blow_up_chain(chain, q).blocks:
         if block_inf(b) <= anchor < block_sup(b):
@@ -794,11 +806,29 @@ def _cover_on_the_expanded_chain(f, depth):
     return None
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(_point_families.filter(lambda f: isinstance(f, _PointFamily)), st.integers(1, 24))
+# families built from point families: a point family certifies its index,
+# a blown GeometricLadder and a union of two point families certify none
+_scanned_builds = st.one_of(
+    _scanned_families,
+    st.builds(
+        BlowupOf,
+        st.builds(GeometricLadder, _fractions(0, 4), _fractions(0, 1)),
+        st.sampled_from(_NESTING_QS) | _fractions(1, 3),
+    ),
+    st.lists(_scanned_families, min_size=2, max_size=2).map(lambda parts: UnionOf(tuple(parts))),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_scanned_builds, st.integers(1, 24))
 def test_find_covering_blowup_scans_point_families(f, depth):
-    # only GeometricLadder certifies an index below 1; the rest refuse
-    found = find_covering_blowup(f, depth)
+    # each family blows itself up on its scans, with no blow_up_chain pass,
+    # and finds the cover blow_up_chain of its expanded chain gives; of the
+    # point families only GeometricLadder certifies an index below 1, and
+    # the rest refuse
+    with mock.patch.object(blowup, "blow_up_chain", wraps=blow_up_chain) as passes:
+        found = find_covering_blowup(f, depth)
+    assert passes.call_count == 0
     if f.porosity_index() == 1:
         assert found is None
     else:

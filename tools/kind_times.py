@@ -4,9 +4,12 @@ Loads the porosity_lab package from two source trees under two names
 (`base_lab` and `head_lab`), builds one workload's op list for each, and
 runs every op on both sides in turn, swapping which side goes first from
 op to op and from pass to pass.  Per op it keeps each side's best time;
-per op kind it prints the sums of those best times, their ratio (head over
-base) and in how many ops each side was faster.  Outputs are not compared:
-`tools/op_digests.py` does that.
+per op kind it prints the sums of those best times, the kind's share of
+base's pass (the sum of base's best times over all ops), their ratio (head
+over base) and in how many ops head was faster.  A last line gives both
+sides' pass totals and their ratio, against which a kind's ratio can be
+read: a kind with a 2% share moves the pass by 2% of its own change.
+Outputs are not compared: `tools/op_digests.py` does that.
 
     python3 tools/kind_times.py --base ../base/src --workload report-mix --seed 1
 
@@ -16,6 +19,8 @@ the report-mix and deep-scan workloads read a ratio between 0.979 and
 1.021; the kinds of ops under 0.2 ms spread the most, and leaned slower on
 the side loaded second (covering/geometric, 0.04 ms per op, 1.021;
 analyze/geometric 1.018).  A ratio inside that band shows no difference.
+The one-op kinds (report-mix's malformed/*, 15-90 us each) spread far
+wider: 0.88 to 1.08 in an A/A run at seed 1 with 7 passes, same host.
 """
 
 from __future__ import annotations
@@ -72,14 +77,17 @@ def main(argv=None) -> int:
     kinds = defaultdict(list)
     for i, op in enumerate(ops["base"]):
         kinds[op.kind].append(i)
+    total = {side: sum(best[side]) * 1e3 for side in order}
     print(f"{args.workload}, seed {args.seed}, best of {args.passes} passes per op; "
           "sums of best times in ms")
     for kind, idx in sorted(kinds.items()):
         b = sum(best["base"][i] for i in idx) * 1e3
         h = sum(best["head"][i] for i in idx) * 1e3
         faster = sum(best["head"][i] < best["base"][i] for i in idx)
-        print(f"  {kind:34s} {len(idx):4d} ops  base {b:9.3f}  head {h:9.3f}  ratio {h / b:.3f}"
-              f"  head faster in {faster}/{len(idx)}")
+        print(f"  {kind:34s} {len(idx):4d} ops  base {b:9.3f} ({b / total['base']:6.1%})"
+              f"  head {h:9.3f}  ratio {h / b:.3f}  head faster in {faster}/{len(idx)}")
+    print(f"  {'pass':34s} {len(best['base']):4d} ops  base {total['base']:9.3f}"
+          f"           head {total['head']:9.3f}  ratio {total['head'] / total['base']:.3f}")
     return 0
 
 

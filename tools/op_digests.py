@@ -10,7 +10,8 @@ printed as `generic-paths`, is built here and does not depend on the seed:
 the paths of families with no ratio-pair scan; point families whose
 x0 > 1 puts the cut below 1 several components down, which no workload op
 takes: the workloads draw x0 from (1/2, 1); and blown unions at the edge
-cases of their merge.
+cases of their merge; and a union whose interval part straddles the union
+horizon, so the merge clips it.
 
     python3 tools/op_digests.py --seed 1 > head.txt
     python3 tools/op_digests.py --seed 1 --src ../base/src > base.txt
@@ -102,6 +103,13 @@ EDGE_UNIONS = (
     _union(_union(PATTERN, EXAMPLE), _geometric("1", "3/5")),
     _union(_geometric("1", "1/2"), {"variant": "BlowupOf", "base": PATTERN, "q": "3/2"}),
 )
+# the union horizon 1/32, the ladder's lowest point at depth 6, falls inside
+# the interval (1/40, 1/30), which the merge clips to (1/32, 1/30)
+STRADDLE_UNION = _union(
+    _geometric("1", "1/2"),
+    {"variant": "ExplicitChain",
+     "chain": {"blocks": [{"lo": "1/40", "hi": "1/30"}], "upper": "1/30", "horizon": "1/100"}},
+)
 
 
 def generic_paths(mods: dict, family_file: Path) -> list:
@@ -111,8 +119,10 @@ def generic_paths(mods: dict, family_file: Path) -> list:
     and one analyze that reads its family from `family_file`, which this
     writes.  Then the reports on point families whose cut falls deep, and
     the covering blow-up of one blown, which blows up its scanned chain.
-    Last the reports on blown unions at their edge cases (`EDGE_UNIONS`),
-    which hold the merge of the parts' scans to the generic blow-up."""
+    Then the reports on blown unions at their edge cases (`EDGE_UNIONS`),
+    which hold the merge of the parts' scans to the generic blow-up.  Last
+    the reports on a union whose merge clips an interval at the union
+    horizon (`STRADDLE_UNION`)."""
     tailset = mods["tailset"]
     ops = []
     for spec in (POINT_UNION, MIXED_UNION, {"variant": "BlowupOf", "base": SUPER_UNION, "q": "3/2"},
@@ -143,6 +153,11 @@ def generic_paths(mods: dict, family_file: Path) -> list:
                          ["decompose", "--n", "1", "--q", "5/4", "--format", "json"]):
                 argv += ["--family", json.dumps(family), "--depth", "12"]
                 ops.append(workloads.Op(f"{argv[0]}-edge-union", "cli-ok", argv=argv))
+    for argv in (["blowup", "--q", "5/4", "--q", "2", "--format", "text"],
+                 ["decompose", "--n", "1", "--q", "5/4", "--format", "json"],
+                 ["analyze", "--q", "5/4", "--q", "3/2", "--format", "json"]):
+        argv += ["--family", json.dumps(STRADDLE_UNION), "--depth", "6"]
+        ops.append(workloads.Op(f"{argv[0]}-straddle-union", "cli-ok", argv=argv))
     return ops
 
 

@@ -55,8 +55,8 @@ def blow_up_chain(c: Chain, q) -> Chain:
     Blow-ups compose: blowing the result up by q' gives the chain of the
     blow-up by q*q', but for the view's D.  So `BlowupOf` blows a nested
     family up once, at the product (`_Family._blown_chain`), by this
-    function, or for a point family, or a union of them, on ratio pairs, a
-    scan the tests hold to this function's chain.
+    function, or for a point family, or a flat union of them, on ratio
+    pairs, a scan the tests hold to this function's chain.
     """
     q = _check_q(q)
     a, b = q.numerator, q.denominator
@@ -84,40 +84,34 @@ def cc1_components(c: Chain) -> Chain:
     chain of their own with upper edge 1.  Chains with isolated points are
     rejected: components only exist after a blow-up.
 
-    A blown point family's chain walks its hi ends down from its upper
-    edge on its scan's ratios, cross-multiplied, to the first one at most 1;
-    every other chain cuts on its view, at the first hi <= D, and builds no
-    end.  The part kept slices the whole chain's ends, view and ends' text
-    when read, and a scanned chain's ratios at once; any other part kept
-    reads its ratios off its own ends.
+    On a scanned chain, a blown point family's, the hi ends step down from
+    its top on its scan's ratios, by `_scaled`, to the first one at most 1,
+    or to the last lo when every component lies above 1; the part kept is a
+    scanned chain from there.  It replays its ends and text from its own
+    top, whose bits are bounded by the components above 1, and slices the
+    whole chain's view.  Every other chain is cut on its view, at the first
+    hi <= D, and the part kept is a plain slice of its blocks and view.
     """
-    ratios = c._component_ratios
-    if ratios is None:
-        D, lo, hi, _ = c._view
-        if any(map(int.__eq__, lo, hi)):
-            raise ValueError("chain has isolated points; blow up first")
-        i = next((k for k, h in enumerate(hi) if h <= D), len(hi))
-    else:
-        betas, gammas = ratios
-        n, d, i = c.upper.numerator, c.upper.denominator, 0
-        while n > d and i < len(betas):
+    if c._component_ratios is not None:
+        betas, gammas = c._component_ratios
+        top, i = c._top, 0
+        while top > 1 and i < len(betas):
+            top = _scaled(top, betas[i].denominator, betas[i].numerator)
             if i < len(gammas):
-                n *= betas[i].denominator * gammas[i].denominator
-                d *= betas[i].numerator * gammas[i].numerator
+                top = _scaled(top, gammas[i].denominator, gammas[i].numerator)
             i += 1
-        ratios = betas[i:], gammas[i:]
 
-    def ends():
-        return c.blocks[i:], min(c.horizon, Fraction(1))
+        def view():
+            D, lo, hi, horizon = c._view
+            return _View(D, lo[i:], hi[i:], min(horizon, D))
 
-    def view():
-        D, lo, hi, horizon = c._view
-        return _View(D, lo[i:], hi[i:], min(horizon, D))
-
-    def text():
-        return c._ends_text[i:]
-
-    return _scanned_chain(Fraction(1), ratios, ends, view, text)
+        return _scanned_chain(Fraction(1), min(top, Fraction(1)), (betas[i:], gammas[i:]), view)
+    D, lo, hi, horizon = c._view
+    if any(map(int.__eq__, lo, hi)):
+        raise ValueError("chain has isolated points; blow up first")
+    i = next((k for k, h in enumerate(hi) if h <= D), len(hi))
+    view = _View(D, lo[i:], hi[i:], min(horizon, D))
+    return _chain(c.blocks[i:], Fraction(1), min(c.horizon, Fraction(1)), view)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +126,8 @@ def find_covering_blowup(f: TailFamily, depth: int) -> tuple[Fraction, Fraction]
     family has one, otherwise from the deepest probe ratios; q = 2/(1-m)
     then closes every relative gap of size at most s = (1+m)/2.  Either way
     the family gives its own blow-up (`BlowupOf`): a point family's scan, a
-    union of them merged from their scans, any other chain's one pass.
+    flat union of them merged from their scans, any other chain's one
+    pass.
     """
     margin = f.porosity_index()
     if margin == 1:

@@ -39,6 +39,7 @@ from .tailset import (
     _PointFamily,
     _View,
     _chain,
+    _check_depth,
     _check_q,
     _count,
     _exact,
@@ -202,8 +203,7 @@ def _query(depth: int, q_list=None, M_max: int = 0) -> _Query:
         q_list = tuple(map(_exact, q_list))
         if not q_list or any(q <= 1 for q in q_list):
             raise ValueError("need at least one q > 1")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    _check_depth(depth)
     if M_max < 0:
         raise ValueError("M must be at least 0")
     return _Query(q_list, M_max, depth)
@@ -532,8 +532,7 @@ def decompose_csp(
     if n < 1:
         raise ValueError("n must be at least 1")
     q = _check_q(q)
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    _check_depth(depth)
 
     # a point family's closed form settles the hypotheses at every depth
     closed_form = isinstance(f, _PointFamily)

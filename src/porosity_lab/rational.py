@@ -87,17 +87,19 @@ _EXACT = decimal.Context(
 
 
 def _replayed_text(x: Fraction, steps) -> list:
-    """The wire text of x times each prefix product of `steps`, pairs (a, b)
-    of coprime ints > 0: the values `_scaled` gives step by step, with the
-    same gcds against each step's terms.  The numerator and denominator are
-    Decimals, which print in time linear in their digits, where str(int)
-    takes quadratic time before Python 3.12; only x and the steps are ints,
-    so no long int is ever converted."""
+    """The wire text of x and of x times each prefix product of `steps`,
+    pairs (a, b) of coprime ints > 0: the values `_scaled` gives step by
+    step, with the same gcds against each step's terms.  The numerator and
+    denominator are Decimals, which print in time linear in their digits,
+    where str(int) takes quadratic time before Python 3.12.  Only x and the
+    steps are ints: a scanned chain replays from its top end, q*x0 for a
+    blown point family, and for the part `cc1_components` keeps of one, the
+    first end at most 1, whose bits are bounded by the components above 1."""
     c = _EXACT
     remainder, divide_int, multiply, text = c.remainder, c.divide_int, c.multiply, c.to_sci_string
     n, d = c.create_decimal(x.numerator), c.create_decimal(x.denominator)
     out = []
-    for a, b in steps:
+    for a, b in ((1, 1), *steps):  # the first step gives x itself
         g = gcd(int(remainder(n, b)), b) if b != 1 else 1
         h = gcd(int(remainder(d, a)), a) if a != 1 else 1
         if g != 1:

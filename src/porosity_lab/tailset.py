@@ -10,7 +10,8 @@ asymptotics a finite prefix can never prove.
 Every coordinate and ratio handed out is a fractions.Fraction, and the only
 non-rational value is the infinity marker for diverging gap ratios.  Inside,
 each chain carries a view of itself as ints over one denominator (`_View`),
-which a blown point family's chain builds, as its ends, only when read.
+which a scanned chain (a blown point family's, or the part of one that
+`cc1_components` keeps) builds, as its ends, only when read.
 """
 
 from __future__ import annotations
@@ -119,9 +120,10 @@ def block_sup(b: Block) -> Fraction:
 # A chain's coordinates as ints over one common denominator D: block k
 # spans lo[k]/D to hi[k]/D, the horizon is horizon/D.  Point families emit
 # it, blow-ups (nested ones composed into one) and unions transform their
-# inputs' views, a scanned chain (`_scanned_chain`) takes it on first read,
-# and only a chain from outside takes an lcm.  The hot scans run on it and
-# build Fractions only for what they return.
+# inputs' views, a scanned chain (`_scanned_chain`) builds it on first read,
+# its cut slicing the whole chain's, and only a chain from outside takes an
+# lcm.  The hot scans run on it and build Fractions only for what they
+# return.
 _View = namedtuple("_View", "D lo hi horizon")
 
 
@@ -133,11 +135,14 @@ class Chain(Record):
     its horizon exactly at the smallest emitted coordinate).
 
     A scanned chain (`_scanned_chain`), a blown point family's or the part
-    `cc1_components` keeps, builds its blocks and horizon, its view and its
-    ends' text only when read: the `blowup` report and the evidence for
-    Î(SP) and I(CSP) read only ratios, counts and text.  The ratios are
-    quotients of the reduced ends on every chain but a blown point
-    family's, which carries its scan's.
+    `cc1_components` keeps of one, is its top end and its components'
+    (width, gap) ratios.  It builds its blocks and horizon, its view and
+    its ends' text only when read: the `blowup` report and the evidence for
+    Î(SP) and I(CSP) read only ratios, counts and text.  The ends step down
+    from the top, a component's lo its hi over the width ratio and the hi
+    below that lo over the gap ratio, two `_scaled` per component; the text
+    replays the same steps in decimal (`_replayed_text`).  Every other
+    chain holds its blocks and reads its ratios off its reduced ends.
     """
 
     blocks: tuple[Block, ...]
@@ -179,16 +184,22 @@ class Chain(Record):
         view = _View(D, lo, hi, floor)
         vars(self).update(blocks=blocks, upper=upper, horizon=horizon, _view=view)
 
-    # the (width, gap) ratios of a blown point family's components, as its
-    # scan found them, and of the part `cc1_components` keeps of them; every
+    # a scanned chain's (width, gap) ratios, as its scan found them; every
     # other chain reads its ratios off its ends
     _component_ratios = None
 
     def __getattr__(self, name):
-        # only a scanned chain lacks fields: its maker gives blocks and horizon
+        # only a scanned chain lacks fields: it steps blocks and horizon down
+        # from its top, which is its horizon when it keeps no component
         if name != "blocks" and name != "horizon":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        vars(self).update(zip(("blocks", "horizon"), self._make_ends()))
+        betas, gammas = self._component_ratios
+        hi, blocks = self._top, []
+        for gamma, beta in zip((None, *gammas), betas):  # the gap above, the width
+            if gamma:
+                hi = _scaled(blocks[-1].lo, gamma.denominator, gamma.numerator)
+            blocks.append(_interval(_scaled(hi, beta.denominator, beta.numerator), hi))
+        vars(self).update(blocks=tuple(blocks), horizon=blocks[-1].lo if blocks else self._top)
         return vars(self)[name]
 
     @cached_property
@@ -197,10 +208,16 @@ class Chain(Record):
 
     @cached_property
     def _ends_text(self) -> list:
-        return self._make_ends_text()
-
-    def _make_ends_text(self) -> list:
-        return [(format_rational(b.lo), format_rational(b.hi)) for b in self.blocks]
+        if self._component_ratios is None:
+            return [(format_rational(b.lo), format_rational(b.hi)) for b in self.blocks]
+        betas, gammas = self._component_ratios
+        steps = []
+        for beta, gamma in zip(betas, (*gammas, None)):
+            steps.append((beta.denominator, beta.numerator))
+            if gamma:
+                steps.append((gamma.denominator, gamma.numerator))
+        ends = _replayed_text(self._top, steps)
+        return list(zip(ends[1::2], ends[::2]))  # (lo, hi)
 
 
 # Constructors for values that are valid by construction: they skip the checks
@@ -229,17 +246,13 @@ def _chain(blocks: tuple[Block, ...], upper: Fraction, horizon: Fraction, view: 
     return c
 
 
-def _scanned_chain(upper: Fraction, ratios, make_ends, make_view, make_text) -> Chain:
-    """A blown point family's chain, or the part of a chain `cc1_components`
-    keeps: intervals only.  Its (width, gap) ratios are a point family's
-    scan's, or None where they are quotients of its ends.  `make_ends()`
-    gives its blocks and horizon, `make_view()` its view and `make_text()`
-    its (lo, hi) text, each on first read."""
+def _scanned_chain(upper: Fraction, top: Fraction, ratios, make_view) -> Chain:
+    """A blown point family's chain, or the part of one `cc1_components`
+    keeps: intervals only, the first ending at `top`, with a point family's
+    scan's (width, gap) ratios.  It steps its ends and their text down from
+    `top` (`Chain`), and `make_view()` gives its view, each on first read."""
     c = object.__new__(Chain)
-    vars(c).update(
-        upper=upper, _component_ratios=ratios, _make_ends=make_ends, _make_view=make_view,
-        _make_ends_text=make_text,
-    )
+    vars(c).update(upper=upper, _top=top, _component_ratios=ratios, _make_view=make_view)
     return c
 
 
@@ -409,11 +422,6 @@ class _Family(Record):
 
         return blowup.blow_up_chain(expand(self, depth), q)
 
-    def _point_parts(self) -> list | None:
-        """The point families whose union this family is, or None when it
-        is no such union."""
-        return None
-
 
 def _merge_scan(ratios, aa: int, bb: int) -> tuple[list, int, int]:
     """The components of the q-blow-up of points spaced by `ratios`, coprime
@@ -506,9 +514,6 @@ class _PointFamily(_Family):
         samples.reverse()
         return samples
 
-    def _point_parts(self):
-        return [self]
-
     def _blown_chain(self, depth: int, q: Fraction) -> Chain:
         return self._blown_scan(self._ratios(depth), q)
 
@@ -522,13 +527,11 @@ class _PointFamily(_Family):
         below it is 1/(r*q^2), both on small ints, and the chain keeps them.
 
         Its ends, its view and its ends' text wait for their first reader.
-        The ends step down from q*x0: a component's lo is its hi over the
-        width ratio, and the hi below is that lo over the gap ratio, two
-        `_scaled` per component and none per point.  The view ints are the
-        base view's (see `_expand`) at the component ends, lo*b^2 and hi*a^2
-        over D*a*b for q = a/b: prefix products of the numerators times
-        suffix products of the denominators, each taken per component.  The
-        text replays the ends' steps from x0 in decimal (`_replayed_text`)."""
+        The ends and their text step down from q*x0 on those ratios
+        (`Chain`), with no step per point.  The view ints are the base
+        view's (see `_expand`) at the component ends, lo*b^2 and hi*a^2 over
+        D*a*b for q = a/b: prefix products of the numerators times suffix
+        products of the denominators, each taken per component."""
         a, b = q.numerator, q.denominator
         aa, bb = a * a, b * b
         comps, mn, md = _merge_scan(ratios, aa, bb)
@@ -537,14 +540,6 @@ class _PointFamily(_Family):
         gammas = gammas[:-1]
         x0 = self.x0
         upper = _scaled(x0, a, b)
-
-        def ends():
-            hi, blocks = upper, []
-            for gamma, beta in zip((None, *gammas), betas):  # the gap above, the width
-                if gamma:
-                    hi = _scaled(blocks[-1].lo, gamma.denominator, gamma.numerator)
-                blocks.append(_interval(_scaled(hi, beta.denominator, beta.numerator), hi))
-            return tuple(blocks), blocks[-1].lo
 
         def view():
             # x_i's view int before its suffix product, top down; then, bottom
@@ -565,15 +560,7 @@ class _PointFamily(_Family):
             hi.reverse()
             return _View(x0.denominator * S * a * b, tuple(lo), tuple(hi), lo[-1])
 
-        def text():
-            steps = [(a, b)]
-            for beta, gamma in zip(betas, gammas):
-                steps += (beta.denominator, beta.numerator), (gamma.denominator, gamma.numerator)
-            steps.append((betas[-1].denominator, betas[-1].numerator))
-            ends = _replayed_text(x0, steps)
-            return list(zip(ends[1::2], ends[::2]))  # (lo, hi)
-
-        return _scanned_chain(upper, (betas, gammas), ends, view, text)
+        return _scanned_chain(upper, upper, (betas, gammas), view)
 
     @cached_property
     def _late_range(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -890,7 +877,7 @@ class ExplicitChain(_Family):
 class UnionOf(_Family):
     """Union of finitely many families.  The union is known only where every
     part is, so the merged chain keeps the highest of the part horizons.  Its
-    blow-up is the union of its parts' blow-ups, which a union of point
+    blow-up is the union of its parts' blow-ups, which a flat union of point
     families merges from their scans (`_blown_chain`) by the same merge
     (`_union_chain`); its ratios and text are read off the merged ends, as
     on any chain.  Built in Python, keep within MAX_NESTING levels: repr,
@@ -913,19 +900,10 @@ class UnionOf(_Family):
         chains = [expand(p, depth) for p in self.parts]
         return _union_chain(chains, max(c.horizon for c in chains))
 
-    def _point_parts(self):
-        leaves = []
-        for p in self.parts:
-            more = p._point_parts()
-            if more is None:
-                return None
-            leaves += more
-        return leaves
-
     def _blown_chain(self, depth, q):
         """The union of the parts' q-blow-ups, when every part is a point
-        family or a union of them (`_point_parts`); else `blow_up_chain` of
-        the merged chain.
+        family; else, a nested union among them too, `blow_up_chain` of the
+        merged chain.
 
         Each point family blows up its points at or above the union horizon
         H, the highest part horizon, by its own scan (`_blown_scan`).  H and
@@ -935,10 +913,9 @@ class UnionOf(_Family):
         the lowest of their horizons, H/q, where the part with horizon H
         ends: touching ends stay apart, and nothing lies below H/q to
         clip."""
-        leaves = self._point_parts()
-        if leaves is None:
+        if not all(isinstance(p, _PointFamily) for p in self.parts):
             return super()._blown_chain(depth, q)
-        scans = [(f, list(f._ratios(depth))) for f in leaves]
+        scans = [(f, list(f._ratios(depth))) for f in self.parts]
         hn, hd = 0, 1  # H = hn/hd, the highest of the horizons x0 * r_1 ... r_m
         for f, ratios in scans:
             n = f.x0.numerator * prod([n for n, _ in ratios])
@@ -966,9 +943,9 @@ class BlowupOf(_Family):
     factors and asks the innermost base for one blow-up at the product
     (`_blown_chain`), whose chain differs from blowing up the inner chain
     again only in its view's D.  A point family scans its ratio pairs, a
-    union of point families merges its parts' scans as a union merges its
-    parts' chains (`_union_chain`), any other base blows up its chain by
-    `blow_up_chain`.  Nest within MAX_NESTING levels, as for
+    flat union of point families merges its parts' scans as a union merges
+    its parts' chains (`_union_chain`), any other base blows up its chain
+    by `blow_up_chain`.  Nest within MAX_NESTING levels, as for
     `UnionOf`."""
 
     base: "TailFamily"
@@ -1031,6 +1008,7 @@ def expand_memo():
 
 
 def _check_depth(depth: int) -> None:
+    """The one depth check: of expand, the probes and the engines."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
 
@@ -1183,7 +1161,7 @@ def blowup_certificate(base: TailFamily, q) -> TailCertificate:
 def component_ratios(c: Chain) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Width ratios b_i/a_i and gap ratios a_i/b_{i+1} of a chain of
     intervals (a_i, b_i), such as the components `cc1_components` keeps;
-    a blown point family's chain carries them from its scan, and on any
+    a scanned chain carries them from its point family's scan, and on any
     other chain, a blown union's too, each is a quotient of two reduced
     ends, with gcds against their terms only: the view ints run over the
     whole chain's D."""
@@ -1192,15 +1170,15 @@ def component_ratios(c: Chain) -> tuple[tuple[Fraction, ...], tuple[Fraction, ..
 
 def component_ends_text(c: Chain) -> list:
     """The wire text of each (lo, hi) of a chain of intervals, such as the
-    components `cc1_components` keeps: `format_rational`'s, which a blown
-    point family's chain replays in decimal on first read, so that its long
+    components `cc1_components` keeps: `format_rational`'s, which a scanned
+    chain replays in decimal from its top on first read, so that its long
     ends print in linear time."""
     return c._ends_text
 
 
 # the two halves of component_ratios, for the engines that read only one,
-# and the count: off a blown point family's ratios, which its scan gives,
-# else off the view, which builds no end
+# and the count: off a scanned chain's ratios, which its scan gives, else
+# off the view, which builds no end
 
 
 def _count(c: Chain) -> int:

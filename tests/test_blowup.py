@@ -240,6 +240,10 @@ def test_cc1_components_filter_and_order():
     scanned = expand(BlowupOf(GeometricLadder(F(1, 2), F(1, 9)), 2), 4)
     assert scanned.blocks[0].hi == 1
     assert cc1_components(scanned).blocks == scanned.blocks
+    # every blown component above 1: the cut keeps none, known below 1
+    above = blow_up_chain(Chain((Interval(20, 24), Point(3)), upper=24, horizon=3), 2)
+    assert above.horizon == F(3, 2) and len(above.blocks) == 2
+    assert (cc1_components(above).blocks, cc1_components(above).horizon) == ((), 1)
     # a point anywhere is refused, also one the cut would drop
     for blocks in [(Point(1),), (Point(2), Interval(F(1, 4), F(1, 2)))]:
         with pytest.raises(ValueError, match="isolated points"):
@@ -502,15 +506,24 @@ def test_a_blown_union_of_point_families_is_blow_up_chain(case):
     assert _view_ratios(kept) == _view_ratios(want_kept)
 
 
-@pytest.mark.parametrize(
+_FLAT_UNION = UnionOf(
+    (ExampleFamily(F(1, 2)), GeometricLadder(1, F(1, 3)),
+     PatternLadder(F(3, 4), (F(1, 2), F(1, 8)), F(1, 4)))
+)
+_UNION_COMMANDS = pytest.mark.parametrize(
     "command", [("blowup", "--q", "2", "--q", "3/2"), ("decompose", "--n", "1", "--q", "5/4")], ids=" ".join
 )
+
+
+def _union_argv(union, command, fmt):
+    argv = [command[0], "--family", json.dumps(tailset.family_to_json(union)), "--depth", "12"]
+    return argv + ["--format", fmt, *command[1:]]
+
+
+@_UNION_COMMANDS
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_a_blown_union_of_point_families_lists_no_points(capsys, monkeypatch, command, fmt):
-    union = UnionOf((UnionOf((ExampleFamily(F(1, 2)), GeometricLadder(1, F(1, 3)))),
-                     PatternLadder(F(3, 4), (F(1, 2), F(1, 8)), F(1, 4))))
-    argv = [command[0], "--family", json.dumps(tailset.family_to_json(union)), "--depth", "12"]
-    argv += ["--format", fmt, *command[1:]]
+    argv = _union_argv(_FLAT_UNION, command, fmt)
     want = cli.main(argv), capsys.readouterr()
 
     def refuse(self, depth):
@@ -518,8 +531,30 @@ def test_a_blown_union_of_point_families_lists_no_points(capsys, monkeypatch, co
 
     monkeypatch.setattr(_PointFamily, "_points", refuse)
     assert (cli.main(argv), capsys.readouterr()) == want
-    kept = cc1_components(expand(BlowupOf(BlowupOf(union, F(9, 8)), F(10, 9)), 12))
+    kept = cc1_components(expand(BlowupOf(BlowupOf(_FLAT_UNION, F(9, 8)), F(10, 9)), 12))
     assert kept.blocks and component_ratios(kept) and component_ends_text(kept)
+
+
+@_UNION_COMMANDS
+def test_a_blown_nested_union_is_the_generic_blow_up(capsys, monkeypatch, command):
+    # a union among the parts: no part is scanned, blow_up_chain blows up
+    # the merged points, and the text report is the one the flat union of
+    # the same families gives from its parts' scans
+    want = cli.main(_union_argv(_FLAT_UNION, command, "text")), capsys.readouterr()
+    passes = []
+
+    def counting(c, q):
+        passes.append(q)
+        return blow_up_chain(c, q)
+
+    def refuse(self, ratios, q):
+        raise AssertionError("scanned a part of a nested union")
+
+    monkeypatch.setattr(blowup, "blow_up_chain", counting)
+    monkeypatch.setattr(_PointFamily, "_blown_scan", refuse)
+    nested = UnionOf((UnionOf(_FLAT_UNION.parts[:2]), _FLAT_UNION.parts[2]))
+    assert (cli.main(_union_argv(nested, command, "text")), capsys.readouterr()) == want
+    assert passes
 
 
 def test_three_blow_ups_of_a_point_family_are_one_scan():
@@ -530,37 +565,49 @@ def test_three_blow_ups_of_a_point_family_are_one_scan():
     assert (nested._view, component_ratios(nested)) == (once._view, component_ratios(once))
 
 
-def test_a_scanned_chain_builds_its_view_and_text_only_when_read():
-    scanned = expand(BlowupOf(ExampleFamily(F(1, 2)), F(3, 2)), 8)
+def test_a_scanned_chain_builds_its_view_and_text_only_when_read(monkeypatch):
+    # x0 = 3 puts the first component above 1, so the cut drops it
+    scanned = expand(BlowupOf(PatternLadder(3, (F(1, 2), F(1, 8)), F(1, 4)), F(3, 2)), 8)
     kept = cc1_components(scanned)
+    assert 0 < _count(kept) < _count(scanned)
     for c in (scanned, kept):
         assert {"blocks", "horizon", "_view", "_ends_text"}.isdisjoint(vars(c))
-    # the ratios, the count and the text build no block end
+    # the ratios, the count and the text build no block end, and the part
+    # kept steps its own ends and text down from its top: the whole chain
+    # builds none of them
     ratios, text = component_ratios(kept), component_ends_text(kept)
     assert _count(kept) == len(ratios[0]) == len(text) > 0
     for c in (scanned, kept):
         assert {"blocks", "horizon", "_view"}.isdisjoint(vars(c))
     assert text == [(format_rational(b.lo), format_rational(b.hi)) for b in kept.blocks]
-    assert {"blocks", "horizon", "_ends_text"} <= vars(scanned).keys()
-    assert "_view" not in vars(scanned)
+    assert {"blocks", "horizon", "_view", "_ends_text"}.isdisjoint(vars(scanned))
+    assert kept.blocks == scanned.blocks[_count(scanned) - _count(kept):]
     assert len(kept._view.lo) == len(kept.blocks)
     assert "_view" in vars(scanned)
-    # a chain from blow_up_chain: the part kept reads its ends, view and
-    # text off the whole chain's on first read, its text format_rational's
+    # a chain from blow_up_chain: the part kept is a slice of its blocks and
+    # view, and its text formats only the kept ends, by format_rational
     generic = blow_up_chain(expand(_UNIONS["point-family-and-intervals"], 8), F(3, 2))
     kept = cc1_components(generic)
-    assert {"blocks", "_view", "_ends_text"}.isdisjoint(vars(kept))
     assert 0 < len(kept.blocks) < len(generic.blocks)
+    assert kept.blocks == generic.blocks[len(generic.blocks) - len(kept.blocks):]
+    assert kept._view.D == generic._view.D and len(kept._view.lo) == len(kept.blocks)
     assert kept._component_ratios is None
+    formatted = []
+
+    def counting(x):
+        formatted.append(x)
+        return format_rational(x)
+
+    monkeypatch.setattr(tailset, "format_rational", counting)
     assert component_ends_text(kept) == [
         (format_rational(b.lo), format_rational(b.hi)) for b in kept.blocks
     ]
-    assert "_view" not in vars(kept)
+    assert formatted == [x for b in kept.blocks for x in (b.lo, b.hi)]
+    assert "_ends_text" not in vars(generic)
     assert component_ratios(kept) == (
         tuple(b.hi / b.lo for b in kept.blocks),
         tuple(a.lo / b.hi for a, b in zip(kept.blocks, kept.blocks[1:])),
     )
-    assert kept._view.D == generic._view.D and len(kept._view.lo) == len(kept.blocks)
 
 
 # x0 > 1, so that the cut below 1 falls some components down
@@ -579,6 +626,10 @@ _deep_cut_families = st.one_of(
 @settings(max_examples=200, deadline=None, database=None)
 @given(_deep_cut_families, st.sampled_from(_NESTING_QS), st.integers(1, 12))
 @example(GeometricLadder(59, F(1, 5)), F(3, 2), 12)  # three components above 1
+# every component above 1: the cut keeps none, and its horizon is the last
+# lo, 1/2, or 1 where that lo lies above 1
+@example(GeometricLadder(1, F(1, 2)), F(2), 1)
+@example(GeometricLadder(1000, F(1, 2)), F(2), 4)
 def test_lazy_ends_are_the_generic_blow_ups(f, q, depth):
     # the cut on the scan's ratios, then the ends built on first read: the
     # part kept first, the whole chain through it

@@ -19,8 +19,10 @@ the report-mix and deep-scan workloads read a ratio between 0.979 and
 1.021; the kinds of ops under 0.2 ms spread the most, and leaned slower on
 the side loaded second (covering/geometric, 0.04 ms per op, 1.021;
 analyze/geometric 1.018).  A ratio inside that band shows no difference.
-The one-op kinds (report-mix's malformed/*, 15-90 us each) spread far
-wider: 0.88 to 1.08 in an A/A run at seed 1 with 7 passes, same host.
+Kinds of one op each pool into one row per prefix, such as report-mix's
+`malformed/*` (23 ops of 15-90 us): one of them alone read 0.88 to 1.08 in
+an A/A run at seed 1 with 7 passes, and the pooled row read 0.984 to 1.003
+in seven A/A runs at seeds 1 and 3 with 7 passes each, same host.
 """
 
 from __future__ import annotations
@@ -77,6 +79,10 @@ def main(argv=None) -> int:
     kinds = defaultdict(list)
     for i, op in enumerate(ops["base"]):
         kinds[op.kind].append(i)
+    for kind, idx in list(kinds.items()):  # one op alone spreads too wide to read
+        if len(idx) == 1 and "/" in kind:
+            del kinds[kind]
+            kinds[kind.split("/")[0] + "/*"] += idx
     total = {side: sum(best[side]) * 1e3 for side in order}
     print(f"{args.workload}, seed {args.seed}, best of {args.passes} passes per op; "
           "sums of best times in ms")

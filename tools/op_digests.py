@@ -11,7 +11,8 @@ the paths of families with no ratio-pair scan; point families whose
 x0 > 1 puts the cut below 1 several components down, which no workload op
 takes: the workloads draw x0 from (1/2, 1); and blown unions at the edge
 cases of their merge; and a union whose interval part straddles the union
-horizon, so the merge clips it.
+horizon, so the merge clips it; and blown chains whose components all lie
+above 1, so the cut keeps none.
 
     python3 tools/op_digests.py --seed 1 > head.txt
     python3 tools/op_digests.py --seed 1 --src ../base/src > base.txt
@@ -110,6 +111,17 @@ STRADDLE_UNION = _union(
     {"variant": "ExplicitChain",
      "chain": {"blocks": [{"lo": "1/40", "hi": "1/30"}], "upper": "1/30", "horizon": "1/100"}},
 )
+# blown at q = 2, every component lies above 1 and the cut below 1 keeps
+# none: one point, blown to (1/2, 2), whose lo lies below 1; four points
+# merged into (125/2, 2000); and a chain from outside blown to (10, 48) and
+# (3/2, 6), which the generic cut slices
+EMPTY_CUTS = (
+    (_geometric("1", "1/2"), "1"),
+    (_geometric("1000", "1/2"), "4"),
+    ({"variant": "ExplicitChain",
+      "chain": {"blocks": [{"lo": "20", "hi": "24"}, {"point": "3"}], "upper": "24", "horizon": "3"}},
+     "4"),
+)
 
 
 def generic_paths(mods: dict, family_file: Path) -> list:
@@ -122,7 +134,8 @@ def generic_paths(mods: dict, family_file: Path) -> list:
     Then the reports on blown unions at their edge cases (`EDGE_UNIONS`),
     which hold the merge of the parts' scans to the generic blow-up.  Last
     the reports on a union whose merge clips an interval at the union
-    horizon (`STRADDLE_UNION`)."""
+    horizon (`STRADDLE_UNION`), and those on chains whose cut keeps no
+    component (`EMPTY_CUTS`)."""
     tailset = mods["tailset"]
     ops = []
     for spec in (POINT_UNION, MIXED_UNION, {"variant": "BlowupOf", "base": SUPER_UNION, "q": "3/2"},
@@ -158,6 +171,11 @@ def generic_paths(mods: dict, family_file: Path) -> list:
                  ["analyze", "--q", "5/4", "--q", "3/2", "--format", "json"]):
         argv += ["--family", json.dumps(STRADDLE_UNION), "--depth", "6"]
         ops.append(workloads.Op(f"{argv[0]}-straddle-union", "cli-ok", argv=argv))
+    for spec, depth in EMPTY_CUTS:
+        for argv in (["blowup", "--format", "text"], ["blowup", "--format", "json"],
+                     ["decompose", "--n", "1", "--format", "json"], ["analyze", "--format", "json"]):
+            argv += ["--q", "2", "--family", json.dumps(spec), "--depth", depth]
+            ops.append(workloads.Op(f"{argv[0]}-empty-cut", "cli-ok", argv=argv))
     return ops
 
 
